@@ -30,6 +30,7 @@ from .cy import (
     minkowski_sum_hull,
     nef_ci_polynomials,
 )
+from .errors import ToricError
 from .fans import (
     check_compatibility,
     face_fan,
@@ -1035,7 +1036,7 @@ def criterion_17_property_suites(ctx):
         pts = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(5)]
         try:
             p = LatticePolytope.hull(pts)
-        except Exception:
+        except ToricError:
             continue
         if p.is_reflexive():
             pool.append(p)

@@ -13,7 +13,12 @@ from math import factorial
 
 from . import exactlinalg as la
 from .dd import extreme_rays
-from .errors import DegenerateInputError, NotNefPartitionError, NotReflexiveError
+from .errors import (
+    DegenerateInputError,
+    NotNefPartitionError,
+    NotReflexiveError,
+    ToricError,
+)
 from .fans import mori_cone
 from .polytope import LatticePolytope, enumerate_lattice_points
 from .sympoly import ParamScalar, SparsePoly
@@ -76,12 +81,6 @@ class NefPartition:
     def npart(self):
         return len(self.parts)
 
-    def part_of_vertex(self, v):
-        for i, vs in enumerate(self.parts):
-            if v in vs:
-                return i
-        raise KeyError(v)
-
     def dual(self):
         """Swap the roles of the two polytope families; an involution."""
         nabla_polar = self.nabla.polar_cached()
@@ -121,7 +120,7 @@ def make_nef_partition(delta, assignment):
     nabla_parts = tuple(tuple(sorted(set(p) | {origin})) for p in parts)
     try:
         nabla = minkowski_sum_hull(nabla_parts)
-    except Exception as exc:  # pragma: no cover - degenerate sums
+    except ToricError as exc:  # pragma: no cover - degenerate sums
         raise NotNefPartitionError(str(exc)) from exc
     if not nabla.is_reflexive():
         raise NotNefPartitionError(

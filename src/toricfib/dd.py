@@ -1,16 +1,16 @@
 """Double-description conversion for pointed rational cones.
 
-The single primitive is `extreme_rays`: the extreme rays of
+The primitive is `extreme_rays`: the extreme rays of
 {y : <y, a> >= 0 for all a in constraints}.  Conversion is self-dual, so the
 same routine turns generators into facet normals and inequalities into rays.
-All arithmetic is on arbitrary-precision integers.
+Its partner `cone_contains` answers membership from the resulting facet and
+equation description with dot products alone.  All arithmetic is on
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
-from .exactlinalg import dot, mat, primitive, rank
-
-_MASK_CACHE_LIMIT = 1 << 20
+from .exactlinalg import adjugate, det, dot, mat, primitive, rank
 
 
 def _initial_basis_rays(constraints, dim):
@@ -29,24 +29,12 @@ def _initial_basis_rays(constraints, dim):
                 break
     if len(chosen) < dim:
         raise ValueError("cone is not pointed (constraints do not span)")
-    # integer inverse via adjugate: solve A * X = det * Id columnwise
-    a = [list(r) for r in chosen]
-    n = dim
-    # build adjugate by cofactor expansion on small matrices
-    from .exactlinalg import det as _det
-
-    d = _det(tuple(tuple(r) for r in a))
+    # integer inverse via the adjugate: its columns solve A * X = det * Id
+    d = det(chosen)
+    adj = adjugate(chosen)
     rays = []
-    for j in range(n):
-        col = []
-        for i in range(n):
-            minor = tuple(
-                tuple(a[r][c] for c in range(n) if c != i)
-                for r in range(n)
-                if r != j
-            )
-            col.append((-1) ** (i + j) * _det(minor))
-        r = tuple(col)
+    for j in range(dim):
+        r = tuple(row[j] for row in adj)
         # <r, a_k> = det * delta_jk ; flip so the pairing with a_j is positive
         if d < 0:
             r = tuple(-x for x in r)

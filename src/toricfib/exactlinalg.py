@@ -25,10 +25,6 @@ def mat(rows):
     return m
 
 
-def zero_vec(n):
-    return (0,) * n
-
-
 def is_zero(v):
     return all(x == 0 for x in v)
 
@@ -181,6 +177,28 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(m):
+    """Transposed cofactor matrix: adj[i][j] = (-1)^(i+j) det(m minus row j, col i).
+
+    m * adjugate(m) = adjugate(m) * m = det(m) * Id.
+    """
+    n = len(m)
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * det(
+                tuple(
+                    tuple(row[c] for c in range(n) if c != i)
+                    for r, row in enumerate(m)
+                    if r != j
+                )
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
 def kernel_basis(points):
     """Echelon basis of the saturated left kernel {c : c * points = 0}.
 
@@ -197,10 +215,6 @@ def kernel_basis(points):
         return ()
     hk, _ = hermite_form(kern)
     return tuple(r for r in hk if not is_zero(r))
-
-
-def left_kernel(m):
-    return kernel_basis(m)
 
 
 def right_kernel(m):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import exactlinalg as la
-from .dd import extreme_rays
+from .dd import cone_contains, extreme_rays
 from .errors import (
     DegenerateInputError,
     IncompatibleMorphismError,
@@ -23,7 +23,13 @@ from .errors import (
 
 
 class ConeGeom:
-    """Geometry of a pointed cone spanned by the given ray vectors."""
+    """A pointed cone spanned by the given rays, held as an H-representation.
+
+    Invariant: v lies in the cone iff <v, e> == 0 for every e in
+    ``equations`` and <v, a> >= 0 for every a in ``ambient_ineqs``.  The
+    equations cut out the saturated span of the rays, so this also decides
+    integer membership; every query below reads these two tuples.
+    """
 
     def __init__(self, rays, ambient_rank):
         self.rays = la.mat(rays)
@@ -32,20 +38,7 @@ class ConeGeom:
 
     @property
     def dim(self):
-        if "dim" not in self._cache:
-            self._cache["dim"] = la.rank(self.rays) if self.rays else 0
-        return self._cache["dim"]
-
-    @property
-    def span(self):
-        if "span" not in self._cache:
-            if not self.rays:
-                self._cache["span"] = None
-            else:
-                self._cache["span"] = la.Sublattice.from_spanning(
-                    self.rays, self.ambient_rank
-                )
-        return self._cache["span"]
+        return self.ambient_rank - len(self.equations)
 
     @property
     def equations(self):
@@ -54,64 +47,38 @@ class ConeGeom:
             if not self.rays:
                 self._cache["eqns"] = la.identity(self.ambient_rank)
             else:
-                self._cache["eqns"] = la.right_kernel(self.rays) or ()
+                self._cache["eqns"] = la.right_kernel(self.rays)
         return self._cache["eqns"]
 
     @property
-    def local_rays(self):
-        if "local" not in self._cache:
-            sub = self.span
-            self._cache["local"] = tuple(sub.coords(r) for r in self.rays)
-        return self._cache["local"]
-
-    @property
-    def local_facets(self):
-        """Facet normals of the cone in span coordinates."""
-        if "facets" not in self._cache:
-            if not self.rays:
-                self._cache["facets"] = ()
-            else:
-                self._cache["facets"] = extreme_rays(self.local_rays, self.dim)
-        return self._cache["facets"]
-
-    @property
     def ambient_ineqs(self):
-        """Lifts of the local facet normals to ambient functionals."""
+        """Facet normals, lifted from span coordinates to ambient functionals."""
         if "amb" not in self._cache:
-            if not self.rays:
-                self._cache["amb"] = ()
-            else:
-                basis = self.span.basis
-                lifted = []
-                for f in self.local_facets:
-                    n = la.solve_right(basis, f)
-                    if n is None:
-                        raise DegenerateInputError("facet lift failed")
-                    lifted.append(n)
-                self._cache["amb"] = tuple(lifted)
+            self._cache["amb"] = self._facet_normals()
         return self._cache["amb"]
 
-    def contains(self, v):
-        v = la.vec(v)
-        if la.is_zero(v):
-            return True
+    def _facet_normals(self):
         if not self.rays:
-            return False
-        c = self.span.coords(v)
-        if c is None:
-            return False
-        return all(la.dot(c, f) >= 0 for f in self.local_facets)
+            return ()
+        span = la.Sublattice.from_spanning(self.rays, self.ambient_rank)
+        local_rays = tuple(span.coords(r) for r in self.rays)
+        lifted = []
+        for f in extreme_rays(local_rays, span.rank):
+            n = la.solve_right(span.basis, f)
+            if n is None:
+                raise DegenerateInputError("facet lift failed")
+            lifted.append(n)
+        return tuple(lifted)
+
+    def contains(self, v):
+        return cone_contains(self.ambient_ineqs, self.equations, la.vec(v))
 
     def facet_ray_sets(self):
         """Ray-index subsets (into self.rays) tight on each facet."""
-        out = []
-        for f in self.local_facets:
-            out.append(
-                frozenset(
-                    i for i, r in enumerate(self.local_rays) if la.dot(r, f) == 0
-                )
-            )
-        return tuple(out)
+        return tuple(
+            frozenset(i for i, r in enumerate(self.rays) if la.dot(r, f) == 0)
+            for f in self.ambient_ineqs
+        )
 
     def all_face_ray_sets(self):
         """Ray-index subsets of every face, the zero cone included."""
@@ -120,9 +87,9 @@ class ConeGeom:
         if not self.rays:
             self._cache["faces"] = (frozenset(),)
             return self._cache["faces"]
-        facets = self.local_facets
+        facets = self.ambient_ineqs
         ray_masks = []
-        for r in self.local_rays:
+        for r in self.rays:
             ray_masks.append(frozenset(i for i, f in enumerate(facets) if la.dot(r, f) == 0))
         closed = set()
         frontier = [frozenset()]
@@ -205,11 +172,6 @@ class Fan:
                 sorted(out, key=lambda s: (len(s), sorted(s)))
             )
         return self._cache["all_cones"]
-
-    def cones_of_dim(self, d):
-        return tuple(
-            c for c in self.all_cones() if self.cone_geom(c).dim == d
-        )
 
     def support_contains(self, v):
         return any(self.cone_geom(c).contains(v) for c in self.max_cones)
@@ -304,10 +266,9 @@ def star_subdivide(fan, ray):
         if not geom.contains(ray):
             cones.append(c)
             continue
-        for fs in geom.facet_ray_sets():
-            fverts = tuple(geom.rays[i] for i in fs)
-            if ConeGeom(fverts, fan.rank).contains(ray):
-                continue
+        for fs, f in zip(geom.facet_ray_sets(), geom.ambient_ineqs):
+            if la.dot(ray, f) == 0:
+                continue  # the facet contains the ray
             cones.append(tuple(sorted([c[i] for i in fs] + [new_idx])))
     return Fan(fan.rank, rays, cones)
 
@@ -419,17 +380,17 @@ def subdivide_domain(matrix, domain, codomain):
             if rays and la.rank(rays) == geom.dim:
                 pieces.append(rays)
         # drop pieces contained in other pieces of the same cone
-        kept = []
-        for r in pieces:
-            g = ConeGeom(r, n)
-            if any(
-                r != o and all(ConeGeom(o, n).contains(x) for x in r) for o in pieces
-            ):
-                continue
-            kept.append(r)
+        geoms = [ConeGeom(r, n) for r in pieces]
+        kept = [
+            g
+            for g in geoms
+            if not any(
+                o.rays != g.rays and all(o.contains(x) for x in g.rays) for o in geoms
+            )
+        ]
         if not codomain_complete:
-            _check_coverage(geom, kept, n)
-        pieces_all.extend(kept)
+            _check_coverage(geom, kept)
+        pieces_all.extend(g.rays for g in kept)
     # assemble: original rays keep their order, new rays appended in lex order
     seen = dict()
     for i, r in enumerate(domain.rays):
@@ -445,11 +406,10 @@ def subdivide_domain(matrix, domain, codomain):
     return fan.subfan(fan.max_cones)
 
 
-def _check_coverage(geom, pieces, n):
-    """Wall-parity check that the pieces cover the cone (incomplete codomain)."""
+def _check_coverage(geom, pieces):
+    """Wall-parity check that the piece cones cover the cone (incomplete codomain)."""
     counts = {}
-    for rays in pieces:
-        g = ConeGeom(rays, n)
+    for g in pieces:
         for fs in g.facet_ray_sets():
             wall = tuple(sorted(g.rays[i] for i in fs))
             counts[wall] = counts.get(wall, 0) + 1
@@ -546,21 +506,6 @@ class MonomialMap:
     domain_nrays: int
     codomain_nrays: int
     entries: tuple  # per codomain ray: tuple of (domain ray index, exponent)
-
-    def bracket(self, domain_names, codomain_names):
-        parts = []
-        for j, factors in enumerate(self.entries):
-            if not factors:
-                parts.append("1")
-                continue
-            s = "*".join(
-                domain_names[i] + (f"^{e}" if e != 1 else "") for i, e in factors
-            )
-            parts.append(s)
-        return "[" + " : ".join(parts) + "]"
-
-    def exponents(self, j):
-        return dict(self.entries[j])
 
 
 def homogeneous_map(phi):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exactlinalg as la
 from .cy import vertices_from_inequalities
-from .errors import DegenerateInputError, NotReflexiveError
+from .errors import DegenerateInputError, NotReflexiveError, ToricError
 from .polytope import LatticePolytope
 
 
@@ -179,13 +179,6 @@ def _raw_candidates(delta, fibre_dim):
     return tuple(out)
 
 
-def slice_candidate(delta, spanning_points):
-    """Evaluate one sublattice (spanned by boundary points) directly."""
-    polar = delta.polar_cached()
-    basis = la.saturation(la.mat(spanning_points))
-    return _evaluate_sublattice(delta, polar, basis)
-
-
 def _evaluate_sublattice(delta, polar, basis):
     k = len(basis)
     sub = la.Sublattice(basis=basis, ambient_rank=delta.rank)
@@ -207,7 +200,7 @@ def _evaluate_sublattice(delta, polar, basis):
         iverts.append(w)
     try:
         slice_poly = LatticePolytope.hull(iverts)
-    except Exception:
+    except ToricError:
         return None
     if not slice_poly.is_reflexive():
         return None
@@ -215,7 +208,7 @@ def _evaluate_sublattice(delta, polar, basis):
     images = sorted({tuple(la.dot(u, b) for b in basis) for u in delta.vertices})
     try:
         proj = LatticePolytope.hull(images)
-    except Exception:
+    except ToricError:
         return None
     if not proj.is_reflexive():
         return None
@@ -262,19 +255,7 @@ def lattice_equivalent(p, q):
 
 def _solve_matrix(a, b, det_a):
     """Integer matrix U with a*U = b, via the adjugate; None if fractional."""
-    n = len(a)
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(a[r][c] for c in range(n) if c != i)
-                for r in range(n)
-                if r != j
-            )
-            row.append((-1) ** (i + j) * la.det(minor))
-        adj.append(tuple(row))
-    num = la.matmul(tuple(adj), b)
+    num = la.matmul(la.adjugate(a), b)
     u = []
     for row in num:
         r = []

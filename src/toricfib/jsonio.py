@@ -1,9 +1,8 @@
-"""JSON (de)serialization for polytopes, fans, morphisms and matrices.
+"""JSON (de)serialization for polytopes, fans and matrices.
 
 Formats:
   polytope  {"rank": n, "vertices": [[...], ...]}
   fan       {"rank": n, "rays": [[...], ...], "cones": [[ray indices], ...]}
-  morphism  {"matrix": [[...], ...], "domain": <fan>, "codomain": <fan>}
   matrix    [[...], ...]
 """
 
@@ -12,7 +11,6 @@ from __future__ import annotations
 import json
 
 from .errors import ToricError
-from .fans import Fan
 from .polytope import LatticePolytope
 
 
@@ -50,19 +48,6 @@ def fan_to_json(f):
     }
 
 
-def fan_from_json(data):
-    _require(isinstance(data, dict), "fan must be an object")
-    for key in ("rank", "rays", "cones"):
-        _require(key in data, f"fan needs '{key}'")
-    rays = [tuple(int(x) for x in r) for r in data["rays"]]
-    cones = [tuple(int(i) for i in c) for c in data["cones"]]
-    nrays = len(rays)
-    _require(
-        all(0 <= i < nrays for c in cones for i in c), "cone ray index out of range"
-    )
-    return Fan(int(data["rank"]), rays, cones)
-
-
 def matrix_from_json(data):
     _require(
         isinstance(data, list) and data and all(isinstance(r, list) for r in data),
@@ -73,17 +58,6 @@ def matrix_from_json(data):
 
 def matrix_to_json(m):
     return [list(r) for r in m]
-
-
-def morphism_parts_from_json(data):
-    _require(isinstance(data, dict), "morphism must be an object")
-    for key in ("matrix", "domain", "codomain"):
-        _require(key in data, f"morphism needs '{key}'")
-    return (
-        matrix_from_json(data["matrix"]),
-        fan_from_json(data["domain"]),
-        fan_from_json(data["codomain"]),
-    )
 
 
 def dumps(obj):

@@ -9,7 +9,6 @@ polar to the (1, 1, 4, 6) weighted projective space.
 
 from __future__ import annotations
 
-from . import exactlinalg as la
 from .fans import Fan, check_compatibility, face_fan, star_subdivide, subdivide_domain
 from .polytope import LatticePolytope
 
@@ -26,9 +25,6 @@ CI_POLAR_VERTICES = (
     (0, 0, -1, 2, -1),
     (0, 0, -1, -1, 1),
 )
-
-# nef partition of those vertices: first four against last six
-CI_NEF_PARTS = (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7, 8, 9}))
 
 # 4d reflexive simplex for weights (1, 1, 2, 8, 12)
 HYP_SIMPLEX_VERTICES = (
@@ -58,15 +54,6 @@ TRANSITION_MATRIX = (
     (-1, 1, 0, 0),
     (-4, 0, 1, 0),
     (-6, 0, 0, 1),
-)
-
-# lattice involution exchanging the two quadratic coordinates of the 5d model
-COORD_SWAP_MATRIX = (
-    (1, 0, -1, 0, 0),
-    (0, 1, -1, 0, 0),
-    (0, 0, -1, 0, 0),
-    (0, 0, -4, 1, 0),
-    (0, 0, -6, 0, 1),
 )
 
 # boundary points of the 4d polar used to resolve the hypersurface ambient:

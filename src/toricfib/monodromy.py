@@ -240,12 +240,10 @@ def _pderiv(p):
 
 def _pdet(mat):
     """Determinant of a matrix of polynomials by Laplace expansion with memo."""
-    n = len(mat)
-    from functools import lru_cache
+    cols_all = tuple(range(len(mat)))
+    memo = {}
 
-    cols_all = tuple(range(n))
-
-    def det(rows, cols, memo={}):
+    def det(rows, cols):
         if not rows:
             return [ONE]
         key = (rows, cols)
@@ -265,7 +263,7 @@ def _pdet(mat):
         memo[key] = total
         return total
 
-    return det(cols_all, cols_all, {})
+    return det(cols_all, cols_all)
 
 
 @dataclass(frozen=True)
@@ -416,19 +414,20 @@ def _validate_loop(loop, singulars):
             )
 
 
+def _horner(cs, z):
+    """Value at z of the polynomial with ascending coefficients cs."""
+    acc = mp.mpc(0)
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
 def _newton(coeffs, y, prec):
     tol = mp.mpf(2) ** (-(prec - 8))
     deriv = [coeffs[k] * k for k in range(1, len(coeffs))]
-
-    def ev(cs, z):
-        acc = mp.mpc(0)
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     for _ in range(60):
-        fy = ev(coeffs, y)
-        dy = ev(deriv, y)
+        fy = _horner(coeffs, y)
+        dy = _horner(deriv, y)
         if dy == 0:
             return None
         step = fy / dy
@@ -482,17 +481,17 @@ def _continue_along(family, roots, points, prec, initial_step=None):
     return roots
 
 
-def _loop_points(loop, segments=24):
-    base = mp.mpc(loop.base)
-    center = mp.mpc(loop.center)
-    r = mp.mpf(loop.radius)
+def _circle_path(base, center, radius, sense, segments=24):
+    """Base -> circle -> base: out along the ray from ``center`` through
+    ``base``, once round the circle (sense +1 anticlockwise, -1 clockwise),
+    and back."""
     w = base - center
-    start = center + r * w / abs(w)
+    start = center + radius * w / abs(w)
     theta0 = mp.arg(start - center)
     pts = [base, start]
     for k in range(1, segments + 1):
-        ang = theta0 + 2 * mp.pi * k / segments
-        pts.append(center + r * mp.mpc(mp.cos(ang), mp.sin(ang)))
+        ang = theta0 + sense * (2 * mp.pi * k / segments)
+        pts.append(center + radius * mp.mpc(mp.cos(ang), mp.sin(ang)))
     pts.append(base)
     return pts
 
@@ -515,17 +514,12 @@ def track_roots(family, loop, prec=128, initial_step=None, _singulars=None):
         singulars = _singulars or singular_parameters(family, prec)
         _validate_loop(loop, singulars)
         start = base_roots(family, loop.base, prec)
-        pts = _loop_points(loop)
+        pts = _circle_path(
+            mp.mpc(loop.base), mp.mpc(loop.center), mp.mpf(loop.radius), 1
+        )
         final = _continue_along(family, list(start), pts, prec, initial_step)
         coeffs = family.y_poly_at(mp.mpc(loop.base))
-
-        def ev(cs, z):
-            acc = mp.mpc(0)
-            for c in reversed(cs):
-                acc = acc * z + c
-            return acc
-
-        residual = max(abs(ev(coeffs, y)) for y in final)
+        residual = max(abs(_horner(coeffs, y)) for y in final)
         perm = _match(start, final)
         return perm, residual
 
@@ -539,25 +533,11 @@ def track_loop_at_infinity(family, base, radius, prec=128, initial_step=None, _s
             if abs(s) >= radius / 2:
                 raise DegenerateInputError("radius does not dominate singular values")
         b = mp.mpc(base)
-        start = radius * b / abs(b)
-        theta0 = mp.arg(start)
-        pts = [b, start]
-        segments = 24
-        for k in range(1, segments + 1):
-            ang = theta0 - 2 * mp.pi * k / segments
-            pts.append(radius * mp.mpc(mp.cos(ang), mp.sin(ang)))
-        pts.append(b)
+        pts = _circle_path(b, mp.mpc(0), radius, -1)
         startr = base_roots(family, base, prec)
         final = _continue_along(family, list(startr), pts, prec, initial_step)
         coeffs = family.y_poly_at(b)
-
-        def ev(cs, z):
-            acc = mp.mpc(0)
-            for c in reversed(cs):
-                acc = acc * z + c
-            return acc
-
-        residual = max(abs(ev(coeffs, y)) for y in final)
+        residual = max(abs(_horner(coeffs, y)) for y in final)
         return _match(startr, final), residual
 
 

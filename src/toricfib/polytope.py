@@ -8,7 +8,7 @@ enumeration and the boundary skeleton graph all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactlinalg as la
@@ -92,14 +92,6 @@ class SkeletonGraph:
     nodes: tuple
     edges: frozenset  # frozenset of 2-element frozensets of node indices
 
-    def neighbors(self, i):
-        out = []
-        for e in self.edges:
-            if i in e:
-                (j,) = [t for t in e if t != i] or [i]
-                out.append(j)
-        return sorted(out)
-
     def subgraph_components(self, keep_edge):
         """Connected components (as sorted node-index tuples) of the subgraph
         with edges filtered by ``keep_edge`` and only the nodes they touch."""
@@ -168,10 +160,6 @@ class LatticePolytope:
             facets.append((n, c))
         poly = cls(dim, _extract_vertices(pts, facets, dim), facets)
         return poly
-
-    @classmethod
-    def from_vertices_trusted(cls, rank, vertices, facets):
-        return cls(rank, vertices, facets)
 
     # -- basic queries -----------------------------------------------------
 
@@ -244,10 +232,6 @@ class LatticePolytope:
         interior, boundary, _ = self._points_data()
         return interior, boundary
 
-    def all_points(self):
-        interior, boundary, _ = self._points_data()
-        return tuple(sorted(interior + boundary))
-
     def npoints(self):
         interior, boundary, _ = self._points_data()
         return len(interior) + len(boundary)
@@ -316,13 +300,6 @@ class LatticePolytope:
         """All faces of the given dimension, canonically ordered."""
         return tuple(self._face_data().get(dim, ()))
 
-    def face_by_tight_set(self, tight):
-        for fs in self._face_data().values():
-            for f in fs:
-                if f.tight_facets == tight:
-                    return f
-        raise KeyError(tight)
-
     def dual_face(self, face):
         """The polar face pairing to -1 with all of ``face``; needs reflexivity."""
         if not self.is_reflexive():
@@ -375,14 +352,3 @@ def _extract_vertices(points, facets, dim):
         if len(tight) >= dim and la.rank(la.mat(tight)) == dim:
             verts.append(p)
     return tuple(sorted(set(verts)))
-
-
-def restrict_to_sublattice(points, sublattice):
-    """Coordinates of the given points in the sublattice basis (all must lie in it)."""
-    out = []
-    for p in points:
-        c = sublattice.coords(p)
-        if c is None:
-            raise DegenerateInputError("point outside sublattice", point=list(p))
-        out.append(c)
-    return la.mat(out)

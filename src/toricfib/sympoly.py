@@ -95,13 +95,6 @@ def pp_mul(a, b, radicals=None):
     return out
 
 
-def pp_pow(a, k, radicals=None):
-    out = pp_const(1)
-    for _ in range(k):
-        out = pp_mul(out, a, radicals)
-    return out
-
-
 def pp_content(a):
     g = 0
     for c in a.values():
@@ -362,9 +355,6 @@ class ParamScalar:
         for _ in range(k):
             out = out * self
         return out
-
-    def inverse(self):
-        return ParamScalar(1, field=self.field) / self
 
     def is_zero(self):
         return pp_is_zero(self.num)
@@ -639,21 +629,6 @@ class SparsePoly:
                 if name not in idx:
                     raise ValueError(f"variable {name!r} still occurs")
                 e[idx[name]] = k
-            terms[tuple(e)] = coeff
-        return SparsePoly(ring, terms, field=self.field)
-
-    def rename(self, ring, mapping=None):
-        """Reinterpret in another ring; variables map by name unless remapped."""
-        mapping = mapping or {}
-        idx = []
-        for name in self.ring:
-            target = mapping.get(name, name)
-            idx.append(ring.index(target))
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = [0] * len(ring)
-            for i, k in enumerate(exps):
-                e[idx[i]] += k
             terms[tuple(e)] = coeff
         return SparsePoly(ring, terms, field=self.field)
 

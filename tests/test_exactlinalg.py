@@ -14,6 +14,17 @@ def test_hermite_small():
     assert h == ((1, 1), (0, 2))
 
 
+def test_adjugate_inverts_up_to_det():
+    rng = random.Random(11)
+    for n in range(1, 5):
+        for _ in range(20):
+            m = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
+            d = la.det(m)
+            scaled = tuple(tuple(d * x for x in row) for row in la.identity(n))
+            assert la.matmul(m, la.adjugate(m)) == scaled
+            assert la.matmul(la.adjugate(m), m) == scaled
+
+
 def test_hermite_identity_and_zero():
     h, u = la.hermite_form(la.identity(3))
     assert h == la.identity(3)

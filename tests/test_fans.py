@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from toricfib import exactlinalg as la
 from toricfib import models
 from toricfib.errors import DegenerateInputError, IncompatibleMorphismError
 from toricfib.fans import (
+    ConeGeom,
     Fan,
     check_compatibility,
     classify,
@@ -202,6 +205,39 @@ def test_triangle_cone_not_smooth_and_weights():
                 if lhs == [(a + b + c) * t for t in tri]:
                     sols.append((a, b, c))
     assert sorted(sols[0]) == [1, 2, 3]
+
+
+GRID = list(itertools.product(range(-2, 3), repeat=3))
+
+
+def test_cone_contains_matches_generator_reference():
+    r1, r2 = (1, 0, 1), (0, 1, 1)
+    geom = ConeGeom((r1, r2), 3)
+    for v in GRID:
+        # r1, r2 restrict to the unit vectors on the first two coordinates
+        a, b = v[0], v[1]
+        expected = a >= 0 and b >= 0 and la.add(la.scale(a, r1), la.scale(b, r2)) == v
+        assert geom.contains(v) == expected, v
+
+
+def test_empty_cone_contains_only_origin():
+    geom = ConeGeom((), 3)
+    assert geom.dim == 0
+    assert [v for v in GRID if geom.contains(v)] == [(0, 0, 0)]
+
+
+def test_star_subdivide_p3_at_wall_ray():
+    rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+    fan = Fan(3, rays, itertools.combinations(range(4), 3))
+    out = star_subdivide(fan, (1, 1, 0))
+    assert out.ngenerating_cones() == 6
+    assert out.is_complete()
+
+
+def test_cone_over_square_faces():
+    geom = ConeGeom(((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), 3)
+    assert len(geom.all_face_ray_sets()) == 10
+    assert len(geom.facet_ray_sets()) == 4
 
 
 def test_star_subdivide_existing_ray_noop():
