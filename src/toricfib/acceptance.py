@@ -2,19 +2,22 @@
 reproduce, one criterion per function, each returning a CriterionResult.
 
 The fixtures (model polytopes, morphism matrices, the nef-partition) are
-loaded from JSON files so that the suite genuinely exercises the I/O layer;
-expected values are frozen here by coordinates, never by any enumeration
-index.
+loaded from the bundled JSON files so that the suite genuinely exercises the
+I/O layer, and ``_Ctx`` is the one place that builds the model polytopes,
+fans and morphisms from them; expected values are frozen here by coordinates,
+never by any enumeration index.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import factorial
+from types import SimpleNamespace
 
 import mpmath as mp
 
@@ -32,6 +35,7 @@ from .cy import (
 )
 from .errors import ToricError
 from .fans import (
+    Fan,
     check_compatibility,
     face_fan,
     homogeneous_map,
@@ -42,12 +46,7 @@ from .fans import (
     star_subdivide,
     subdivide_domain,
 )
-from .jsonio import (
-    fan_to_json,
-    load_path,
-    matrix_from_json,
-    polytope_from_json,
-)
+from .jsonio import matrix_from_json, polytope_from_json
 from .k3 import (
     fibre_params_Y,
     fibre_params_Z,
@@ -81,18 +80,10 @@ class CriterionResult:
 
 
 class Fixtures:
-    """Loads the bundled model data; a directory override supports tampering
-    tests and external reuse."""
-
-    def __init__(self, directory=None):
-        self.directory = directory
+    """Loads the model data bundled with the package."""
 
     def _data(self, name):
-        if self.directory is not None:
-            return load_path(f"{self.directory}/{name}")
         ref = resources.files("toricfib").joinpath("fixtures").joinpath(name)
-        import json
-
         return json.loads(ref.read_text())
 
     def polytope(self, name):
@@ -111,7 +102,8 @@ class Fixtures:
 
 
 class _Ctx:
-    """Shared lazily-built objects for the criteria."""
+    """The model geometry, built lazily from the fixtures and memoized per
+    instance; criteria and tests share one instance instead of rebuilding."""
 
     def __init__(self, fixtures):
         self.fx = fixtures
@@ -151,18 +143,36 @@ class _Ctx:
         )
 
     @property
+    def base_fan(self):
+        return self.get("base_fan", lambda: face_fan(self.base_pentagon))
+
+    @property
+    def line_fan(self):
+        return self.get("line_fan", lambda: Fan(1, ((1,), (-1,)), ((0,), (1,))))
+
+    @property
+    def ci_face_fan(self):
+        return self.get("ci_face_fan", lambda: face_fan(self.ci_polar))
+
+    @property
     def ci_fan(self):
+        """Refinement of the 5d face fan compatible with the base projection."""
+
         def build():
             return subdivide_domain(
-                self.fx.matrix("proj_first_two"),
-                face_fan(self.ci_polar),
-                face_fan(self.base_pentagon),
+                self.fx.matrix("proj_first_two"), self.ci_face_fan, self.base_fan
             )
 
         return self.get("ci_fan", build)
 
     @property
     def ci_partial(self):
+        """Subfan avoiding the two quadric coordinates and the joint torus factor.
+
+        Drops every cone touching the ray (1,-1,0,0,0) or (-1,1,0,0,0), or
+        containing both (12,0,-1,-1,-1) and (0,12,-1,-1,-1).
+        """
+
         def build():
             fan = self.ci_fan
             i0 = fan.rays.index((1, -1, 0, 0, 0))
@@ -189,9 +199,8 @@ class _Ctx:
     @property
     def hyp_fan_12(self):
         def build():
-            fan = face_fan(self.hyp_simplex.polar_cached())
+            fan = self.hyp_fan_6
             for r in (
-                models.HYP_EDGE_MIDPOINT,
                 models.HYP_BELOW_SLICE,
                 models.HYP_ABOVE_SLICE,
                 models.HYP_TRIANGLE_INTERIOR,
@@ -202,7 +211,19 @@ class _Ctx:
         return self.get("hyp_fan_12", build)
 
     @property
+    def beta12(self):
+        """Projection of the 12-ray 4d fan onto the line along the K3 slice."""
+
+        def build():
+            matrix = self.fx.matrix("fibre_direction")
+            return check_compatibility(matrix, self.hyp_fan_12, self.line_fan)
+
+        return self.get("beta12", build)
+
+    @property
     def transition(self):
+        """Fibration onto the 12-ray 4d fan, with the final 5d edge-midpoint insertion."""
+
         def build():
             matrix = self.fx.matrix("transition_matrix")
             domain = subdivide_domain(matrix, self.ci_partial, self.hyp_fan_12)
@@ -210,6 +231,17 @@ class _Ctx:
             return check_compatibility(matrix, domain, self.hyp_fan_12)
 
         return self.get("transition", build)
+
+    @property
+    def chart_rays(self):
+        """Ray container for the equations of the resolved partial ambient:
+        the two dropped quadric rays plus the rays of the transition domain."""
+
+        def build():
+            quadric = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0))
+            return SimpleNamespace(rays=quadric + self.transition.domain.rays)
+
+        return self.get("chart_rays", build)
 
 
 # -- small helpers --------------------------------------------------------
@@ -281,7 +313,7 @@ def criterion_01_reflexivity(ctx):
 def criterion_02_fan_counts(ctx):
     """face fan (10 rays, 14 cones); projection-compatible refinement (10, 22)"""
     fails = []
-    fan = face_fan(ctx.ci_polar)
+    fan = ctx.ci_face_fan
     _check((fan.nrays(), fan.ngenerating_cones()) == (10, 14), "face fan (10, 14)", fails)
     sub = ctx.ci_fan
     _check((sub.nrays(), sub.ngenerating_cones()) == (10, 22), "refined fan (10, 22)", fails)
@@ -304,20 +336,11 @@ def criterion_03_normal_fan(ctx):
 def criterion_04_fibration_verdicts(ctx):
     """fibration verdicts for the three torically induced maps"""
     fails = []
-    alpha = check_compatibility(
-        ctx.fx.matrix("proj_first_two"), ctx.ci_fan, face_fan(ctx.base_pentagon)
-    )
+    alpha = check_compatibility(ctx.fx.matrix("proj_first_two"), ctx.ci_fan, ctx.base_fan)
     _check(is_fibration(alpha), "base-surface projection is a fibration", fails)
-    from .models import line_fan
-
-    beta6 = check_compatibility(
-        ctx.fx.matrix("fibre_direction"), ctx.hyp_fan_6, line_fan()
-    )
+    beta6 = check_compatibility(ctx.fx.matrix("fibre_direction"), ctx.hyp_fan_6, ctx.line_fan)
     _check(is_fibration(beta6), "line projection (6-ray fan) is a fibration", fails)
-    beta12 = check_compatibility(
-        ctx.fx.matrix("fibre_direction"), ctx.hyp_fan_12, line_fan()
-    )
-    _check(is_fibration(beta12), "line projection (12-ray fan) is a fibration", fails)
+    _check(is_fibration(ctx.beta12), "line projection (12-ray fan) is a fibration", fails)
     phi = ctx.transition
     _check(is_fibration(phi), "transition morphism is a fibration", fails)
     kfan, sub = kernel_fan(phi)
@@ -333,11 +356,7 @@ def criterion_04_fibration_verdicts(ctx):
 def criterion_05_homogeneous_maps(ctx):
     """monomial coordinate forms of the fibrations"""
     fails = []
-    from .models import line_fan
-
-    beta12 = check_compatibility(
-        ctx.fx.matrix("fibre_direction"), ctx.hyp_fan_12, line_fan()
-    )
+    beta12 = ctx.beta12
     mm = homogeneous_map(beta12)
     names = [models.HYP_RAY_NAMES[r] for r in beta12.domain.rays]
     s_named = {
@@ -391,7 +410,7 @@ def criterion_06_cy_equations(ctx):
     """complete-intersection and hypersurface equations, exact and rendered"""
     fails = []
     np_ = ctx.nef_partition
-    fan = face_fan(ctx.ci_polar)
+    fan = ctx.ci_face_fan
     g0, g1 = nef_ci_polynomials(
         np_, fan, monomials="all", ray_names=models.CI_RAY_NAMES, coeff_names=_ci_coeff_names()
     )
@@ -442,14 +461,9 @@ def criterion_06_cy_equations(ctx):
     _check(g1r.render() == GOLDEN_G1_REDUCED, "reduced second equation rendering", fails)
 
     # equations in the resolved partial chart
-    phi = ctx.transition
-
-    class Rays:
-        rays = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0)) + phi.domain.rays
-
     g0c, g1c = nef_ci_polynomials(
         np_,
-        Rays(),
+        ctx.chart_rays,
         monomials="vertices+origin",
         coefficients=_ci_reduced_coeffs(),
         ray_names=models.CI_RAY_NAMES,
@@ -528,7 +542,7 @@ def criterion_07_chart_elimination(ctx):
     """shift substitution in the cubic chart: support and coefficients"""
     fails = []
     np_ = ctx.nef_partition
-    fan = face_fan(ctx.ci_polar)
+    fan = ctx.ci_face_fan
     _, g1 = nef_ci_polynomials(
         np_, fan, monomials="all", ray_names=models.CI_RAY_NAMES, coeff_names=_ci_coeff_names()
     )
@@ -789,13 +803,9 @@ def _transition_rings(ctx):
     # chart equations with the matched moduli
     xi0 = 2 * B / ((12 * psi0**2) ** 6)
     xi1 = -4 * psi1 / ((12 * psi0**2) ** 3)
-
-    class Rays:
-        rays = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0)) + phi.domain.rays
-
     g0f, g1f = nef_ci_polynomials(
         ctx.nef_partition,
-        Rays(),
+        ctx.chart_rays,
         monomials="vertices+origin",
         coefficients=_ci_reduced_coeffs(xi0=xi0, xi1=xi1, field=field),
         ray_names=models.CI_RAY_NAMES,
@@ -1181,9 +1191,9 @@ TIME_BUDGETS = {
 }
 
 
-def run(only=None, fixtures_dir=None):
+def run(only=None):
     """Run the acceptance criteria; returns a list of CriterionResult."""
-    ctx = _Ctx(Fixtures(fixtures_dir))
+    ctx = _Ctx(Fixtures())
     results = []
     for name, func in CRITERIA:
         if only and only not in name:

@@ -1,14 +1,11 @@
-"""JSON (de)serialization for polytopes, fans and matrices.
+"""JSON (de)serialization for polytopes and matrices.
 
 Formats:
   polytope  {"rank": n, "vertices": [[...], ...]}
-  fan       {"rank": n, "rays": [[...], ...], "cones": [[ray indices], ...]}
   matrix    [[...], ...]
 """
 
 from __future__ import annotations
-
-import json
 
 from .errors import ToricError
 from .polytope import LatticePolytope
@@ -40,14 +37,6 @@ def polytope_from_json(data):
     return LatticePolytope.hull(verts)
 
 
-def fan_to_json(f):
-    return {
-        "rank": f.rank,
-        "rays": [list(r) for r in f.rays],
-        "cones": [list(c) for c in f.max_cones],
-    }
-
-
 def matrix_from_json(data):
     _require(
         isinstance(data, list) and data and all(isinstance(r, list) for r in data),
@@ -58,15 +47,3 @@ def matrix_from_json(data):
 
 def matrix_to_json(m):
     return [list(r) for r in m]
-
-
-def dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def load_path(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc

@@ -82,7 +82,6 @@ class GaussRat:
 
 ZERO = GaussRat(Fraction(0), Fraction(0))
 ONE = GaussRat(Fraction(1), Fraction(0))
-I = GaussRat(Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True)

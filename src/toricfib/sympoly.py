@@ -390,6 +390,11 @@ class ParamScalar:
         if self.den == pp_const(1):
             return n
         d = pp_render(self.den)
+        if len(self.num) == 1 and set(self.den) == {()}:
+            ((mono, c),) = self.num.items()
+            if mono:  # one monomial over an integer: (c/d)*mono
+                sign = "-" if c < 0 else ""
+                return f"{sign}({abs(c)}/{d})*{pp_render({mono: 1})}"
         if len(self.num) > 1:
             n = f"({n})"
         if len(self.den) > 1:
@@ -633,10 +638,19 @@ class SparsePoly:
         return SparsePoly(ring, terms, field=self.field)
 
     def render(self):
+        """Terms by descending degree; within a degree by descending sorted
+        exponents, then display-order lex (z0^24*z16^12 before z0^12*z3^12*z16^12,
+        an order no monomial order gives)."""
         if not self.terms:
             return "0"
+        perm = self._display_perm()
+        order = sorted(
+            self.terms,
+            key=lambda e: (sum(e), sorted(e, reverse=True), tuple(e[i] for i in perm)),
+            reverse=True,
+        )
         parts = []
-        for exps in self.monomials():
+        for exps in order:
             coeff = self.terms[exps]
             mono = self._mono_str(exps)
             c = coeff.render()

@@ -1,9 +1,8 @@
 import random
 from math import factorial
 
-import pytest
-
 from toricfib import models
+from toricfib.acceptance import _ci_reduced_coeffs, _gkz_degrees, _named_poly
 from toricfib.cy import (
     batyrev_hodge,
     gkz_coefficient,
@@ -16,47 +15,11 @@ from toricfib.cy import (
 from toricfib.errors import NotNefPartitionError
 from toricfib.fans import face_fan
 from toricfib.polytope import LatticePolytope
-from toricfib.sympoly import ParamScalar, SparsePoly
+from toricfib.sympoly import ParamScalar
 
 
-def running_nef_partition():
-    delta = models.ci_base()
-    assignment = {}
-    for i, v in enumerate(models.CI_POLAR_VERTICES):
-        assignment[v] = 0 if i < 4 else 1
-    return make_nef_partition(delta, assignment)
-
-
-def ci_coeff_names():
-    names0 = {
-        pt: n for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("a")
-    }
-    names1 = {
-        pt: n for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("b")
-    }
-    return (names0, names1)
-
-
-def ci_reduced_coeffs():
-    coeffs0 = {pt: 1 for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("a")}
-    coeffs1 = {pt: 1 for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("b")}
-    coeffs1[models.CI_COEFF_POINTS["b3"]] = ParamScalar.var("xi0")
-    coeffs1[models.CI_COEFF_POINTS["b4"]] = ParamScalar.var("xi1")
-    return (coeffs0, coeffs1)
-
-
-def named_poly(ring, terms, field=None):
-    out = {}
-    for coeff, mono in terms:
-        exps = [0] * len(ring)
-        for name, e in mono.items():
-            exps[ring.index(name)] = e
-        out[tuple(exps)] = coeff
-    return SparsePoly(ring, out, field=field)
-
-
-def test_nef_partition_data():
-    np_ = running_nef_partition()
+def test_nef_partition_data(ctx):
+    np_ = ctx.nef_partition
     assert np_.npart == 2
     # three monomials for the first part, nine for the second
     assert len(np_.part_polytopes[0][1]) == 3
@@ -69,8 +32,8 @@ def test_nef_partition_data():
         assert pt in (pts0 if name.startswith("a") else pts1)
 
 
-def test_nef_partition_four_identities():
-    np_ = running_nef_partition()
+def test_nef_partition_four_identities(ctx):
+    np_ = ctx.nef_partition
     delta = np_.base
     polar = np_.polar_base
     # polar base is the hull of the part hulls
@@ -86,8 +49,8 @@ def test_nef_partition_four_identities():
     assert minkowski_sum_hull(list(np_.nabla_parts)) == np_.nabla
 
 
-def test_nef_partition_single_part():
-    delta = models.hyp_simplex()
+def test_nef_partition_single_part(ctx):
+    delta = ctx.hyp_simplex
     assignment = {v: 0 for v in delta.polar_cached().vertices}
     np_ = make_nef_partition(delta, assignment)
     assert np_.nabla == delta.polar_cached()
@@ -95,8 +58,8 @@ def test_nef_partition_single_part():
     assert dual.base == delta.polar_cached()
 
 
-def test_nef_partition_dual_involution():
-    np_ = running_nef_partition()
+def test_nef_partition_dual_involution(ctx):
+    np_ = ctx.nef_partition
     dual = np_.dual()
     assert dual.base == np_.nabla
     back = dual.dual()
@@ -131,57 +94,17 @@ def test_invalid_split_errors_somewhere():
     assert ok > 0 and bad > 0
 
 
-def test_nef_ci_equations_full():
-    np_ = running_nef_partition()
-    fan = face_fan(models.ci_polar())
+def test_nef_ci_equations_reduced(ctx):
     g0, g1 = nef_ci_polynomials(
-        np_,
-        fan,
-        monomials="all",
-        ray_names=models.CI_RAY_NAMES,
-        coeff_names=ci_coeff_names(),
-    )
-    ring = g0.ring
-    v = ParamScalar.var
-    expected_g0 = named_poly(
-        ring,
-        [
-            (v("a0"), {"y0": 2, "y4": 12}),
-            (v("a1"), {"y1": 2, "y5": 12}),
-            (v("a2"), {"y0": 1, "y1": 1, "y2": 1, "y3": 1}),
-        ],
-    )
-    assert g0 == expected_g0
-    expected_g1 = named_poly(
-        ring,
-        [
-            (v("b4"), {"y4": 6, "y5": 6, "y6": 6, "y7": 6}),
-            (v("b5"), {"y4": 4, "y5": 4, "y6": 4, "y7": 4, "y8": 1}),
-            (v("b3"), {"y2": 2, "y6": 12}),
-            (v("b2"), {"y3": 2, "y7": 12}),
-            (v("b7"), {"y4": 3, "y5": 3, "y6": 3, "y7": 3, "y9": 1}),
-            (v("b6"), {"y4": 2, "y5": 2, "y6": 2, "y7": 2, "y8": 2}),
-            (v("b8"), {"y4": 1, "y5": 1, "y6": 1, "y7": 1, "y8": 1, "y9": 1}),
-            (v("b0"), {"y8": 3}),
-            (v("b1"), {"y9": 2}),
-        ],
-    )
-    assert g1 == expected_g1
-
-
-def test_nef_ci_equations_reduced():
-    np_ = running_nef_partition()
-    fan = face_fan(models.ci_polar())
-    g0, g1 = nef_ci_polynomials(
-        np_,
-        fan,
+        ctx.nef_partition,
+        ctx.ci_face_fan,
         monomials="vertices+origin",
-        coefficients=ci_reduced_coeffs(),
+        coefficients=_ci_reduced_coeffs(),
         ray_names=models.CI_RAY_NAMES,
     )
     ring = g0.ring
     v = ParamScalar.var
-    assert g0 == named_poly(
+    assert g0 == _named_poly(
         ring,
         [
             (1, {"y0": 2, "y4": 12}),
@@ -189,7 +112,7 @@ def test_nef_ci_equations_reduced():
             (1, {"y0": 1, "y1": 1, "y2": 1, "y3": 1}),
         ],
     )
-    assert g1 == named_poly(
+    assert g1 == _named_poly(
         ring,
         [
             (v("xi1"), {"y4": 6, "y5": 6, "y6": 6, "y7": 6}),
@@ -204,102 +127,9 @@ def test_nef_ci_equations_reduced():
     assert g0.render() == "y0^2*y4^12 + y1^2*y5^12 + y0*y1*y2*y3"
 
 
-def _resolved_rays_fan():
-    """Ray container for the equations of the resolved partial ambient:
-    the two dropped quadric rays plus the 15 rays of the resolved fan."""
-    phi = models.transition_morphism_resolved()
-
-    class Rays:
-        rays = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0)) + phi.domain.rays
-
-    return Rays(), phi
-
-
-def test_nef_ci_equations_resolved_chart():
-    rays, _ = _resolved_rays_fan()
-    np_ = running_nef_partition()
-    g0, g1 = nef_ci_polynomials(
-        np_,
-        rays,
-        monomials="vertices+origin",
-        coefficients=ci_reduced_coeffs(),
-        ray_names=models.CI_RAY_NAMES,
-    )
-    # set the two dropped coordinates to one and project onto the chart ring
-    ring = g0.ring
-    one = SparsePoly.constant(ring, 1)
-    chart_ring = tuple(n for n in ring if n not in ("y0", "y1"))
-    g0c = g0.substitute({"y0": one, "y1": one}).project(chart_ring)
-    g1c = g1.substitute({"y0": one, "y1": one}).project(chart_ring)
-    v = ParamScalar.var
-    assert g0c == named_poly(
-        chart_ring,
-        [
-            (1, {"y5": 12, "y109": 1}),
-            (1, {"y4": 12, "y32": 1}),
-            (1, {"y2": 1, "y3": 1, "y745": 1}),
-        ],
-    )
-    expected_g1 = named_poly(
-        chart_ring,
-        [
-            (
-                1,
-                {
-                    "y3": 2,
-                    "y7": 12,
-                    "y109": 11,
-                    "y469": 8,
-                    "y630": 4,
-                    "y32": 11,
-                    "y667": 6,
-                    "y752": 2,
-                    "y745": 1,
-                },
-            ),
-            (
-                v("xi1"),
-                {
-                    "y4": 6,
-                    "y5": 6,
-                    "y6": 6,
-                    "y7": 6,
-                    "y109": 6,
-                    "y469": 4,
-                    "y630": 2,
-                    "y32": 6,
-                    "y667": 3,
-                    "y752": 1,
-                },
-            ),
-            (v("xi0"), {"y2": 2, "y6": 12, "y745": 1}),
-            (
-                1,
-                {
-                    "y4": 1,
-                    "y5": 1,
-                    "y6": 1,
-                    "y7": 1,
-                    "y8": 1,
-                    "y9": 1,
-                    "y109": 1,
-                    "y469": 1,
-                    "y630": 1,
-                    "y32": 1,
-                    "y667": 1,
-                    "y752": 1,
-                },
-            ),
-            (1, {"y8": 3, "y469": 1, "y630": 2, "y752": 1}),
-            (1, {"y9": 2, "y667": 1, "y752": 1}),
-        ],
-    )
-    assert g1c == expected_g1
-
-
-def test_anticanonical_hypersurface_6ray():
-    fan = models.hyp_fan_6ray()
-    delta = models.hyp_simplex()
+def test_anticanonical_hypersurface_6ray(ctx):
+    fan = ctx.hyp_fan_6
+    delta = ctx.hyp_simplex
     names = {pt: n for n, pt in models.HYP_COEFF_POINTS.items()}
     h = anticanonical_polynomial(
         delta, fan, ray_names=models.HYP_RAY_NAMES, coeff_names=names
@@ -307,7 +137,7 @@ def test_anticanonical_hypersurface_6ray():
     assert len(h.terms) == 8
     ring = h.ring
     v = ParamScalar.var
-    expected = named_poly(
+    expected = _named_poly(
         ring,
         [
             (v("a0"), {"z0": 24, "z16": 12}),
@@ -328,35 +158,6 @@ def test_anticanonical_hypersurface_6ray():
     assert len(h_all.terms) == 11
 
 
-def test_anticanonical_gauged_rendering():
-    fan = models.hyp_fan_6ray()
-    delta = models.hyp_simplex()
-    P = models.HYP_COEFF_POINTS
-    from fractions import Fraction
-
-    B = ParamScalar.var("B")
-    psi_s = ParamScalar.var("psi_s")
-    psi1 = ParamScalar.var("psi1")
-    psi0 = ParamScalar.var("psi0")
-    coeffs = {
-        P["a0"]: B / 24,
-        P["a1"]: ParamScalar.rational(1, 12),
-        P["a2"]: ParamScalar.rational(1, 3),
-        P["a3"]: ParamScalar.rational(1, 2),
-        P["a4"]: B / 24,
-        P["a5"]: -psi_s / 12,
-        P["a6"]: -psi1 / 6,
-        P["a10"]: -psi0,
-    }
-    h = anticanonical_polynomial(
-        delta, fan, coefficients=coeffs, ray_names=models.HYP_RAY_NAMES
-    )
-    out = h.render()
-    assert out.endswith("+ 1/3*z1^3 + 1/2*z4^2")
-    assert h.monomial_coefficient(z2=12) == ParamScalar.rational(1, 12)
-    assert h.monomial_coefficient(z0=24, z16=12) == B / 24
-
-
 def test_anticanonical_smallest_case():
     seg = LatticePolytope.hull([(-1,), (1,)])
     from toricfib.fans import Fan
@@ -368,11 +169,11 @@ def test_anticanonical_smallest_case():
     assert degs == [(0, 2), (1, 1), (2, 0)]
 
 
-def test_batyrev_hodge_hyp():
-    h11, h21 = batyrev_hodge(models.hyp_simplex())
+def test_batyrev_hodge_hyp(ctx):
+    h11, h21 = batyrev_hodge(ctx.hyp_simplex)
     assert (h11, h21) == (243, 3)
     # duality: h11 of the polar equals h21 and vice versa
-    h11p, h21p = batyrev_hodge(models.hyp_polar())
+    h11p, h21p = batyrev_hodge(ctx.hyp_simplex.polar_cached())
     assert (h11p, h21p) == (3, 243)
 
 
@@ -384,27 +185,10 @@ def test_batyrev_hodge_quintic():
     assert batyrev_hodge(quintic) == (1, 101)
 
 
-def gkz_running_degrees():
-    np_ = running_nef_partition()
-    mirror_fan = face_fan(np_.nabla.polar_cached())
-    dual = np_.dual()
-    parts = []
-    for vs, _ in np_.part_polytopes:
-        part_idx = []
-        for i, r in enumerate(mirror_fan.rays):
-            if r in set(vs):
-                part_idx.append(i)
-        parts.append(tuple(part_idx))
-    names = {pt: n for n, pt in models.CI_COEFF_POINTS.items()}
-    ray_names = {i: names[r] for i in range(len(mirror_fan.rays)) for r in [mirror_fan.rays[i]]}
-    return gkz_degrees(mirror_fan, parts, ray_names, ("a2", "b8")), mirror_fan
-
-
-def test_mirror_mori_cone():
+def test_mirror_mori_cone(ctx):
     from toricfib.fans import mori_cone
 
-    np_ = running_nef_partition()
-    mirror_fan = face_fan(np_.nabla.polar_cached())
+    mirror_fan = face_fan(ctx.nef_partition.nabla.polar_cached())
     assert mirror_fan.nrays() == 7
     gens = mori_cone(mirror_fan)
     assert len(gens) == 2
@@ -421,8 +205,8 @@ def test_mirror_mori_cone():
     assert sorted(as_dicts, key=str) == sorted(expected, key=str)
 
 
-def test_gkz_degrees_matrix():
-    deg, _ = gkz_running_degrees()
+def test_gkz_degrees_matrix(ctx):
+    deg, _ = _gkz_degrees(ctx)
     order = ("a0", "a1", "a2", "b0", "b1", "b2", "b3", "b4", "b8")
     rows = {
         tuple(deg.columns[n][j] for n in order) for j in range(2)
@@ -448,8 +232,8 @@ def _k_for(deg, m, n):
     return tuple(k)
 
 
-def test_gkz_coefficients():
-    deg, _ = gkz_running_degrees()
+def test_gkz_coefficients(ctx):
+    deg, _ = _gkz_degrees(ctx)
     assert gkz_coefficient(deg, _k_for(deg, 0, 0)) == 1
     assert gkz_coefficient(deg, _k_for(deg, 1, 2)) == 55440
     assert gkz_coefficient(deg, _k_for(deg, 1, 0)) == 0
@@ -459,8 +243,8 @@ def test_gkz_coefficients():
     )
 
 
-def test_gkz_series_reindexed():
-    deg, _ = gkz_running_degrees()
+def test_gkz_series_reindexed(ctx):
+    deg, _ = _gkz_degrees(ctx)
     table = gkz_series_reindexed(deg, 6)
     assert table[(0, 0)] == 1
     assert table[(0, 1)] == 60
@@ -475,8 +259,8 @@ def test_gkz_series_reindexed():
         assert table[(m, 0)] == expect
 
 
-def test_gkz_nonnegative_integral():
-    deg, _ = gkz_running_degrees()
+def test_gkz_nonnegative_integral(ctx):
+    deg, _ = _gkz_degrees(ctx)
     random.seed(11)
     for _ in range(120):
         k = (random.randint(0, 8), random.randint(0, 8))

@@ -34,14 +34,14 @@ def p1xp1_fan():
     )
 
 
-def test_face_fan_counts():
-    fan = face_fan(models.ci_polar())
+def test_face_fan_counts(ctx):
+    fan = face_fan(ctx.ci_polar)
     assert fan.nrays() == 10
     assert fan.ngenerating_cones() == 14
 
 
-def test_face_fan_simplex():
-    fan = face_fan(models.k3_simplex())
+def test_face_fan_simplex(ctx):
+    fan = face_fan(ctx.k3_simplex)
     assert fan.nrays() == 4
     assert fan.ngenerating_cones() == 4
 
@@ -52,10 +52,10 @@ def test_face_fan_square():
     assert fan.nrays() == 4 and fan.ngenerating_cones() == 4
 
 
-def test_normal_fan_of_slice_simplex():
+def test_normal_fan_of_slice_simplex(ctx):
     # the polar of the (1,1,4,6) simplex is the K3 slice polytope; its normal
     # fan is the fan of that weighted projective space
-    slice_simplex = models.k3_polar()
+    slice_simplex = ctx.k3_simplex.polar_cached()
     assert set(slice_simplex.vertices) == {
         (-1, -1, -1),
         (11, -1, -1),
@@ -66,30 +66,28 @@ def test_normal_fan_of_slice_simplex():
     assert set(fan.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -4, -6)}
 
 
-def test_normal_fan_is_polar_face_fan():
-    p = models.hyp_simplex()
+def test_normal_fan_is_polar_face_fan(ctx):
+    p = ctx.hyp_simplex
     assert set(normal_fan(p).rays) == set(face_fan(p.polar()).rays)
 
 
-def test_subdivide_for_projection_counts():
-    fan = models.ci_fan_subdivided()
+def test_subdivide_for_projection_counts(ctx):
+    fan = ctx.ci_fan
     assert fan.nrays() == 10
     assert fan.ngenerating_cones() == 22
     # the input fan's rays keep their order and no rays are added
-    assert fan.rays == tuple(sorted(models.CI_POLAR_VERTICES))
+    assert fan.rays == tuple(sorted(ctx.ci_polar.vertices))
 
 
-def test_subdivide_idempotent():
-    fan = models.ci_fan_subdivided()
-    again = subdivide_domain(models.PROJ_FIRST_TWO, fan, models.base_surface_fan())
+def test_subdivide_idempotent(ctx):
+    fan = ctx.ci_fan
+    again = subdivide_domain(ctx.fx.matrix("proj_first_two"), fan, ctx.base_fan)
     assert again is fan
 
 
-def test_compatibility_fails_before_subdivision():
+def test_compatibility_fails_before_subdivision(ctx):
     with pytest.raises(IncompatibleMorphismError):
-        check_compatibility(
-            models.PROJ_FIRST_TWO, face_fan(models.ci_polar()), models.base_surface_fan()
-        )
+        check_compatibility(ctx.fx.matrix("proj_first_two"), ctx.ci_face_fan, ctx.base_fan)
 
 
 def test_identity_morphism_compatible():
@@ -101,21 +99,21 @@ def test_identity_morphism_compatible():
     assert sub.rank == 0
 
 
-def test_base_projection_is_fibration():
-    fan = models.ci_fan_subdivided()
-    phi = check_compatibility(models.PROJ_FIRST_TWO, fan, models.base_surface_fan())
+def test_base_projection_is_fibration(ctx):
+    fan = ctx.ci_fan
+    phi = check_compatibility(ctx.fx.matrix("proj_first_two"), fan, ctx.base_fan)
     assert is_fibration(phi)
     kfan, sub = kernel_fan(phi)
     # rays are the last four vertices of the 5d polar, in kernel coordinates
-    expect = {v for v in models.CI_POLAR_VERTICES if v[0] == 0 and v[1] == 0 and v != (0, 12, -1, -1, -1)}
+    expect = {v for v in ctx.ci_polar.vertices if v[0] == 0 and v[1] == 0 and v != (0, 12, -1, -1, -1)}
     ambient = {sub.from_coords(r) for r in kfan.rays}
     assert ambient == expect
     assert sub.basis == ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
 
 
-def test_kernel_slice_polytope_reflexive():
-    fan = models.ci_fan_subdivided()
-    phi = check_compatibility(models.PROJ_FIRST_TWO, fan, models.base_surface_fan())
+def test_kernel_slice_polytope_reflexive(ctx):
+    fan = ctx.ci_fan
+    phi = check_compatibility(ctx.fx.matrix("proj_first_two"), fan, ctx.base_fan)
     kfan, sub = kernel_fan(phi)
     slice_poly = LatticePolytope.hull(kfan.rays)
     assert slice_poly.is_reflexive()
@@ -127,9 +125,9 @@ def test_kernel_slice_polytope_reflexive():
     }
 
 
-def test_base_projection_homogeneous_form():
-    fan = models.ci_fan_subdivided()
-    phi = check_compatibility(models.PROJ_FIRST_TWO, fan, models.base_surface_fan())
+def test_base_projection_homogeneous_form(ctx):
+    fan = ctx.ci_fan
+    phi = check_compatibility(ctx.fx.matrix("proj_first_two"), fan, ctx.base_fan)
     mm = homogeneous_map(phi)
     names = [models.CI_RAY_NAMES[r] for r in fan.rays]
     # codomain ray order: pentagon vertices as fan rays
@@ -144,10 +142,10 @@ def test_base_projection_homogeneous_form():
     assert monos(by_ray[(0, 1)]) == {("y5", 12)}
 
 
-def test_beta_fibration_6ray():
-    fan = models.hyp_fan_6ray()
+def test_beta_fibration_6ray(ctx):
+    fan = ctx.hyp_fan_6
     assert fan.nrays() == 6
-    phi = check_compatibility(models.FIBRE_DIRECTION_4D, fan, models.line_fan())
+    phi = check_compatibility(ctx.fx.matrix("fibre_direction"), fan, ctx.line_fan)
     assert is_fibration(phi)
     mm = homogeneous_map(phi)
     names = [models.HYP_RAY_NAMES[r] for r in fan.rays]
@@ -157,19 +155,19 @@ def test_beta_fibration_6ray():
     assert t_entry == {("z3", 12)}
 
 
-def test_beta_not_fibration_without_midpoint():
-    fan = face_fan(models.hyp_simplex().polar())
+def test_beta_not_fibration_without_midpoint(ctx):
+    fan = face_fan(ctx.hyp_simplex.polar())
     try:
-        phi = check_compatibility(models.FIBRE_DIRECTION_4D, fan, models.line_fan())
+        phi = check_compatibility(ctx.fx.matrix("fibre_direction"), fan, ctx.line_fan)
     except IncompatibleMorphismError:
         return
     assert not is_fibration(phi)
 
 
-def test_beta_fibration_12ray():
-    fan = models.hyp_fan_12ray()
+def test_beta_fibration_12ray(ctx):
+    phi = ctx.beta12
+    fan = phi.domain
     assert fan.nrays() == 12
-    phi = check_compatibility(models.FIBRE_DIRECTION_4D, fan, models.line_fan())
     assert is_fibration(phi)
     mm = homogeneous_map(phi)
     names = [models.HYP_RAY_NAMES[r] for r in fan.rays]
@@ -179,8 +177,8 @@ def test_beta_fibration_12ray():
     assert t_entry == {("z3", 12), ("z168", 1)}
 
 
-def test_hyp_12ray_triangle_charts_smooth():
-    fan = models.hyp_fan_12ray()
+def test_hyp_12ray_triangle_charts_smooth(ctx):
+    fan = ctx.hyp_fan_12
     tri = models.HYP_TRIANGLE_INTERIOR
     idx = fan.rays.index(tri)
     for c in fan.max_cones:
@@ -258,9 +256,9 @@ def test_classify_p2():
     assert flags == {"simplicial": True, "smooth": True, "complete": True}
 
 
-def test_classify_crepant():
-    fan = models.ci_fan_subdivided()
-    flags = classify(fan, delta=models.ci_base())
+def test_classify_crepant(ctx):
+    fan = ctx.ci_fan
+    flags = classify(fan, delta=ctx.ci_base)
     assert flags["crepant"] is True
 
 
@@ -279,8 +277,16 @@ def test_mori_requires_complete():
         mori_cone(fan)
 
 
-def test_transition_morphism_small():
-    phi = models.transition_morphism_small()
+def _transition_small(ctx):
+    """Fibration from the partial 5d fan onto the 7-ray 4d fan."""
+    matrix = ctx.fx.matrix("transition_matrix")
+    codomain = star_subdivide(ctx.hyp_fan_6, models.HYP_TRIANGLE_INTERIOR)
+    domain = subdivide_domain(matrix, ctx.ci_partial, codomain)
+    return check_compatibility(matrix, domain, codomain)
+
+
+def test_transition_morphism_small(ctx):
+    phi = _transition_small(ctx)
     assert is_fibration(phi)
     doms = set(phi.domain.rays)
     names = {models.CI_RAY_NAMES.get(r) for r in doms}
@@ -290,25 +296,25 @@ def test_transition_morphism_small():
     assert sub.basis == ((1, 1, 0, 0, 0),)
 
 
-def test_transition_ray_images():
+def test_transition_ray_images(ctx):
     # images of the ten 5d rays under the transition map are either zero or
     # nine lattice points of the 4d polar, two of them pinned by coordinates
-    fan = models.ci_fan_subdivided()
+    matrix = ctx.fx.matrix("transition_matrix")
     images = set()
-    for r in fan.rays:
-        w = la.vecmat(r, models.TRANSITION_MATRIX)
+    for r in ctx.ci_fan.rays:
+        w = la.vecmat(r, matrix)
         if not la.is_zero(w):
             images.add(la.primitive(w))
     assert len(images) == 9
-    _, boundary = models.hyp_polar().lattice_points()
+    _, boundary = ctx.hyp_simplex.polar_cached().lattice_points()
     assert images <= set(boundary)
     assert models.HYP_EDGE_MIDPOINT in images
     assert models.HYP_TRIANGLE_INTERIOR in images
-    assert set(models.hyp_polar().vertices) <= images
+    assert set(ctx.hyp_simplex.polar_cached().vertices) <= images
 
 
-def test_transition_morphism_resolved():
-    phi = models.transition_morphism_resolved()
+def test_transition_morphism_resolved(ctx):
+    phi = ctx.transition
     assert phi.domain.nrays() == 15
     assert is_fibration(phi)
     expected_rays = {
@@ -330,7 +336,7 @@ def test_transition_morphism_resolved():
     }
     assert set(phi.domain.rays) == expected_rays
     # every domain ray is a boundary point of the 5d polar (crepant openness)
-    _, boundary = models.ci_polar().lattice_points()
+    _, boundary = ctx.ci_polar.lattice_points()
     assert set(phi.domain.rays) <= set(boundary)
     assert classify(phi.domain)["simplicial"] is True
     kfan, sub = kernel_fan(phi)
@@ -338,8 +344,8 @@ def test_transition_morphism_resolved():
     assert sub.basis == ((1, 1, 0, 0, 0),)
 
 
-def test_transition_homogeneous_map_resolved():
-    phi = models.transition_morphism_resolved()
+def test_transition_homogeneous_map_resolved(ctx):
+    phi = ctx.transition
     mm = homogeneous_map(phi)
     dom_names = [models.CI_RAY_NAMES[r] for r in phi.domain.rays]
     cod = phi.codomain.rays
@@ -359,8 +365,8 @@ def test_transition_homogeneous_map_resolved():
     assert monos(models.HYP_TRIANGLE_EDGE_POINTS[2]) == {("y667", 1)}
 
 
-def test_resolved_domain_edge_midpoint_charts_smooth():
-    phi = models.transition_morphism_resolved()
+def test_resolved_domain_edge_midpoint_charts_smooth(ctx):
+    phi = ctx.transition
     fan = phi.domain
     idx = fan.rays.index(models.CI_EDGE_MIDPOINT)
     touching = [c for c in fan.max_cones if idx in c]
@@ -369,8 +375,8 @@ def test_resolved_domain_edge_midpoint_charts_smooth():
         assert fan.cone_geom(c).is_smooth()
 
 
-def test_chart_disjointness():
-    phi = models.transition_morphism_resolved()
+def test_chart_disjointness(ctx):
+    phi = ctx.transition
     fan = phi.domain
     def never_together(coords_a, coords_b):
         ia = fan.rays.index(coords_a)
@@ -387,12 +393,11 @@ def test_chart_disjointness():
     assert never_together(y745, y752)
 
 
-def test_monomial_map_matches_lattice_map_on_torus():
+def test_monomial_map_matches_lattice_map_on_torus(ctx):
     import random
-    from fractions import Fraction
 
     random.seed(3)
-    phi = models.transition_morphism_small()
+    phi = _transition_small(ctx)
     mm = homogeneous_map(phi)
     for _ in range(20):
         mprime = tuple(random.randint(-3, 3) for _ in range(4))

@@ -1,7 +1,6 @@
 import itertools
 
 from toricfib import exactlinalg as la
-from toricfib import models
 from toricfib.fibsearch import lattice_equivalent, search_fibrations
 from toricfib.polytope import LatticePolytope
 
@@ -57,8 +56,8 @@ def test_product_of_squares_rank2():
         assert c.projection.is_reflexive()
 
 
-def test_hyp_model_search_contains_k3_slice():
-    cands = search_fibrations(models.hyp_simplex(), 3)
+def test_hyp_model_search_contains_k3_slice(ctx):
+    cands = search_fibrations(ctx.hyp_simplex, 3)
     target = la.saturation(
         (
             (-1, -1, 2, -1),
@@ -74,7 +73,7 @@ def test_hyp_model_search_contains_k3_slice():
     ann = la.right_kernel(cand.sublattice.basis)
     assert ann == ((1, 1, 4, 6),)
     assert cand.balanced
-    assert lattice_equivalent(cand.slice_polytope, models.k3_polar())
+    assert lattice_equivalent(cand.slice_polytope, ctx.k3_simplex.polar_cached())
 
 
 def test_lattice_equivalent():

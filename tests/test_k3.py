@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from toricfib import models
 from toricfib.errors import DegenerateInputError
 from toricfib.k3 import (
     ade_subgraph,
@@ -160,8 +159,8 @@ def test_singular_fibre_locus_symmetric_functions():
             assert a * b == 1
 
 
-def test_ade_subgraph_components():
-    P = models.k3_polar()
+def test_ade_subgraph_components(ctx):
+    P = ctx.k3_simplex.polar_cached()
     comps = ade_subgraph(P, (1, 2, 3))
     assert len(comps) == 2
     comps_alt = ade_subgraph(P, (0, 1, 1))
@@ -169,8 +168,8 @@ def test_ade_subgraph_components():
     assert ade_subgraph(P, (0, 0, 0)) == []
 
 
-def test_ade_subgraph_sign_partition():
-    P = models.k3_polar()
+def test_ade_subgraph_sign_partition(ctx):
+    P = ctx.k3_simplex.polar_cached()
     d = (1, 2, 3)
     from toricfib import exactlinalg as la
 
@@ -185,10 +184,10 @@ def test_ade_subgraph_sign_partition():
     assert nodes <= nonzero
 
 
-def test_edge_interior_product_vanishes():
+def test_edge_interior_product_vanishes(ctx):
     # for the (1,1,4,6) simplex every edge pairs with a dual edge so that the
     # product of interior point counts is zero
-    p = models.k3_simplex()
+    p = ctx.k3_simplex
     total = 0
     for e in p.faces(1):
         total += e.ninterior * p.dual_face(e).ninterior

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -7,10 +6,8 @@ import pytest
 from toricfib.errors import DegenerateInputError
 from toricfib.monodromy import (
     GaussRat,
-    I,
     Loop,
     Mat2,
-    ONE,
     RootFamily,
     classify_kodaira,
     compose,

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +32,10 @@ def test_scalar_render():
     a = ParamScalar.var("c")
     expr = a * a * 3 + ParamScalar.var("b0") - 1
     assert expr.render() == "3*c^2 + b0 - 1"
+    assert (a / 24).render() == "(1/24)*c"
+    assert (-a / 12).render() == "-(1/12)*c"
+    assert ((a + 1) / 6).render() == "(c + 1)/6"
+    assert ParamScalar.rational(1, 12).render() == "1/12"
 
 
 def test_radical_rewrite():

@@ -3,7 +3,8 @@
 Lists the top-level functions, classes and UPPERCASE constants of
 ``src/toricfib/*.py`` and the non-dunder methods of its top-level classes,
 and fails for any name that occurs as a Python name token nowhere in
-``src/``, ``tests/`` or ``bench/`` outside its own definition.
+``src/``, ``tests/`` or ``bench/`` outside its own definition and outside
+``import`` statements (importing a name is not using it).
 """
 
 from __future__ import annotations
@@ -44,12 +45,18 @@ def _definitions(path):
 
 
 def _name_tokens(path):
-    """(name, line) of every Python name token in one file."""
+    """(name, line) of every Python name token in one file, import lines excluded."""
     src = path.read_text()
+    import_lines = {
+        line
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
     return [
         (tok.string, tok.start[0])
         for tok in tokenize.generate_tokens(io.StringIO(src).readline)
-        if tok.type == tokenize.NAME
+        if tok.type == tokenize.NAME and tok.start[0] not in import_lines
     ]
 
 
