@@ -2,7 +2,12 @@ import random
 from math import factorial
 
 from toricfib import models
-from toricfib.acceptance import _ci_reduced_coeffs, _gkz_degrees, _named_poly
+from toricfib.acceptance import (
+    _ci_coeff_names,
+    _ci_reduced_coeffs,
+    _gkz_degrees,
+    _named_poly,
+)
 from toricfib.cy import (
     batyrev_hodge,
     gkz_coefficient,
@@ -15,7 +20,7 @@ from toricfib.cy import (
 from toricfib.errors import NotNefPartitionError
 from toricfib.fans import face_fan
 from toricfib.polytope import LatticePolytope
-from toricfib.sympoly import ParamScalar
+from toricfib.sympoly import ParamScalar, SparsePoly
 
 
 def test_nef_partition_data(ctx):
@@ -94,6 +99,42 @@ def test_invalid_split_errors_somewhere():
     assert ok > 0 and bad > 0
 
 
+def test_nef_ci_equations_full(ctx):
+    g0, g1 = nef_ci_polynomials(
+        ctx.nef_partition,
+        ctx.ci_face_fan,
+        monomials="all",
+        ray_names=models.CI_RAY_NAMES,
+        coeff_names=_ci_coeff_names(),
+    )
+    ring = g0.ring
+    v = ParamScalar.var
+    expected_g0 = _named_poly(
+        ring,
+        [
+            (v("a0"), {"y0": 2, "y4": 12}),
+            (v("a1"), {"y1": 2, "y5": 12}),
+            (v("a2"), {"y0": 1, "y1": 1, "y2": 1, "y3": 1}),
+        ],
+    )
+    assert g0 == expected_g0
+    expected_g1 = _named_poly(
+        ring,
+        [
+            (v("b4"), {"y4": 6, "y5": 6, "y6": 6, "y7": 6}),
+            (v("b5"), {"y4": 4, "y5": 4, "y6": 4, "y7": 4, "y8": 1}),
+            (v("b3"), {"y2": 2, "y6": 12}),
+            (v("b2"), {"y3": 2, "y7": 12}),
+            (v("b7"), {"y4": 3, "y5": 3, "y6": 3, "y7": 3, "y9": 1}),
+            (v("b6"), {"y4": 2, "y5": 2, "y6": 2, "y7": 2, "y8": 2}),
+            (v("b8"), {"y4": 1, "y5": 1, "y6": 1, "y7": 1, "y8": 1, "y9": 1}),
+            (v("b0"), {"y8": 3}),
+            (v("b1"), {"y9": 2}),
+        ],
+    )
+    assert g1 == expected_g1
+
+
 def test_nef_ci_equations_reduced(ctx):
     g0, g1 = nef_ci_polynomials(
         ctx.nef_partition,
@@ -127,6 +168,86 @@ def test_nef_ci_equations_reduced(ctx):
     assert g0.render() == "y0^2*y4^12 + y1^2*y5^12 + y0*y1*y2*y3"
 
 
+def test_nef_ci_equations_resolved_chart(ctx):
+    g0, g1 = nef_ci_polynomials(
+        ctx.nef_partition,
+        ctx.chart_rays,
+        monomials="vertices+origin",
+        coefficients=_ci_reduced_coeffs(),
+        ray_names=models.CI_RAY_NAMES,
+    )
+    # set the two dropped coordinates to one and project onto the chart ring
+    ring = g0.ring
+    one = SparsePoly.constant(ring, 1)
+    chart_ring = tuple(n for n in ring if n not in ("y0", "y1"))
+    g0c = g0.substitute({"y0": one, "y1": one}).project(chart_ring)
+    g1c = g1.substitute({"y0": one, "y1": one}).project(chart_ring)
+    v = ParamScalar.var
+    assert g0c == _named_poly(
+        chart_ring,
+        [
+            (1, {"y5": 12, "y109": 1}),
+            (1, {"y4": 12, "y32": 1}),
+            (1, {"y2": 1, "y3": 1, "y745": 1}),
+        ],
+    )
+    expected_g1 = _named_poly(
+        chart_ring,
+        [
+            (
+                1,
+                {
+                    "y3": 2,
+                    "y7": 12,
+                    "y109": 11,
+                    "y469": 8,
+                    "y630": 4,
+                    "y32": 11,
+                    "y667": 6,
+                    "y752": 2,
+                    "y745": 1,
+                },
+            ),
+            (
+                v("xi1"),
+                {
+                    "y4": 6,
+                    "y5": 6,
+                    "y6": 6,
+                    "y7": 6,
+                    "y109": 6,
+                    "y469": 4,
+                    "y630": 2,
+                    "y32": 6,
+                    "y667": 3,
+                    "y752": 1,
+                },
+            ),
+            (v("xi0"), {"y2": 2, "y6": 12, "y745": 1}),
+            (
+                1,
+                {
+                    "y4": 1,
+                    "y5": 1,
+                    "y6": 1,
+                    "y7": 1,
+                    "y8": 1,
+                    "y9": 1,
+                    "y109": 1,
+                    "y469": 1,
+                    "y630": 1,
+                    "y32": 1,
+                    "y667": 1,
+                    "y752": 1,
+                },
+            ),
+            (1, {"y8": 3, "y469": 1, "y630": 2, "y752": 1}),
+            (1, {"y9": 2, "y667": 1, "y752": 1}),
+        ],
+    )
+    assert g1c == expected_g1
+
+
 def test_anticanonical_hypersurface_6ray(ctx):
     fan = ctx.hyp_fan_6
     delta = ctx.hyp_simplex
@@ -156,6 +277,33 @@ def test_anticanonical_hypersurface_6ray(ctx):
         delta, fan, monomials="all", ray_names=models.HYP_RAY_NAMES, coeff_names=names
     )
     assert len(h_all.terms) == 11
+
+
+def test_anticanonical_gauged_rendering(ctx):
+    fan = ctx.hyp_fan_6
+    delta = ctx.hyp_simplex
+    P = models.HYP_COEFF_POINTS
+    B = ParamScalar.var("B")
+    psi_s = ParamScalar.var("psi_s")
+    psi1 = ParamScalar.var("psi1")
+    psi0 = ParamScalar.var("psi0")
+    coeffs = {
+        P["a0"]: B / 24,
+        P["a1"]: ParamScalar.rational(1, 12),
+        P["a2"]: ParamScalar.rational(1, 3),
+        P["a3"]: ParamScalar.rational(1, 2),
+        P["a4"]: B / 24,
+        P["a5"]: -psi_s / 12,
+        P["a6"]: -psi1 / 6,
+        P["a10"]: -psi0,
+    }
+    h = anticanonical_polynomial(
+        delta, fan, coefficients=coeffs, ray_names=models.HYP_RAY_NAMES
+    )
+    out = h.render()
+    assert out.endswith("+ 1/3*z1^3 + 1/2*z4^2")
+    assert h.monomial_coefficient(z2=12) == ParamScalar.rational(1, 12)
+    assert h.monomial_coefficient(z0=24, z16=12) == B / 24
 
 
 def test_anticanonical_smallest_case():
