@@ -1198,12 +1198,12 @@ def run(only=None):
     for name, func in CRITERIA:
         if only and only not in name:
             continue
-        start = time.time()
+        start = time.perf_counter()
         try:
             fails = func(ctx)
         except Exception as exc:  # a crash is a failure with the exception text
             fails = [f"exception: {type(exc).__name__}: {exc}"]
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         budget = TIME_BUDGETS.get(name)
         if budget is not None and elapsed > budget:
             fails = list(fails) + [f"time budget exceeded: {elapsed:.1f}s > {budget}s"]

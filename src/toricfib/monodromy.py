@@ -5,11 +5,24 @@ plane with a predictor/corrector scheme: the predictor is the previous root,
 the corrector is Newton iteration, and a step is accepted only when every
 root moves less than 0.4 times the minimal pairwise root distance of the
 previous step.  Discriminants are computed exactly; floats only enter in
-root finding, at a user-chosen binary precision.
+root finding.
+
+Precision policy: the path is tracked in IEEE double precision (Python
+``complex``), whatever ``prec`` is.  Its Newton and collapse thresholds are
+relative to the root scale max |y_i|, so tiny roots are tracked as safely as
+roots of size one.  ``prec`` sets the binary precision of the base roots, of
+the Newton refinement of the endpoints, of the residual and of the matching
+of endpoints to base roots.  A root scale outside the normal double range,
+or a path the double grid cannot resolve, raises ``DegenerateInputError``.
+So tracking a loop again at a higher ``prec`` re-checks the base roots, the
+refinement and the matching at that precision, but follows the same double
+path; tracking it again with a smaller ``initial_step`` is the independent
+check on the path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,6 +88,9 @@ class GaussRat:
             mp.mpf(self.re.numerator) / self.re.denominator,
             mp.mpf(self.im.numerator) / self.im.denominator,
         )
+
+    def to_complex(self):
+        return complex(float(self.re), float(self.im))
 
     def is_integer(self):
         return self.im == 0 and self.re.denominator == 1
@@ -292,15 +308,7 @@ class RootFamily:
 
     def y_poly_at(self, x):
         """Coefficients (ascending in y) at a numeric parameter value."""
-        vals = []
-        for c in self.coeffs:
-            acc = mp.mpc(0)
-            xp = mp.mpc(1)
-            for a in c:
-                acc += a.to_mpc() * xp
-                xp *= x
-            vals.append(acc)
-        return vals
+        return [_horner([a.to_mpc() for a in c], x)[0] for c in self.coeffs]
 
     def discriminant(self):
         """Exact discriminant in x via the Sylvester resultant of (f, df/dy)."""
@@ -414,24 +422,25 @@ def _validate_loop(loop, singulars):
 
 
 def _horner(cs, z):
-    """Value at z of the polynomial with ascending coefficients cs."""
-    acc = mp.mpc(0)
+    """Value and first derivative at z of the polynomial with ascending
+    coefficients cs, in one pass."""
+    f = df = 0
     for c in reversed(cs):
-        acc = acc * z + c
-    return acc
+        df = df * z + f
+        f = f * z + c
+    return f, df
 
 
-def _newton(coeffs, y, prec):
-    tol = mp.mpf(2) ** (-(prec - 8))
-    deriv = [coeffs[k] * k for k in range(1, len(coeffs))]
+def _newton(coeffs, y, tol):
+    """Newton's method from y; None unless a step of at most tol is reached
+    within 60 iterations."""
     for _ in range(60):
-        fy = _horner(coeffs, y)
-        dy = _horner(deriv, y)
+        fy, dy = _horner(coeffs, y)
         if dy == 0:
             return None
         step = fy / dy
         y = y - step
-        if abs(step) < tol * max(1, abs(y)):
+        if abs(step) <= tol:
             return y
     return None
 
@@ -442,29 +451,76 @@ def _min_pairwise(roots):
         for j in range(i + 1, len(roots)):
             d = abs(roots[i] - roots[j])
             m = d if m is None else min(m, d)
-    return m if m is not None else mp.mpf("inf")
+    return m if m is not None else math.inf
 
 
-def _continue_along(family, roots, points, prec, initial_step=None):
-    """Continue roots through the listed parameter values (piecewise linear)."""
-    max_step = initial_step or mp.mpf(1) / 8
+# Double-precision thresholds, relative to the root scale max |y_i|: Newton
+# stops at a step of 2^-(53-8) of it, and two roots closer than 2^-(53-12)
+# of it have collapsed onto one value.
+_NEWTON_TOL = 2.0**-45
+_COLLAPSE = 2.0**-41
+# Bounds on log2 of |leading coefficient| * scale^degree, the size of f's
+# terms near its roots: its roundoff 2^-53 * size stays a normal double, and
+# the size stays 2^53 below overflow.
+_SIZE_LOG2 = (-1022 + 53, 1024 - 53)
+# Each segment of the path in double precision must match the exact segment
+# to this fraction of its length.  On a loop's circle (24 segments) that keeps
+# every vertex within 0.5 % of the radius of the exact one, far inside the
+# singular-value margin ``_validate_loop`` enforces, so the double path winds
+# round the same singular values; it fails for radii below a few times 1e-14
+# times the modulus of the centre.
+_PATH_TOL = 2.0**-6
+
+
+def _double_path(points):
+    """The path as Python complex values; raises when rounding to double
+    moves a segment by more than ``_PATH_TOL`` of its length."""
+    out = [complex(p) for p in points]
+    for k in range(len(points) - 1):
+        exact = points[k + 1] - points[k]
+        if abs((out[k + 1] - out[k]) - exact) > _PATH_TOL * abs(exact):
+            raise DegenerateInputError(
+                "the path is not resolved in double precision", segment=float(abs(exact))
+            )
+    return out
+
+
+def _check_scale(lead, scale, degree):
+    """Raise unless f's terms near roots of the given scale fit ``_SIZE_LOG2``."""
+    if lead != 0 and 0 < scale < math.inf and math.isfinite(abs(lead)):
+        size = math.log2(abs(lead)) + degree * math.log2(scale)
+        if _SIZE_LOG2[0] <= size <= _SIZE_LOG2[1]:
+            return
+    raise DegenerateInputError("root scale outside the double range", scale=scale)
+
+
+def _continue_along(family, roots, points, initial_step=None):
+    """Continue roots through the listed parameter values (piecewise linear),
+    in double precision."""
+    cs = [[a.to_complex() for a in c] for c in family.coeffs]
+    roots = [complex(y) for y in roots]
+    points = _double_path(points)
+    max_step = float(initial_step) if initial_step else 1 / 8
     for a, b in zip(points, points[1:]):
-        t = mp.mpf(0)
+        t = 0.0
         step = max_step
         while t < 1:
             dt = min(step, 1 - t)
             x = a + (t + dt) * (b - a)
-            coeffs = family.y_poly_at(x)
-            safety = mp.mpf("0.4") * _min_pairwise(roots)
+            coeffs = [_horner(c, x)[0] for c in cs]
+            scale = max(abs(y) for y in roots)
+            _check_scale(coeffs[-1], scale, family.degree)
+            tol = _NEWTON_TOL * scale
+            safety = 0.4 * _min_pairwise(roots)
             new_roots = []
             ok = True
             for y in roots:
-                ny = _newton(coeffs, y, prec)
+                ny = _newton(coeffs, y, tol)
                 if ny is None or abs(ny - y) >= safety:
                     ok = False
                     break
                 new_roots.append(ny)
-            if ok and _min_pairwise(new_roots) < mp.mpf(2) ** (-(prec - 12)):
+            if ok and _min_pairwise(new_roots) < _COLLAPSE * scale:
                 # two tracked roots collapsed onto one value
                 ok = False
             if ok:
@@ -473,11 +529,29 @@ def _continue_along(family, roots, points, prec, initial_step=None):
                 step = min(step * 2, max_step)
             else:
                 step = step / 2
-                if step < mp.mpf(2) ** (-48):
+                if step < 2.0**-48:
                     raise DegenerateInputError(
                         "continuation failed: roots collide along the path"
                     )
     return roots
+
+
+def _refine(family, x, roots, prec):
+    """Newton-refine roots of f(., x) at prec bits, with tolerances relative
+    to the root scale; raises if they do not converge or collapse."""
+    with mp.workprec(prec):
+        coeffs = family.y_poly_at(x)
+        ys = [mp.mpc(y) for y in roots]
+        scale = max(abs(y) for y in ys)
+        out = []
+        for y in ys:
+            ny = _newton(coeffs, y, mp.mpf(2) ** (-(prec - 8)) * scale)
+            if ny is None:
+                raise DegenerateInputError("endpoint refinement did not converge")
+            out.append(ny)
+        if _min_pairwise(out) < mp.mpf(2) ** (-(prec - 12)) * scale:
+            raise DegenerateInputError("refined endpoints collapse onto one root")
+        return out
 
 
 def _circle_path(base, center, radius, sense, segments=24):
@@ -496,11 +570,36 @@ def _circle_path(base, center, radius, sense, segments=24):
 
 
 def base_roots(family, base, prec=128):
-    """Roots at the base point in canonical (re, im) order."""
+    """Roots at the base point in canonical (re, im) order.
+
+    ``mp.polyroots`` tests convergence in absolute terms, so y is first
+    rescaled by the power of two just above the root bound
+    max_k |c_k / c_n|^(1/(n-k)); powers of two scale exactly."""
     with mp.workprec(prec):
         coeffs = family.y_poly_at(mp.mpc(base))
-        roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=80)
-        return sorted((mp.mpc(r) for r in roots), key=lambda z: (mp.re(z), mp.im(z)))
+        n = len(coeffs) - 1
+        lead = coeffs[n]
+        bound = max(
+            (abs(c / lead) ** (mp.mpf(1) / (n - k)) for k, c in enumerate(coeffs[:n]) if c),
+            default=0,
+        )
+        e = mp.frexp(bound)[1] if bound else 0
+        scaled = [c * mp.mpf(2) ** (e * (k - n)) for k, c in enumerate(coeffs)]
+        roots = mp.polyroots(list(reversed(scaled)), maxsteps=200, extraprec=80)
+        return sorted(
+            (mp.mpc(r) * mp.mpf(2) ** e for r in roots), key=lambda z: (mp.re(z), mp.im(z))
+        )
+
+
+def _track(family, base, points, prec, initial_step):
+    """(permutation, residual) of the base roots continued along points,
+    which start and end at base: the path in double, the endpoints refined
+    at prec bits."""
+    start = base_roots(family, base, prec)
+    final = _refine(family, base, _continue_along(family, start, points, initial_step), prec)
+    coeffs = family.y_poly_at(base)
+    residual = max(abs(_horner(coeffs, y)[0]) for y in final)
+    return _match(start, final), residual
 
 
 def track_roots(family, loop, prec=128, initial_step=None, _singulars=None):
@@ -508,36 +607,31 @@ def track_roots(family, loop, prec=128, initial_step=None, _singulars=None):
 
     Returns (permutation, residual): permutation[i] = j means the i-th base
     root continues to the j-th (roots ordered by (re, im) at the base).
+
+    The path is tracked in double precision with thresholds relative to the
+    root scale; ``prec`` is the precision of the base roots, of the Newton
+    refinement of the endpoints, of the residual and of the matching.
+    ``initial_step`` is the largest step, as a fraction of a path segment
+    (default 1/8).
     """
     with mp.workprec(prec):
         singulars = _singulars or singular_parameters(family, prec)
         _validate_loop(loop, singulars)
-        start = base_roots(family, loop.base, prec)
-        pts = _circle_path(
-            mp.mpc(loop.base), mp.mpc(loop.center), mp.mpf(loop.radius), 1
-        )
-        final = _continue_along(family, list(start), pts, prec, initial_step)
-        coeffs = family.y_poly_at(mp.mpc(loop.base))
-        residual = max(abs(_horner(coeffs, y)) for y in final)
-        perm = _match(start, final)
-        return perm, residual
+        base = mp.mpc(loop.base)
+        pts = _circle_path(base, mp.mpc(loop.center), mp.mpf(loop.radius), 1)
+        return _track(family, base, pts, prec, initial_step)
 
 
 def track_loop_at_infinity(family, base, radius, prec=128, initial_step=None, _singulars=None):
     """Anticlockwise loop about infinity: a clockwise circle exceeding all
-    finite singular values."""
+    finite singular values.  Precision as in ``track_roots``."""
     with mp.workprec(prec):
         singulars = _singulars or singular_parameters(family, prec)
         for s, _ in singulars:
             if abs(s) >= radius / 2:
                 raise DegenerateInputError("radius does not dominate singular values")
         b = mp.mpc(base)
-        pts = _circle_path(b, mp.mpc(0), radius, -1)
-        startr = base_roots(family, base, prec)
-        final = _continue_along(family, list(startr), pts, prec, initial_step)
-        coeffs = family.y_poly_at(b)
-        residual = max(abs(_horner(coeffs, y)) for y in final)
-        return _match(startr, final), residual
+        return _track(family, b, _circle_path(b, mp.mpc(0), radius, -1), prec, initial_step)
 
 
 def _match(start, final):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -9,6 +10,7 @@ from toricfib.monodromy import (
     Loop,
     Mat2,
     RootFamily,
+    base_roots,
     classify_kodaira,
     compose,
     cycle_type,
@@ -17,6 +19,10 @@ from toricfib.monodromy import (
     singular_parameters,
     track_roots,
 )
+
+# family a of the double cover in acceptance criterion 15: its three roots
+# near x = 0 are of size |x|^(11/3)
+FAMILY_A = [[0] * 11 + [-2, 0, -2], [0], [0, 0, 0, 0, Fraction(-1, 4)], [1]]
 
 
 def sqrt_family():
@@ -64,6 +70,59 @@ def test_step_halving_invariance():
     p1, _ = track_roots(fam, loop, prec=128)
     p2, _ = track_roots(fam, loop, prec=256)
     assert p1 == p2
+    p3, _ = track_roots(fam, loop, prec=128, initial_step=mp.mpf(1) / 16)
+    assert p3 == p1
+
+
+def test_refinement_honours_prec():
+    fam = sqrt_family()
+    loop = Loop(base=mp.mpc(2), center=mp.mpc(0), radius=0.5)
+    _, residual = track_roots(fam, loop, prec=256)
+    assert residual < mp.mpf(2) ** -200
+
+
+def test_radius_sweep_about_origin():
+    # the roots about x = 0 are ~1e-15 at radius 1e-4 and ~1e-44 at 1e-12:
+    # tolerances relative to the root scale keep the 3-cycle at every radius
+    fam = RootFamily.build(FAMILY_A)
+    base = mp.mpf(-1) / 10
+    perms = set()
+    for radius in ("1e-4", "1e-7", "1e-9", "1e-12"):
+        perm, residual = track_roots(fam, Loop(base=base, center=0, radius=mp.mpf(radius)))
+        assert cycle_type(perm) == (3,)
+        assert residual < mp.mpf(10) ** -40
+        perms.add(perm)
+    assert len(perms) == 1
+    # at 1e-20 the smallest step from the base overshoots the roots' scale
+    with pytest.raises(DegenerateInputError, match="roots collide"):
+        track_roots(fam, Loop(base=base, center=0, radius=mp.mpf("1e-20")))
+    # about +i the double path resolves a circle of radius 1e-13, but one of
+    # 1e-14 is lost in rounding
+    perm, _ = track_roots(fam, Loop(base=base, center=mp.mpc(0, 1), radius=mp.mpf("1e-13")))
+    assert cycle_type(perm) == (2, 1)
+    with pytest.raises(DegenerateInputError, match="not resolved"):
+        track_roots(fam, Loop(base=base, center=mp.mpc(0, 1), radius=mp.mpf("1e-14")))
+
+
+def test_root_scale_invariance():
+    # y^3 - s^3 x: roots of size s, the same 3-cycle about x = 0 for any s
+    for s in (1, Fraction(1, 10**40), Fraction(1, 10**90)):
+        fam = RootFamily.build([[0, -(s**3)], [0], [0], [1]])
+        perm, _ = track_roots(fam, Loop(base=mp.mpc(2), center=mp.mpc(0), radius=0.5))
+        assert perm == (1, 2, 0)
+    # roots of size 1e-100 leave the double range: an error, never an answer
+    fam = RootFamily.build([[0, -Fraction(1, 10**300)], [0], [0], [1]])
+    with pytest.raises(DegenerateInputError, match="double range"):
+        track_roots(fam, Loop(base=mp.mpc(2), center=mp.mpc(0), radius=0.5))
+
+
+def test_base_roots_tiny():
+    # y^3 - 2e-120: a relative scale is needed to keep three distinct roots
+    fam = RootFamily.build([[-2 * Fraction(1, 10**120)], [0], [0], [1]])
+    roots = base_roots(fam, 0)
+    assert len(roots) == 3
+    for y in roots:
+        assert abs(abs(y) / (mp.cbrt(2) * mp.mpf(10) ** -40) - 1) < mp.mpf(10) ** -30
 
 
 def test_loop_validation():
