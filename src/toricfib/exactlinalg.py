@@ -3,6 +3,12 @@
 Vectors are tuples of ints and matrices are tuples of row tuples; everything
 is immutable and pure.  These primitives (Hermite forms, kernels, saturation)
 back all of the geometry layers.
+
+Entry points that take a matrix or vector from outside (``hermite_form``,
+``kernel_basis``, ``right_kernel``, ``saturation``, ``solve_exact``) coerce it
+with ``mat``/``vec``, so lists and numpy integer arrays are accepted.
+Results are built directly as tuples of Python ints; none is passed through
+``mat`` or ``vec`` on the way out.
 """
 
 from __future__ import annotations
@@ -142,7 +148,7 @@ def hermite_form(m):
                     h[i][j] -= q * h[prow][j]
                 for j in range(nrows):
                     u[i][j] -= q * u[prow][j]
-    return mat(h), mat(u)
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
 def rank(m):
@@ -270,27 +276,12 @@ def solve_exact(a, b):
     return vecmat(tuple(y), u)
 
 
-def solve_right(a, b):
-    """One integer solution x (column) of a * x = b, or None."""
-    sol = solve_exact(transpose(mat(a)), b)
-    return sol
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """A saturated sublattice of Z^ambient_rank given by independent basis rows."""
 
     basis: Mat
     ambient_rank: int
-
-    @classmethod
-    def from_spanning(cls, rows, ambient_rank=None):
-        rows = mat(rows)
-        if not rows:
-            raise ValueError("sublattice needs at least one spanning vector")
-        n = len(rows[0]) if ambient_rank is None else ambient_rank
-        sat = saturation(rows)
-        return cls(basis=sat, ambient_rank=n)
 
     @property
     def rank(self):

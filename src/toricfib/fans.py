@@ -28,7 +28,10 @@ class ConeGeom:
     Invariant: v lies in the cone iff <v, e> == 0 for every e in
     ``equations`` and <v, a> >= 0 for every a in ``ambient_ineqs``.  The
     equations cut out the saturated span of the rays, so this also decides
-    integer membership; every query below reads these two tuples.
+    integer membership; every query below reads these two tuples.  Facet
+    normals are computed in ambient coordinates and lie in the span of the
+    rays: the span's equations enter the double description as pairs of
+    opposite inequalities.
     """
 
     def __init__(self, rays, ambient_rank):
@@ -52,7 +55,7 @@ class ConeGeom:
 
     @property
     def ambient_ineqs(self):
-        """Facet normals, lifted from span coordinates to ambient functionals."""
+        """Primitive facet normals, as ambient functionals lying in the span."""
         if "amb" not in self._cache:
             self._cache["amb"] = self._facet_normals()
         return self._cache["amb"]
@@ -60,15 +63,8 @@ class ConeGeom:
     def _facet_normals(self):
         if not self.rays:
             return ()
-        span = la.Sublattice.from_spanning(self.rays, self.ambient_rank)
-        local_rays = tuple(span.coords(r) for r in self.rays)
-        lifted = []
-        for f in extreme_rays(local_rays, span.rank):
-            n = la.solve_right(span.basis, f)
-            if n is None:
-                raise DegenerateInputError("facet lift failed")
-            lifted.append(n)
-        return tuple(lifted)
+        eqs = self.equations
+        return extreme_rays(self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank)
 
     def contains(self, v):
         return cone_contains(self.ambient_ineqs, self.equations, la.vec(v))
@@ -465,7 +461,7 @@ def is_fibration(phi):
             if geom.dim != tdim:
                 return False
             images = [phi.image(phi.domain.rays[i]) for i in c]
-            if (la.rank(la.mat(images)) if images else 0) != tdim:
+            if la.rank(images) != tdim:
                 return False
     return True
 
@@ -613,21 +609,11 @@ def _extreme_generators(vectors):
     vecs = [v for v in {la.vec(v) for v in vectors} if not la.is_zero(v)]
     if not vecs:
         return ()
-    prim = sorted({la.primitive(v) for v in vecs})
-    m = len(prim[0])
-    sat = la.saturation(la.mat(prim))
-    sub = la.Sublattice(basis=sat, ambient_rank=m)
-    local = [sub.coords(v) for v in prim]
-    d = len(sat)
-    if d == 1:
-        signs = {v[0] > 0 for v in local}
-        if len(signs) > 1:
-            raise DegenerateInputError("cone of relations is not strictly convex")
-        s = 1 if signs == {True} else -1
-        return (la.scale(s, sat[0]),)
-    facets = extreme_rays(local, d)
+    prim = tuple(sorted({la.primitive(v) for v in vecs}))
+    eqs = la.right_kernel(prim)
+    span = eqs + tuple(map(la.neg, eqs))
+    facets = extreme_rays(prim + span, len(prim[0]))
     try:
-        rays = extreme_rays(facets, d)
+        return extreme_rays(facets + span, len(prim[0]))
     except ValueError as exc:
         raise DegenerateInputError("cone of relations is not strictly convex") from exc
-    return tuple(sorted(la.vecmat(r, sat) for r in rays))

@@ -204,14 +204,9 @@ def _evaluate_sublattice(delta, polar, basis):
         return None
     if not slice_poly.is_reflexive():
         return None
-    # projection of delta along the annihilator of the sublattice
-    images = sorted({tuple(la.dot(u, b) for b in basis) for u in delta.vertices})
-    try:
-        proj = LatticePolytope.hull(images)
-    except ToricError:
-        return None
-    if not proj.is_reflexive():
-        return None
+    # the projection of delta along the annihilator of the sublattice is
+    # dual to the slice of its polar, so it is the slice's (reflexive) polar
+    proj = slice_poly.polar()
     return FibrationCandidate(
         sublattice=sub,
         slice_polytope=slice_poly,

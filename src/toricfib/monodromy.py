@@ -345,39 +345,25 @@ def _squarefree(p):
     return q
 
 
-def _distinct_roots(poly, prec):
-    """Roots of the squarefree part, as mpc values at the given precision."""
-    sf = _squarefree(poly)
-    deg = len(sf) - 1
-    if deg <= 0:
-        return []
-    with mp.workprec(prec + 40):
-        coeffs = [c.to_mpc() for c in reversed(sf)]
-        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=80)
-    return [mp.mpc(r) for r in roots]
-
-
 def singular_parameters(family, prec=128):
     """Finite singular parameter values with isolation radii.
 
-    Returns a list of (value, radius) sorted by (re, im): zeros of the
-    discriminant plus zeros of the leading coefficient.
+    Returns a list of (value, radius) sorted by (re, im): the distinct zeros
+    of the discriminant and of the leading coefficient, found as the roots
+    of the exact squarefree part of their product.
     """
     disc = family.discriminant()
     if not disc:
         raise DegenerateInputError("non-reduced family: discriminant vanishes")
-    vals = _distinct_roots(disc, prec)
-    lc = _pnorm(list(family.coeffs[-1]))
-    if len(lc) > 1:
-        vals.extend(_distinct_roots(lc, prec))
-    # dedupe numerically
-    uniq = []
-    for v in sorted(vals, key=lambda z: (mp.re(z), mp.im(z))):
-        if not any(abs(v - u) < mp.mpf(2) ** (-prec // 2) for u in uniq):
-            uniq.append(v)
+    sf = _squarefree(_pmul(disc, family.coeffs[-1]))
+    if len(sf) <= 1:
+        return []
+    with mp.workprec(prec + 40):
+        roots = _polyroots([c.to_mpc() for c in sf])
+    vals = sorted(map(mp.mpc, roots), key=_reim)
     out = []
-    for v in uniq:
-        others = [abs(v - u) for u in uniq if u is not v]
+    for v in vals:
+        others = [abs(v - u) for u in vals if u is not v]
         radius = min(others) / 2 if others else mp.mpf(1)
         out.append((v, radius))
     return out
@@ -569,26 +555,32 @@ def _circle_path(base, center, radius, sense, segments=24):
     return pts
 
 
-def base_roots(family, base, prec=128):
-    """Roots at the base point in canonical (re, im) order.
+def _polyroots(coeffs):
+    """Roots of the polynomial with ascending coefficients.
 
     ``mp.polyroots`` tests convergence in absolute terms, so y is first
     rescaled by the power of two just above the root bound
     max_k |c_k / c_n|^(1/(n-k)); powers of two scale exactly."""
+    n = len(coeffs) - 1
+    lead = coeffs[n]
+    bound = max(
+        (abs(c / lead) ** (mp.mpf(1) / (n - k)) for k, c in enumerate(coeffs[:n]) if c),
+        default=0,
+    )
+    e = mp.frexp(bound)[1] if bound else 0
+    scaled = [c * mp.mpf(2) ** (e * (k - n)) for k, c in enumerate(coeffs)]
+    roots = mp.polyroots(list(reversed(scaled)), maxsteps=200, extraprec=80)
+    return [mp.mpc(r) * mp.mpf(2) ** e for r in roots]
+
+
+def _reim(z):
+    return (mp.re(z), mp.im(z))
+
+
+def base_roots(family, base, prec=128):
+    """Roots at the base point in canonical (re, im) order."""
     with mp.workprec(prec):
-        coeffs = family.y_poly_at(mp.mpc(base))
-        n = len(coeffs) - 1
-        lead = coeffs[n]
-        bound = max(
-            (abs(c / lead) ** (mp.mpf(1) / (n - k)) for k, c in enumerate(coeffs[:n]) if c),
-            default=0,
-        )
-        e = mp.frexp(bound)[1] if bound else 0
-        scaled = [c * mp.mpf(2) ** (e * (k - n)) for k, c in enumerate(coeffs)]
-        roots = mp.polyroots(list(reversed(scaled)), maxsteps=200, extraprec=80)
-        return sorted(
-            (mp.mpc(r) * mp.mpf(2) ** e for r in roots), key=lambda z: (mp.re(z), mp.im(z))
-        )
+        return sorted(_polyroots(family.y_poly_at(mp.mpc(base))), key=_reim)
 
 
 def _track(family, base, points, prec, initial_step):

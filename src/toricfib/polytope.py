@@ -349,6 +349,6 @@ def _extract_vertices(points, facets, dim):
     verts = []
     for p in points:
         tight = [n for n, c in facets if la.dot(p, n) == -c]
-        if len(tight) >= dim and la.rank(la.mat(tight)) == dim:
+        if len(tight) >= dim and la.rank(tight) == dim:
             verts.append(p)
     return tuple(sorted(set(verts)))

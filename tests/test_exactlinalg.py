@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
+from toricfib.dd import extreme_rays
 
 
 def test_hermite_small():
@@ -112,8 +114,33 @@ def test_saturation():
 
 
 def test_sublattice_roundtrip():
-    sub = la.Sublattice.from_spanning([[2, 2, 0], [0, 0, 3]])
+    sub = la.Sublattice(basis=la.saturation([[2, 2, 0], [0, 0, 3]]), ambient_rank=3)
     for _ in range(25):
         c = tuple(random.randint(-5, 5) for _ in range(sub.rank))
         v = sub.from_coords(c)
         assert sub.coords(v) == c
+
+
+def _all_python_ints(x):
+    if isinstance(x, tuple):
+        return all(_all_python_ints(y) for y in x)
+    return x is None or type(x) is int
+
+
+def test_numpy_input_matches_tuples():
+    rows = ((2, 4, 4), (-6, 6, 12), (10, -4, -16), (1, 0, 1))
+    arr = np.array(rows, dtype=np.int64)
+    flat = ((1, 2, 3),)
+    cone = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1))
+    cases = [
+        (la.hermite_form, (rows,), (arr,)),
+        (la.right_kernel, (flat,), (np.array(flat, dtype=np.int64),)),
+        (la.saturation, (rows[:2],), (arr[:2],)),
+        (la.solve_exact, (rows, (-3, 10, 17)), (arr, np.array((-3, 10, 17), dtype=np.int64))),
+        (extreme_rays, (cone, 3), (np.array(cone, dtype=np.int64), 3)),
+    ]
+    for fn, plain, numpy_args in cases:
+        want = fn(*plain)
+        got = fn(*numpy_args)
+        assert got == want, fn.__name__
+        assert _all_python_ints(got), fn.__name__

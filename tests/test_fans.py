@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from toricfib.errors import DegenerateInputError, IncompatibleMorphismError
 from toricfib.fans import (
     ConeGeom,
     Fan,
+    _extreme_generators,
     check_compatibility,
     classify,
     face_fan,
@@ -216,6 +218,55 @@ def test_cone_contains_matches_generator_reference():
         a, b = v[0], v[1]
         expected = a >= 0 and b >= 0 and la.add(la.scale(a, r1), la.scale(b, r2)) == v
         assert geom.contains(v) == expected, v
+
+
+def _span_coords(rays, v):
+    """Coefficients c with sum c_i rays_i == v, by Fraction elimination over
+    the independent rays, or None when v is outside their span."""
+    n = len(v)
+    rows = [[Fraction(r[i]) for r in rays] + [Fraction(v[i])] for i in range(n)]
+    pivots = []
+    for col in range(len(rays) + 1):
+        p = next((i for i in range(len(pivots), n) if rows[i][col]), None)
+        if p is None:
+            continue
+        if col == len(rays):
+            return None
+        top = len(pivots)
+        rows[top], rows[p] = rows[p], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i in range(n):
+            if i != top and rows[i][col]:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return [rows[pivots.index(j)][-1] for j in range(len(rays))]
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        ((1, 1, 0), (1, -1, 0)),
+        ((1, 1, 0, 1), (1, -1, 0, 1), (0, 1, 2, 1)),
+    ],
+)
+def test_lower_dim_cone_rays_not_generating_span_lattice(rays):
+    # the rays generate a sublattice of index > 1 in the saturated span, so
+    # lattice points such as (1, 0, 0) have non-integer ray coefficients
+    n = len(rays[0])
+    geom = ConeGeom(rays, n)
+    assert geom.dim == len(rays)
+    assert all(la.dot(f, e) == 0 for f in geom.ambient_ineqs for e in geom.equations)
+    for v in itertools.product(range(-2, 3), repeat=n):
+        c = _span_coords(rays, v)
+        expected = c is not None and all(x >= 0 for x in c)
+        assert geom.contains(v) == expected, v
+
+
+def test_extreme_generators_one_dimensional():
+    assert _extreme_generators([(2, -4, 0), (1, -2, 0), (3, -6, 0)]) == ((1, -2, 0),)
+    assert _extreme_generators([(-1, 2, 0)]) == ((-1, 2, 0),)
+    with pytest.raises(DegenerateInputError, match="strictly convex"):
+        _extreme_generators([(1, -2, 0), (-2, 4, 0)])
 
 
 def test_empty_cone_contains_only_origin():

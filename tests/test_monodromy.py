@@ -36,6 +36,17 @@ def test_singular_parameters_sqrt():
     assert abs(sing[0][0]) < 1e-30
 
 
+def test_singular_parameters_tiny_values():
+    # y^2 - (x^2 - 1e-100): two singular values +-1e-50, each isolated by 1e-50
+    fam = RootFamily.build([[Fraction(1, 10**100), 0, -1], [0], [1]])
+    with mp.workprec(128):
+        sing = singular_parameters(fam, 128)
+        assert len(sing) == 2
+        for (v, radius), want in zip(sing, (-1, 1)):
+            assert abs(v / (want * mp.mpf(10) ** -50) - 1) < mp.mpf(10) ** -30
+            assert abs(radius / mp.mpf(10) ** -50 - 1) < mp.mpf(10) ** -30
+
+
 def test_singular_parameters_constant_family():
     fam = RootFamily.build([[-1], [0], [0], [1]])  # y^3 - 1
     assert singular_parameters(fam) == []
