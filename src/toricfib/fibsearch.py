@@ -11,12 +11,22 @@ keep the search exact and fast:
 * a valid L contains at least k + 1 generating points of rank k, so some
   rank-(k-1) subspan extends to L through two distinct generating points.
   Only multiply-hit extensions survive the last enumeration stage.
+
+For k <= 2 each surviving span is then decided without saturation or double
+description.  With B' the k generating points spanning L over Q, the slice is
+{y B' : <y, B' u> >= -1 for every facet normal u of the polar}, the polar of
+the integral projection Q' = conv(B' u).  Its vertices are dual to the edges of
+Q', and they lie in L meet Z^n exactly when their coordinates in a basis of
+L meet Z^n are integral: the test of the double-description path.  An integral
+slice is reflexive, its polar being the integral projection of the base
+polytope (the test of Avram, Kreuzer, Mandelberg and Skarke, "Searching for K3
+fibrations", hep-th/9610154).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -88,8 +98,6 @@ def search_fibrations(delta, fibre_dim):
     candidate's projection; the fibration then has a matching partner on the
     mirror ambient.
     """
-    from dataclasses import replace
-
     cands = _raw_candidates(delta, fibre_dim)
     dual = _raw_candidates(delta.polar_cached(), fibre_dim)
     out = []
@@ -113,14 +121,44 @@ def _raw_candidates(delta, fibre_dim):
     if len(gens) < k + 1:
         return ()
     P = np.array(gens, dtype=np.int64)
-    g = len(P)
+    reps = list(_span_survivors(P, k).values())
+    if k <= 2:
+        reps = [r for r, ok in zip(reps, _integral_slices(P, reps, polar)) if ok]
+    out = []
+    seen_bases = set()
+    for rep in reps:
+        pts = la.mat([gens[i] for i in rep])
+        basis = la.saturation(pts)
+        if len(basis) != k or basis in seen_bases:
+            continue
+        seen_bases.add(basis)
+        cand = _evaluate_sublattice(delta, polar, basis)
+        if cand is not None:
+            out.append(cand)
+    out.sort(key=lambda c: c.sublattice.basis)
+    return tuple(out)
 
+
+def _span_survivors(P, k):
+    """Rank-k spans of the rows of ``P`` that some rank-(k-1) span reaches
+    through two distinct rows.
+
+    Returns a dict from the normalized Pluecker row (a tuple) of each span to
+    its representative: the row indices of its first hit, smallest parent
+    first, then smallest appended row.  Raises DegenerateInputError when an
+    int64 minor could overflow.
+    """
+    g, n = P.shape
+    # Hadamard: every minor, and every partial sum of one, is below n*|row|^k
+    norm2 = max(sum(x * x for x in row) for row in P.tolist())
+    if n * n * norm2**k >= 2**126:
+        raise DegenerateInputError("generating points too large for int64 minors")
     # staged span enumeration; stage r holds representative index tuples and
     # the Pluecker (r-minor) vector of each distinct rank-r span
     reps_idx = [()]
     reps_minors = np.ones((1, 1), dtype=np.int64)
     survivors = {}
-    batch_size = 512
+    batch_size = 64
     for r in range(k):
         _, nc1, T = _stage_matrix(n, r)
         final = r + 1 == k
@@ -149,10 +187,9 @@ def _raw_candidates(delta, fibre_dim):
                 uniq, first, counts = np.unique(
                     tagged, axis=0, return_index=True, return_counts=True
                 )
-                for u, fidx, cnt in zip(uniq, first, counts):
-                    if cnt < 2:
-                        continue
-                    kk = u[1:].tobytes()
+                hit = counts >= 2
+                for u, fidx in zip(uniq[hit], first[hit]):
+                    kk = tuple(u[1:].tolist())
                     if kk in survivors:
                         continue
                     b, q = divmod(int(flat_pos[fidx]), g)
@@ -164,19 +201,65 @@ def _raw_candidates(delta, fibre_dim):
                 if nxt_rows
                 else np.zeros((0, nc1), dtype=np.int64)
             )
+    return survivors
+
+
+def _integral_slices(P, reps, polar):
+    """Per representative (k <= 2 row indices of ``P`` spanning L over Q),
+    whether every vertex of the slice of ``polar`` by L is a lattice point.
+
+    With B' the representative rows and Q' = B' u over the facet normals u of
+    ``polar``, the slice is the polar of conv(Q'), written in B' coordinates.
+    For k = 1, Q' spans [a, b] and the slice vertices are g/|a| and -g/b.  For
+    k = 2, the vertex dual to a hull edge (p, q) with D = det(p, q) is
+    -((q2 - p2) b'1 + (p1 - q1) b'2) / D.
+    """
+    assert all(c == 1 for _, c in polar.facets), "polar of a reflexive polytope"
+    if not reps:
+        return []
+    U = np.array([u for u, _ in polar.facets], dtype=np.int64)
+    bound = max(sum(map(abs, u)) for u in U.tolist()) * int(np.abs(P).max())
+    if bound >= 2**63:
+        raise DegenerateInputError("generating points too large for int64 images")
+    B = P[np.array(reps)]
+    Q = B @ U.T
+    if B.shape[1] == 1:
+        g = B[:, 0]
+        a = -Q[:, 0].min(axis=1)
+        b = Q[:, 0].max(axis=1)
+        fractional = np.any(g % a[:, None], axis=1) | np.any(g % b[:, None], axis=1)
+        return (~fractional).tolist()
     out = []
-    seen_bases = set()
-    for rep in survivors.values():
-        pts = la.mat([gens[i] for i in rep])
-        basis = la.saturation(pts)
-        if len(basis) != k or basis in seen_bases:
-            continue
-        seen_bases.add(basis)
-        cand = _evaluate_sublattice(delta, polar, basis)
-        if cand is not None:
-            out.append(cand)
-    out.sort(key=lambda c: c.sublattice.basis)
-    return tuple(out)
+    for (b1, b2), images in zip(B.tolist(), Q.tolist()):
+        hull = _convex_polygon(set(zip(*images)))
+        edges = zip(hull, hull[1:] + hull[:1])
+        out.append(
+            not any(
+                ((q2 - p2) * x + (p1 - q1) * y) % (p1 * q2 - p2 * q1)
+                for (p1, p2), (q1, q2) in edges
+                for x, y in zip(b1, b2)
+            )
+        )
+    return out
+
+
+def _convex_polygon(points):
+    """Vertices of the convex hull of distinct plane points, anticlockwise
+    (Andrew's monotone chain; collinear boundary points dropped)."""
+    pts = sorted(points)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
 
 
 def _evaluate_sublattice(delta, polar, basis):
@@ -232,8 +315,6 @@ def lattice_equivalent(p, q):
     if base is None:
         return False
     d = la.det(base)
-    from itertools import permutations
-
     qverts = set(q.vertices)
     for target in permutations(q.vertices, k):
         w = la.mat(target)

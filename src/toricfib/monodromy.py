@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
 
@@ -310,8 +311,10 @@ class RootFamily:
         """Coefficients (ascending in y) at a numeric parameter value."""
         return [_horner([a.to_mpc() for a in c], x)[0] for c in self.coeffs]
 
+    @cached_property
     def discriminant(self):
-        """Exact discriminant in x via the Sylvester resultant of (f, df/dy)."""
+        """Exact discriminant in x via the Sylvester resultant of (f, df/dy),
+        computed once per family (a tuple of ascending coefficients)."""
         n = self.degree
         f = [list(c) for c in self.coeffs]
         fp = [
@@ -329,8 +332,7 @@ class RootFamily:
             for k in range(n):
                 row[i + k] = _pnorm(list(fp[n - 1 - k]))
             rows.append(row)
-        res = _pdet(rows)
-        return res
+        return tuple(_pdet(rows))
 
 
 def _squarefree(p):
@@ -352,7 +354,7 @@ def singular_parameters(family, prec=128):
     of the discriminant and of the leading coefficient, found as the roots
     of the exact squarefree part of their product.
     """
-    disc = family.discriminant()
+    disc = family.discriminant
     if not disc:
         raise DegenerateInputError("non-reduced family: discriminant vanishes")
     sf = _squarefree(_pmul(disc, family.coeffs[-1]))

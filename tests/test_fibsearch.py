@@ -1,8 +1,22 @@
 import itertools
+import math
+
+import numpy as np
+import pytest
 
 from toricfib import exactlinalg as la
-from toricfib.fibsearch import lattice_equivalent, search_fibrations
+from toricfib.cy import vertices_from_inequalities
+from toricfib.errors import DegenerateInputError
+from toricfib.fibsearch import (
+    _generating_points,
+    _integral_slices,
+    _span_survivors,
+    lattice_equivalent,
+    search_fibrations,
+)
 from toricfib.polytope import LatticePolytope
+
+CUBE4 = list(itertools.product((-1, 1), repeat=4))
 
 
 def test_square_axis_slices():
@@ -42,11 +56,7 @@ def test_square_brute_force_oracle():
 
 def test_product_of_squares_rank2():
     # 4d product: two obvious square slices, both balanced
-    verts = [
-        (a, b, c, d)
-        for a, b, c, d in itertools.product((-1, 1), repeat=4)
-    ]
-    p = LatticePolytope.hull(verts)
+    p = LatticePolytope.hull(CUBE4)
     cands = search_fibrations(p, 2)
     bases = {c.sublattice.basis for c in cands}
     assert ((1, 0, 0, 0), (0, 1, 0, 0)) in bases
@@ -82,3 +92,75 @@ def test_lattice_equivalent():
     assert lattice_equivalent(p, q)
     r = LatticePolytope.hull([(1, 0), (0, 1), (-1, 0), (0, -1)])
     assert not lattice_equivalent(p, r)
+
+
+def _minors(rows, k):
+    n = len(rows[0])
+    return [
+        la.det([[r[c] for c in cols] for r in rows])
+        for cols in itertools.combinations(range(n), k)
+    ]
+
+
+def _dd_slice_integral(points, polar):
+    """Reference verdict: the slice vertices by double description, in a
+    basis of the saturation of the span of ``points``."""
+    basis = la.saturation(points)
+    ineqs = [(tuple(la.dot(b, u) for b in basis), c) for u, c in polar.facets]
+    verts = vertices_from_inequalities(ineqs, len(basis))
+    return all(x.denominator == 1 for v in verts for x in v)
+
+
+def test_projection_test_matches_double_description(ctx):
+    # every surviving span, including those whose representative points
+    # generate a sublattice of index > 1 in L meet Z^n
+    cube = LatticePolytope.hull(CUBE4)
+    seen = set()
+    for delta in (ctx.k3_simplex, ctx.k3_simplex.polar_cached(), cube, cube.polar()):
+        polar = delta.polar_cached()
+        for k in (1, 2):
+            gens = _generating_points(polar, delta.rank - k)
+            P = np.array(gens, dtype=np.int64)
+            reps = list(_span_survivors(P, k).values())
+            verdicts = _integral_slices(P, reps, polar)
+            assert len(verdicts) == len(reps) > 0
+            for rep, ok in zip(reps, verdicts):
+                points = [gens[i] for i in rep]
+                assert ok == _dd_slice_integral(points, polar), (k, points)
+                index = math.gcd(*_minors(points, k))
+                seen.add((k, index > 1, ok))
+    assert {(2, True, True), (2, False, True), (2, False, False)} <= seen
+    # fractional slices: lines with a fractional vertex at only one end, and
+    # a plane whose two points have index 9 in its saturation (no survivor
+    # above has both index > 1 and a fractional slice)
+    polar = ctx.k3_simplex.polar_cached()
+    assert math.gcd(*_minors([(-1, -1, -1), (8, -1, -1)], 2)) == 9
+    for points in ([(-1, -1, -1)], [(1, 1, 1)], [(-1, -1, -1), (8, -1, -1)]):
+        assert not _dd_slice_integral(points, polar)
+        rep = tuple(range(len(points)))
+        assert _integral_slices(np.array(points), [rep], polar) == [False]
+
+
+def test_int64_bounds():
+    with pytest.raises(DegenerateInputError):
+        _span_survivors(np.full((4, 4), 2**22, dtype=np.int64), 3)
+    # the bound n^2 |row|^(2k) < 2^126 is sharp
+    at_bound = np.array([[2**30, 2**30, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(DegenerateInputError):
+        _span_survivors(at_bound, 2)
+    # just under it: four points in one plane, minors near 2**58
+    p1 = [2**29, 2**28, -(2**27), 3]
+    p2 = [2**29 - 5, 7 - 2**28, 2**28, -11]
+    rows = [p1, p2, [a + b for a, b in zip(p1, p2)], [a - b for a, b in zip(p1, p2)]]
+    norm2 = max(sum(x * x for x in r) for r in rows)
+    assert 2**124 <= 16 * norm2**2 < 2**126
+    minors = _minors([p1, p2], 2)
+    g = math.gcd(*minors)
+    sign = 1 if next(m for m in minors if m) > 0 else -1
+    want = tuple(sign * m // g for m in minors)
+    assert _span_survivors(np.array(rows, dtype=np.int64), 2) == {want: (0, 1)}
+    # images B'u of the facet normals must fit as well
+    square = LatticePolytope.hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    P = np.array([[2**62, 0], [0, 1]], dtype=np.int64)
+    with pytest.raises(DegenerateInputError):
+        _integral_slices(P, [(0,)], square.polar_cached())

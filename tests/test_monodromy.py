@@ -36,6 +36,16 @@ def test_singular_parameters_sqrt():
     assert abs(sing[0][0]) < 1e-30
 
 
+def test_discriminant_computed_once():
+    fam = RootFamily.build(FAMILY_A)
+    disc = fam.discriminant
+    assert fam.discriminant is disc
+    twin = RootFamily.build(FAMILY_A)
+    assert twin == fam and hash(twin) == hash(fam)
+    assert twin.discriminant == disc
+    assert singular_parameters(fam) == singular_parameters(twin)
+
+
 def test_singular_parameters_tiny_values():
     # y^2 - (x^2 - 1e-100): two singular values +-1e-50, each isolated by 1e-50
     fam = RootFamily.build([[Fraction(1, 10**100), 0, -1], [0], [1]])
