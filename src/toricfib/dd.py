@@ -6,39 +6,46 @@ same routine turns generators into facet normals and inequalities into rays.
 Its partner `cone_contains` answers membership from the resulting facet and
 equation description with dot products alone.  All arithmetic is on
 arbitrary-precision integers.
+
+The starting simplicial cone comes from two fraction-free eliminations: the
+row echelon of `exactlinalg.independent_rows` picks the constraints, and one
+Gauss-Jordan elimination of [A | I] over them gives its rays.
 """
 
 from __future__ import annotations
 
-from .exactlinalg import adjugate, det, dot, mat, primitive, rank
+from .exactlinalg import dot, independent_rows, mat, primitive
 
 
 def _initial_basis_rays(constraints, dim):
     """Rays of a simplicial cone cut out by dim independent constraints.
 
-    Picks a row-independent subset I of the constraints and returns (I, rays)
-    where ray j satisfies <ray_j, a_i> = 0 for i != j and > 0 for i = j.
+    Picks the first row-independent subset I of the constraints with
+    ``independent_rows`` and returns (I, rays) where ray j satisfies
+    <ray_j, a_i> = 0 for i != j and > 0 for i = j.  The rays are the columns
+    of d * A^-1, read off one fraction-free Gauss-Jordan elimination of
+    [A | I] over the chosen rows A, which ends at [d * I | d * A^-1].
     """
-    idx = []
-    chosen = []
-    for i, a in enumerate(constraints):
-        if rank(tuple(chosen) + (a,)) > len(chosen):
-            idx.append(i)
-            chosen.append(a)
-            if len(chosen) == dim:
-                break
-    if len(chosen) < dim:
+    idx = independent_rows(constraints)
+    if len(idx) < dim:
         raise ValueError("cone is not pointed (constraints do not span)")
-    # integer inverse via the adjugate: its columns solve A * X = det * Id
-    d = det(chosen)
-    adj = adjugate(chosen)
-    rays = []
-    for j in range(dim):
-        r = tuple(row[j] for row in adj)
-        # <r, a_k> = det * delta_jk ; flip so the pairing with a_j is positive
-        if d < 0:
-            r = tuple(-x for x in r)
-        rays.append(primitive(r))
+    a = [list(constraints[i]) + [int(r == j) for j in range(dim)] for r, i in enumerate(idx)]
+    prev = 1
+    for k in range(dim):
+        if a[k][k] == 0:
+            # A is nonsingular, so some row below has a nonzero entry here
+            s = next(i for i in range(k + 1, dim) if a[i][k])
+            a[k], a[s] = a[s], a[k]
+        pk = a[k]
+        for i in range(dim):
+            if i != k:
+                ri = a[i]
+                c = ri[k]
+                a[i] = [(pk[k] * x - c * y) // prev for x, y in zip(ri, pk)]
+        prev = pk[k]
+    # column j of d * A^-1 pairs with row a_i to d * delta_ij; flip when d < 0
+    sign = -1 if prev < 0 else 1
+    rays = [primitive(tuple(sign * row[dim + j] for row in a)) for j in range(dim)]
     return idx, rays
 
 

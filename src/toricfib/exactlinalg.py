@@ -4,9 +4,16 @@ Vectors are tuples of ints and matrices are tuples of row tuples; everything
 is immutable and pure.  These primitives (Hermite forms, kernels, saturation)
 back all of the geometry layers.
 
+Three eliminations serve them.  ``hermite_form`` is unimodular and returns
+its transform; kernels, saturation and ``solve_exact`` need that certificate.
+``independent_rows`` is a fraction-free row echelon with gcd-reduced rows and
+no transform; ``rank`` and the double description's choice of a starting
+basis need only which rows it keeps.  ``det`` is Bareiss elimination.
+
 Entry points that take a matrix or vector from outside (``hermite_form``,
-``kernel_basis``, ``right_kernel``, ``saturation``, ``solve_exact``) coerce it
-with ``mat``/``vec``, so lists and numpy integer arrays are accepted.
+``independent_rows``, ``rank``, ``kernel_basis``, ``right_kernel``,
+``saturation``, ``solve_exact``) coerce it with ``mat``/``vec``, so lists and
+numpy integer arrays are accepted.
 Results are built directly as tuples of Python ints; none is passed through
 ``mat`` or ``vec`` on the way out.
 """
@@ -151,11 +158,37 @@ def hermite_form(m):
     return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
+def independent_rows(m):
+    """Indices of the rows of m that are independent of the rows before them.
+
+    Scans the rows in order and keeps a fraction-free row echelon of the kept
+    ones, each row divided by the gcd of its entries; no transformation matrix
+    is built.  A candidate is reduced once against that echelon and kept when
+    a nonzero entry survives.  The scan stops once the kept rows span the
+    whole row space, as no later row can be independent of them.
+    """
+    echelon = []  # (pivot column, row); each row is zero at earlier pivots
+    kept = []
+    for i, row in enumerate(mat(m)):
+        if len(kept) == len(row):
+            break
+        v = row
+        for p, e in echelon:
+            if v[p]:
+                a, b = e[p], v[p]
+                v = tuple(a * x - b * y for x, y in zip(v, e))
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        g = gcd_vec(v)
+        echelon.append((p, tuple(x // g for x in v)))
+        kept.append(i)
+    return kept
+
+
 def rank(m):
-    if not m:
-        return 0
-    h, _ = hermite_form(m)
-    return sum(1 for r in h if not is_zero(r))
+    """Rank, from the fraction-free row echelon of ``independent_rows``."""
+    return len(independent_rows(m))
 
 
 def det(m):

@@ -315,17 +315,30 @@ class FanMorphism:
 
 
 def _smallest_containing_cone(fan, vectors):
-    best = None
-    for c in fan.all_cones():
+    """The cone of the fan of least dimension containing every vector, or None.
+
+    It is the smallest face of the first maximal cone containing the vectors:
+    the rays tight on every facet that vanishes on all of them.  That face is
+    the fan's answer only if its cones meet in common faces, which the caller
+    guarantees (see ``check_compatibility``).
+    """
+    for c in fan.max_cones or ((),):  # a fan without cones still holds the origin
         geom = fan.cone_geom(c)
         if all(geom.contains(v) for v in vectors):
-            if best is None or geom.dim < fan.cone_geom(best).dim:
-                best = c
-    return best
+            tight = [f for f in geom.ambient_ineqs if all(la.dot(v, f) == 0 for v in vectors)]
+            return frozenset(
+                c[i] for i, r in enumerate(geom.rays) if all(la.dot(r, f) == 0 for f in tight)
+            )
+    return None
 
 
 def check_compatibility(matrix, domain, codomain):
-    """Certify that every domain cone maps into a single codomain cone."""
+    """Certify that every domain cone maps into a single codomain cone.
+
+    The codomain must be a fan: any two of its cones meet in a common face.
+    This is not checked; the certificate of a domain cone is the smallest
+    face of the first maximal codomain cone that contains its image.
+    """
     matrix = la.mat(matrix)
     certs = {}
     for c in domain.max_cones:

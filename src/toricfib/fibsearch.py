@@ -315,11 +315,12 @@ def lattice_equivalent(p, q):
     if base is None:
         return False
     d = la.det(base)
+    adj = la.adjugate(base)
     qverts = set(q.vertices)
     for target in permutations(q.vertices, k):
         w = la.mat(target)
         # solve base * U = w over the rationals; integrality required
-        u = _solve_matrix(base, w, d)
+        u = _solve_matrix(adj, w, d)
         if u is None:
             continue
         if abs(la.det(u)) != 1:
@@ -329,9 +330,9 @@ def lattice_equivalent(p, q):
     return False
 
 
-def _solve_matrix(a, b, det_a):
-    """Integer matrix U with a*U = b, via the adjugate; None if fractional."""
-    num = la.matmul(la.adjugate(a), b)
+def _solve_matrix(adj_a, b, det_a):
+    """Integer matrix U with a*U = b, given adj(a) and det(a); None if fractional."""
+    num = la.matmul(adj_a, b)
     u = []
     for row in num:
         r = []

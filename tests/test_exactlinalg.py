@@ -1,11 +1,12 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
-from toricfib.dd import extreme_rays
+from toricfib.dd import _initial_basis_rays, extreme_rays
 
 
 def test_hermite_small():
@@ -56,6 +57,84 @@ def test_hermite_certificate(rows):
     assert la.det(u) in (1, -1)
     h2, _ = la.hermite_form(h)
     assert h2 == h
+
+
+def _hermite_rank(m):
+    """Rank as the number of nonzero rows of the Hermite normal form."""
+    if not len(m):
+        return 0
+    h, _ = la.hermite_form(m)
+    return sum(1 for r in h if not la.is_zero(r))
+
+
+wide_mats = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=0, max_size=6
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_mats, st.randoms(use_true_random=False))
+def test_rank_matches_hermite_rows(rows, rng):
+    # dependent rows: append integer combinations of the drawn ones
+    for _ in range(len(rows) // 2):
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        u, v = rng.choice(rows), rng.choice(rows)
+        rows.append([a * x + b * y for x, y in zip(u, v)])
+    want = _hermite_rank(rows)
+    assert la.rank(tuple(map(tuple, rows))) == want
+    assert la.rank(np.array(rows, dtype=np.int64)) == want
+    assert len(la.independent_rows(rows)) == want
+
+
+def test_rank_of_empty_matrix():
+    assert la.rank(()) == 0
+    assert la.independent_rows(()) == []
+
+
+def _cofactor_basis_rays(constraints, dim):
+    """Reference for dd._initial_basis_rays: greedy row choice by Hermite
+    rank, then the columns of the adjugate, signed by the determinant."""
+    idx, chosen = [], []
+    for i, a in enumerate(constraints):
+        if _hermite_rank(chosen + [a]) > len(chosen):
+            idx.append(i)
+            chosen.append(a)
+            if len(chosen) == dim:
+                break
+    if len(chosen) < dim:
+        raise ValueError("cone is not pointed (constraints do not span)")
+    sign = -1 if la.det(chosen) < 0 else 1
+    adj = la.adjugate(chosen)
+    return idx, [la.primitive(tuple(sign * row[j] for row in adj)) for j in range(dim)]
+
+
+def test_initial_basis_rays_match_cofactor_reference():
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(1500):
+        dim = rng.randint(1, 5)
+        size = rng.choice((1, 3, 40))
+        rows = [
+            tuple(rng.randint(-size, size) for _ in range(dim))
+            for _ in range(rng.randint(1, dim + 3))
+        ]
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.choice(rows), rng.choice(rows)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.insert(rng.randint(0, len(rows)), tuple(a * x + b * y for x, y in zip(u, v)))
+        rows = tuple(rows)
+        try:
+            want = _cofactor_basis_rays(rows, dim)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="not pointed"):
+                _initial_basis_rays(rows, dim)
+            continue
+        assert _initial_basis_rays(rows, dim) == want, rows
+    # both outcomes occur often enough to be tested
+    assert 200 < raised < 1300
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from toricfib.fans import (
     ConeGeom,
     Fan,
     _extreme_generators,
+    _smallest_containing_cone,
     check_compatibility,
     classify,
     face_fan,
@@ -99,6 +101,51 @@ def test_identity_morphism_compatible():
     kfan, sub = kernel_fan(phi)
     assert kfan.nrays() == 0
     assert sub.rank == 0
+
+
+def _least_cone_by_scan(fan, vectors):
+    """Reference: the least-dimensional cone of all_cones() containing every vector."""
+    best = None
+    for c in fan.all_cones():
+        geom = fan.cone_geom(c)
+        if all(geom.contains(v) for v in vectors):
+            if best is None or geom.dim < fan.cone_geom(best).dim:
+                best = c
+    return best
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["base_fan", "line_fan", "ci_face_fan", "ci_fan", "ci_partial", "hyp_fan_6", "hyp_fan_12"],
+)
+def test_smallest_containing_cone_matches_scan(ctx, name):
+    fan = getattr(ctx, name)
+    rng = random.Random(name)
+    cones = fan.all_cones()
+    maximal = {frozenset(c) for c in fan.max_cones}
+    seen = {"face": 0, "maximal": 0, "none": 0, "outside": 0}
+    for _ in range(60):
+        vectors = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.7:
+                # a nonnegative combination of the rays of one cone
+                c = sorted(rng.choice(cones))
+                coef = [rng.randint(0, 3) for _ in c]
+                vectors.append(
+                    tuple(sum(k * fan.rays[i][t] for k, i in zip(coef, c)) for t in range(fan.rank))
+                )
+            else:
+                vectors.append(tuple(rng.randint(-3, 3) for _ in range(fan.rank)))
+        want = _least_cone_by_scan(fan, vectors)
+        assert _smallest_containing_cone(fan, vectors) == want, vectors
+        if want is None:
+            seen["none"] += 1
+            seen["outside"] += not all(fan.support_contains(v) for v in vectors)
+        else:
+            seen["maximal" if want in maximal else "face"] += 1
+    assert seen["face"] and seen["maximal"] and seen["none"], seen
+    # only the partial fan has a support short of the whole space
+    assert bool(seen["outside"]) == (name == "ci_partial"), seen
 
 
 def test_base_projection_is_fibration(ctx):
