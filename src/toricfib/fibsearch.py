@@ -12,6 +12,12 @@ keep the search exact and fast:
   rank-(k-1) subspan extends to L through two distinct generating points.
   Only multiply-hit extensions survive the last enumeration stage.
 
+The enumeration keys each span by its normalized Pluecker row in int64.  The
+last stage groups (parent, row) pairs, and then the surviving rows, with
+np.unique on a view of each row as one opaque byte string: two int64 rows are
+equal exactly when their bytes are, so the grouping is exact and only the
+distinct survivors reach Python.
+
 For k <= 2 each surviving span is then decided without saturation or double
 description.  With B' the k generating points spanning L over Q, the slice is
 {y B' : <y, B' u> >= -1 for every facet normal u of the polar}, the polar of
@@ -20,7 +26,10 @@ Q', and they lie in L meet Z^n exactly when their coordinates in a basis of
 L meet Z^n are integral: the test of the double-description path.  An integral
 slice is reflexive, its polar being the integral projection of the base
 polytope (the test of Avram, Kreuzer, Mandelberg and Skarke, "Searching for K3
-fibrations", hep-th/9610154).
+fibrations", hep-th/9610154).  For k = 2 the edges of Q' come from an exact
+int64 sweep over the images of all survivors at once, O(F^2) for F facets of
+the polar; with M bounding every image coordinate, its products stay below
+8 M^2, which must be below 2^63.
 """
 
 from __future__ import annotations
@@ -157,8 +166,8 @@ def _span_survivors(P, k):
     # the Pluecker (r-minor) vector of each distinct rank-r span
     reps_idx = [()]
     reps_minors = np.ones((1, 1), dtype=np.int64)
-    survivors = {}
-    batch_size = 64
+    hit_rows, hit_pos = [], []
+    batch_size = 32
     for r in range(k):
         _, nc1, T = _stage_matrix(n, r)
         final = r + 1 == k
@@ -181,19 +190,18 @@ def _span_survivors(P, k):
                         nxt_idx.append(reps_idx[lo + b] + (q,))
                         nxt_rows.append(row)
             else:
-                # keep spans reached by two distinct extensions of one parent
+                # keep spans reached by two distinct extensions of one parent;
+                # the first of each group is its smallest appended row, and
+                # sorting puts the hits in (parent, appended row) order
+                # rather than byte order
                 parent = flat_pos // g
                 tagged = np.concatenate([parent[:, None], rows], axis=1)
-                uniq, first, counts = np.unique(
-                    tagged, axis=0, return_index=True, return_counts=True
+                _, first, counts = np.unique(
+                    _void_rows(tagged), return_index=True, return_counts=True
                 )
-                hit = counts >= 2
-                for u, fidx in zip(uniq[hit], first[hit]):
-                    kk = tuple(u[1:].tolist())
-                    if kk in survivors:
-                        continue
-                    b, q = divmod(int(flat_pos[fidx]), g)
-                    survivors[kk] = reps_idx[lo + b] + (q,)
+                first = np.sort(first[counts >= 2])
+                hit_rows.append(rows[first])
+                hit_pos.append(lo * g + flat_pos[first])
         if not final:
             reps_idx = nxt_idx
             reps_minors = (
@@ -201,7 +209,25 @@ def _span_survivors(P, k):
                 if nxt_rows
                 else np.zeros((0, nc1), dtype=np.int64)
             )
+    if not hit_rows:
+        return {}
+    # hits are in (parent, appended row) order, so the first hit of each span
+    # is its representative
+    hits = np.concatenate(hit_rows)
+    pos = np.concatenate(hit_pos)
+    _, first = np.unique(_void_rows(hits), return_index=True)
+    survivors = {}
+    for i in np.sort(first).tolist():
+        b, q = divmod(int(pos[i]), g)
+        survivors[tuple(hits[i].tolist())] = reps_idx[b] + (q,)
     return survivors
+
+
+def _void_rows(m):
+    """The rows of a 2-d int64 array as one opaque item each: equal items are
+    equal rows (byte for byte), so np.unique on the view groups rows exactly."""
+    m = np.ascontiguousarray(m)
+    return m.view(np.dtype((np.void, m.dtype.itemsize * m.shape[1]))).ravel()
 
 
 def _integral_slices(P, reps, polar):
@@ -211,55 +237,68 @@ def _integral_slices(P, reps, polar):
     With B' the representative rows and Q' = B' u over the facet normals u of
     ``polar``, the slice is the polar of conv(Q'), written in B' coordinates.
     For k = 1, Q' spans [a, b] and the slice vertices are g/|a| and -g/b.  For
-    k = 2, the vertex dual to a hull edge (p, q) with D = det(p, q) is
-    -((q2 - p2) b'1 + (p1 - q1) b'2) / D.
+    k = 2, the vertex dual to a hull edge through q with direction b and
+    D = det(q, q + b) > 0 is -(b2 b'1 - b1 b'2) / D.  The edge lines are found
+    by an exact sweep over the images, vectorized over the representatives:
+    for each image q_i, b_i is the most clockwise nonzero difference
+    q_r - q_i (the earlier one on a tie), and (q_i, q_i + b_i) is an
+    anticlockwise edge line of conv(Q') exactly when every image lies on its
+    left or on it.  Images on an edge give that edge's line again, which
+    repeats the same test.
+
+    With M = max |u|_1 * max |P| bounding every image coordinate, all
+    differences, cross products, D and numerators stay below 8 M^2; raises
+    DegenerateInputError unless M < 2^63 for k = 1 and 8 M^2 < 2^63 for k = 2.
     """
     assert all(c == 1 for _, c in polar.facets), "polar of a reflexive polytope"
     if not reps:
         return []
     U = np.array([u for u, _ in polar.facets], dtype=np.int64)
-    bound = max(sum(map(abs, u)) for u in U.tolist()) * int(np.abs(P).max())
-    if bound >= 2**63:
+    M = max(sum(map(abs, u)) for u in U.tolist()) * int(np.abs(P).max())
+    k = len(reps[0])
+    if (M if k == 1 else 8 * M * M) >= 2**63:
         raise DegenerateInputError("generating points too large for int64 images")
     B = P[np.array(reps)]
-    Q = B @ U.T
-    if B.shape[1] == 1:
+    if k == 1:
+        Q = B @ U.T
         g = B[:, 0]
         a = -Q[:, 0].min(axis=1)
         b = Q[:, 0].max(axis=1)
         fractional = np.any(g % a[:, None], axis=1) | np.any(g % b[:, None], axis=1)
         return (~fractional).tolist()
     out = []
-    for (b1, b2), images in zip(B.tolist(), Q.tolist()):
-        hull = _convex_polygon(set(zip(*images)))
-        edges = zip(hull, hull[1:] + hull[:1])
-        out.append(
-            not any(
-                ((q2 - p2) * x + (p1 - q1) * y) % (p1 * q2 - p2 * q1)
-                for (p1, p2), (q1, q2) in edges
-                for x, y in zip(b1, b2)
-            )
-        )
+    batch_size = 4096
+    for lo in range(0, len(B), batch_size):
+        Bb = B[lo : lo + batch_size]
+        Q = Bb @ U.T
+        x, y = Q[:, 0], Q[:, 1]
+        edge, bx, by = _edge_lines(x, y)
+        D = np.where(edge, x * by - y * bx, 1)
+        num = by[:, :, None] * Bb[:, None, 0, :] - bx[:, :, None] * Bb[:, None, 1, :]
+        out.extend((~np.any(num % D[:, :, None], axis=(1, 2))).tolist())
     return out
 
 
-def _convex_polygon(points):
-    """Vertices of the convex hull of distinct plane points, anticlockwise
-    (Andrew's monotone chain; collinear boundary points dropped)."""
-    pts = sorted(points)
+def _edge_lines(x, y):
+    """Edge lines of the convex hulls of plane point sets, by an exact sweep.
 
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-            ) <= 0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    return chain(pts) + chain(reversed(pts))
+    Row s of ``x`` and ``y`` holds the coordinates of one point set.  Returns
+    (edge, bx, by): bx, by hold b_i, the most clockwise nonzero difference
+    q_r - q_i (the earlier one on a tie), and edge[s, i] says whether the line
+    through q_i and q_i + b_i is an anticlockwise edge line of the hull, that
+    is, whether no point lies right of it.  Each hull edge is found from the
+    vertex it leaves anticlockwise; points on an edge find its line again.
+    """
+    bx, by = np.zeros_like(x), np.zeros_like(y)
+    for r in range(x.shape[1]):
+        dx, dy = x[:, r, None] - x, y[:, r, None] - y
+        # a zero difference never replaces a nonzero b: its cross is 0
+        turn = ((bx == 0) & (by == 0)) | (bx * dy - by * dx < 0)
+        bx, by = np.where(turn, dx, bx), np.where(turn, dy, by)
+    edge = np.ones(x.shape, dtype=bool)
+    for r in range(x.shape[1]):
+        edge &= bx * (y[:, r, None] - y) - by * (x[:, r, None] - x) >= 0
+    return edge, bx, by
 
 
 def _evaluate_sublattice(delta, polar, basis):

@@ -138,8 +138,8 @@ class LatticePolytope:
         if not pts:
             raise DegenerateInputError("no points")
         dim = len(pts[0])
-        base, basis = affine_span(pts)
-        if len(basis) < dim:
+        if la.rank([la.sub(p, pts[0]) for p in pts[1:]]) < dim:
+            base, basis = affine_span(pts)
             raise NotFullDimensionalError(
                 "points are not full-dimensional",
                 base=list(base),
@@ -280,11 +280,7 @@ class LatticePolytope:
         for tight in closed:
             vs = vertex_set(tight)
             verts = [self.vertices[i] for i in vs]
-            if len(verts) == 1:
-                dim = 0
-            else:
-                _, basis = affine_span(verts)
-                dim = len(basis)
+            dim = la.rank([la.sub(v, verts[0]) for v in verts[1:]])
             npts = sum(1 for m in masks.values() if tight <= m)
             nint = sum(1 for m in masks.values() if tight == m)
             faces.append(Face(dim, vs, tight, npts, nint))

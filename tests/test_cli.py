@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -23,3 +24,25 @@ def test_verify_unknown_criterion():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--only", "no-such-criterion"])
     assert exc.value.code == 2
+
+
+def test_fibrations_hyp_simplex(capsys):
+    path = resources.files("toricfib").joinpath("fixtures", "hyp_simplex.json")
+    assert main(["fibrations", str(path), "--dim", "1", "--json"]) == 0
+    cands = json.loads(capsys.readouterr().out)
+    assert len(cands) == 3
+    for c in cands:
+        assert len(c["basis"]) == 1 and c["balanced"]
+        assert c["slice"] == c["projection"] == {"rank": 1, "vertices": [[-1], [1]]}
+    assert main(["fibrations", str(path), "--dim", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" balanced")[0] for line in lines] == [
+        f"basis {c['basis']}" for c in cands
+    ]
+
+
+def test_fibrations_not_reflexive(tmp_path, capsys):
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps({"vertices": [[2, 0], [0, 2], [-2, 0], [0, -2]]}))
+    assert main(["fibrations", str(path), "--dim", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["code"] == "not-reflexive"

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
 from toricfib.cy import vertices_from_inequalities
 from toricfib.errors import DegenerateInputError
 from toricfib.fibsearch import (
+    _edge_lines,
     _generating_points,
     _integral_slices,
     _span_survivors,
@@ -111,6 +114,94 @@ def _dd_slice_integral(points, polar):
     return all(x.denominator == 1 for v in verts for x in v)
 
 
+def _convex_polygon(points):
+    """Reference: vertices of the convex hull of distinct plane points,
+    anticlockwise (Andrew's monotone chain; collinear boundary points
+    dropped)."""
+    pts = sorted(points)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+def _line(p, b):
+    """An oriented line through p with direction b: (primitive b, det(p, b))."""
+    g = math.gcd(*b)
+    b = (b[0] // g, b[1] // g)
+    return b, p[0] * b[1] - p[1] * b[0]
+
+
+def _reference_slice_integral(B, polar):
+    """Reference k = 2 verdict: the vertex dual to each edge (p, q) of the
+    monotone-chain hull of Q' = B' u is -((q2 - p2) b'1 + (p1 - q1) b'2) / D
+    with D = det(p, q), in Python integers."""
+    b1, b2 = B
+    images = [(la.dot(b1, u), la.dot(b2, u)) for u, _ in polar.facets]
+    hull = _convex_polygon(set(images))
+    return not any(
+        ((q2 - p2) * x + (p1 - q1) * y) % (p1 * q2 - p2 * q1)
+        for (p1, p2), (q1, q2) in zip(hull, hull[1:] + hull[:1])
+        for x, y in zip(b1, b2)
+    )
+
+
+@st.composite
+def plane_point_sets(draw):
+    """Integer point sets with the origin strictly inside their hull, with
+    duplicates and, when drawn, every lattice point on the hull's edges."""
+    pts = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=12
+        )
+    )
+    hull = _convex_polygon(set(pts))
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    if len(hull) < 3 or any(p[0] * q[1] - p[1] * q[0] <= 0 for p, q in edges):
+        pts = pts + [(5, 0), (-3, 4), (-2, -5)]
+    if draw(st.booleans()):
+        hull = _convex_polygon(set(pts))
+        for p, q in zip(hull, hull[1:] + hull[:1]):
+            g = math.gcd(q[0] - p[0], q[1] - p[1])
+            step = ((q[0] - p[0]) // g, (q[1] - p[1]) // g)
+            pts += [(p[0] + t * step[0], p[1] + t * step[1]) for t in range(1, g)]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plane_point_sets())
+def test_edge_lines_match_monotone_chain(pts):
+    hull = _convex_polygon(set(pts))
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    assert all(p[0] * q[1] - p[1] * q[0] > 0 for p, q in edges)
+    want = {_line(p, (q[0] - p[0], q[1] - p[1])) for p, q in edges}
+    x = np.array([[p[0] for p in pts]], dtype=np.int64)
+    y = np.array([[p[1] for p in pts]], dtype=np.int64)
+    edge, bx, by = _edge_lines(x, y)
+    got = {
+        _line(p, (int(b1), int(b2)))
+        for p, e, b1, b2 in zip(pts, edge[0], bx[0], by[0])
+        if e
+    }
+    assert got == want
+    # every hull vertex finds the edge it leaves anticlockwise
+    for p, q in edges:
+        i = pts.index(p)
+        assert edge[0, i]
+        b = (int(bx[0, i]), int(by[0, i]))
+        assert _line(p, b) == _line(p, (q[0] - p[0], q[1] - p[1]))
+
+
 def test_projection_test_matches_double_description(ctx):
     # every surviving span, including those whose representative points
     # generate a sublattice of index > 1 in L meet Z^n
@@ -141,6 +232,51 @@ def test_projection_test_matches_double_description(ctx):
         assert _integral_slices(np.array(points), [rep], polar) == [False]
 
 
+def _plucker_key(pts):
+    """Normalized Pluecker row of one or two points, None when dependent."""
+    if len(pts) == 1:
+        minors = list(pts[0])
+    else:
+        (a, b), n = pts, len(pts[0])
+        minors = [a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(n), 2)]
+    g = math.gcd(*minors)
+    if g == 0:
+        return None
+    sign = 1 if next(m for m in minors if m) > 0 else -1
+    return tuple(sign * m // g for m in minors)
+
+
+def _survivors_reference(rows, k):
+    """Reference for _span_survivors, k <= 2, by Python loops: the spans that
+    some stage-(k-1) representative (in order of first hit) reaches through
+    two rows, keyed by the normalized Pluecker row and represented by the
+    first parent, then the first row, that reaches them twice."""
+    parents = [()]
+    for r in range(k):
+        reached = {}
+        for par in parents:
+            seen = {}
+            for q, row in enumerate(rows):
+                kk = _plucker_key([rows[i] for i in par] + [row])
+                if kk is not None:
+                    seen.setdefault(kk, []).append(q)
+            for kk, qs in seen.items():
+                if r + 1 < k or len(qs) >= 2:
+                    reached.setdefault(kk, par + (qs[0],))
+        parents = sorted(reached.values())
+    return reached
+
+
+def test_span_survivors_match_reference():
+    # over 256 parents at k = 2: spans are reached from several batches
+    rng = np.random.default_rng(8)
+    rows = rng.integers(-6, 7, size=(420, 3)).tolist()
+    assert len({_plucker_key([r]) for r in rows} - {None}) > 256
+    P = np.array(rows, dtype=np.int64)
+    for k in (1, 2):
+        assert _span_survivors(P, k) == _survivors_reference(rows, k)
+
+
 def test_int64_bounds():
     with pytest.raises(DegenerateInputError):
         _span_survivors(np.full((4, 4), 2**22, dtype=np.int64), 3)
@@ -164,3 +300,27 @@ def test_int64_bounds():
     P = np.array([[2**62, 0], [0, 1]], dtype=np.int64)
     with pytest.raises(DegenerateInputError):
         _integral_slices(P, [(0,)], square.polar_cached())
+    # k = 2 needs 8 M^2 < 2^63 for M = max|u|_1 max|P|; the cross-polytope's
+    # facet normals have |u|_1 = 4, so the bound falls at max|P| = 2^28
+    cross = LatticePolytope.hull(CUBE4).polar_cached()
+    m = 2**28 - 1
+    rows = [
+        (m, 0, 0, 0),
+        (0, m, 0, 0),
+        (m, m - 2, 1, 0),
+        (m - 1, -m, 3, 5),
+        (-m, 7, m - 4, 2),
+        (1, 1, 0, 0),
+        (0, 0, m, m - 6),
+    ]
+    reps = list(itertools.combinations(range(len(rows)), 2))
+    P = np.array(rows, dtype=np.int64)
+    got = _integral_slices(P, reps, cross)
+    want = [_dd_slice_integral([rows[i] for i in rep], cross) for rep in reps]
+    assert got == want == [
+        _reference_slice_integral([rows[i] for i in rep], cross) for rep in reps
+    ]
+    assert True in got and False in got
+    P[0, 0] += 1
+    with pytest.raises(DegenerateInputError):
+        _integral_slices(P, reps, cross)

@@ -81,6 +81,45 @@ def test_hull_not_full_dimensional():
     assert ei.value.context["span_basis"] == [[1, 0]]
 
 
+def _affine_span(points):
+    """Reference: base point and saturated basis of the span of differences."""
+    base = points[0]
+    diffs = [la.sub(p, base) for p in points[1:] if p != base]
+    return base, la.saturation(diffs) if diffs else ()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1, 0), (-1, 0)],
+        [(2, 2, 0), (0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 2, 0)],
+        [(3, 1, 4, 1)] * 3,
+        [(0, 0, 0, 0), (2, 4, 6, 8), (1, 2, 3, 4), (0, 0, 1, 1), (2, 4, 7, 9)],
+    ],
+)
+def test_hull_not_full_dimensional_payload(points):
+    with pytest.raises(NotFullDimensionalError) as ei:
+        LatticePolytope.hull(points)
+    base, basis = _affine_span(points)
+    assert ei.value.context == {
+        "base": list(base),
+        "span_basis": [list(b) for b in basis],
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["ci_polar", "hyp_simplex", "k3_simplex", "base_pentagon"]
+)
+def test_face_dims_match_affine_span(ctx, name):
+    for p in (getattr(ctx, name), getattr(ctx, name).polar_cached()):
+        faces = p._face_data()
+        assert set(faces) == set(range(p.rank + 1))
+        for dim, fs in faces.items():
+            for f in fs:
+                verts = [p.vertices[i] for i in sorted(f.vertex_indices)]
+                assert f.dim == dim == len(_affine_span(verts)[1])
+
+
 def test_hull_idempotent():
     p = LatticePolytope.hull(HYP_SIMPLEX_VERTICES)
     q = LatticePolytope.hull(p.vertices)

@@ -17,9 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "toricfib"
 
-# error payloads and JSON writers whose caller is the planned `toricfib` CLI
-ALLOWED = {"as_json", "polytope_to_json", "matrix_to_json"}
-
 
 def _definitions(path):
     """(name, first line, last line) of each checked definition in one module."""
@@ -66,8 +63,6 @@ def test_no_unreferenced_definitions():
     unreferenced = []
     for module in sorted(PACKAGE.glob("*.py")):
         for name, first, last in _definitions(module):
-            if name in ALLOWED:
-                continue
             used = any(
                 s == name and not (p == module and first <= line <= last)
                 for p, toks in tokens.items()
