@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial, floor
 
 from . import exactlinalg as la
 from .dd import extreme_rays
@@ -50,12 +50,10 @@ def _integral(points):
 
 
 def _lattice_points_of(ineqs, rational_vertices):
-    import math
-
     dim = len(rational_vertices[0])
-    lows = [min(math.floor(v[i]) for v in rational_vertices) for i in range(dim)]
-    highs = [max(math.ceil(v[i]) for v in rational_vertices) for i in range(dim)]
-    return sorted(enumerate_lattice_points(tuple(ineqs), lows, highs))
+    lows = [min(floor(v[i]) for v in rational_vertices) for i in range(dim)]
+    highs = [max(ceil(v[i]) for v in rational_vertices) for i in range(dim)]
+    return enumerate_lattice_points(tuple(ineqs), lows, highs)
 
 
 def minkowski_sum_hull(point_sets):
@@ -189,24 +187,16 @@ def anticanonical_polynomial(
     """Anticanonical section: one term per chosen lattice point m of delta,
     with exponent <m, ray> + 1 on every ray coordinate.
 
-    ``monomials`` is one of "all", "vertices+origin", "no-facet-interior";
-    the last drops points interior to facets, which never move a generic
-    hypersurface.
+    ``monomials`` is "all" or "no-facet-interior"; the latter drops points
+    interior to facets, which never move a generic hypersurface.
     """
     _check_crepant(fan, delta.polar_cached())
-    interior, boundary, = delta.lattice_points()
+    interior, boundary, masks = delta._points_data()
     allpts = sorted(interior + boundary)
-    origin = (0,) * delta.rank
     if monomials == "all":
         chosen = allpts
-    elif monomials == "vertices+origin":
-        chosen = sorted(set(delta.vertices) | {origin})
     elif monomials == "no-facet-interior":
-        chosen = []
-        for p in allpts:
-            tight = [i for i, (n, c) in enumerate(delta.facets) if la.dot(p, n) == -c]
-            if len(tight) != 1:
-                chosen.append(p)
+        chosen = [p for p in allpts if len(masks[p]) != 1]
     else:
         raise ValueError(f"unknown monomial mode {monomials!r}")
     ring = _ring_for(fan, ray_names)

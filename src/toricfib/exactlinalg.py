@@ -21,6 +21,7 @@ Results are built directly as tuples of Python ints; none is passed through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 Vec = tuple
@@ -236,6 +237,22 @@ def adjugate(m):
         )
         for i in range(n)
     )
+
+
+def maximal_minor_gcd(m):
+    """gcd of the k x k minors of a k x n matrix, stopping once it reaches 1.
+
+    It is 1 exactly when the rows extend to a basis of Z^n and 0 exactly when
+    they are dependent; a matrix without rows gives 1.
+    """
+    m = mat(m)
+    ncols = len(m[0]) if m else 0
+    g = 0
+    for cols in combinations(range(ncols), len(m)):
+        g = gcd(g, det(tuple(tuple(r[c] for c in cols) for r in m)))
+        if g == 1:
+            break
+    return g
 
 
 def kernel_basis(points):

@@ -9,7 +9,6 @@ fans, monomial coordinate forms, and wall-relation Mori cones build on that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import exactlinalg as la
 from .dd import cone_contains, extreme_rays
@@ -112,19 +111,7 @@ class ConeGeom:
 
     def is_smooth(self):
         """Rays extend to a basis of the ambient lattice."""
-        if not self.is_simplicial():
-            return False
-        if not self.rays:
-            return True
-        k = len(self.rays)
-        n = self.ambient_rank
-        g = 0
-        for cols in combinations(range(n), k):
-            sub = tuple(tuple(r[c] for c in cols) for r in self.rays)
-            g = la.gcd_vec((g, la.det(sub)))
-            if g == 1:
-                return True
-        return g == 1
+        return self.is_simplicial() and la.maximal_minor_gcd(self.rays) == 1
 
 
 class Fan:
@@ -440,16 +427,8 @@ def is_fibration(phi):
     k = phi.codomain.rank
     if k == 0:
         return True
-    if la.rank(matrix) != k:
-        return False
-    n = len(matrix)
-    g = 0
-    for rows in combinations(range(n), k):
-        sub = tuple(matrix[i] for i in rows)
-        g = la.gcd_vec((g, la.det(sub)))
-        if g == 1:
-            break
-    if g != 1:
+    # surjective exactly when the k x k minors have gcd 1 (0: rank below k)
+    if la.maximal_minor_gcd(la.transpose(matrix)) != 1:
         return False
     domain_cones = phi.domain.all_cones()
     by_cert = {}
@@ -487,25 +466,14 @@ def kernel_fan(phi):
         sub = la.Sublattice(basis=(), ambient_rank=n)
         return Fan(0, (), ()), sub
     sub = la.Sublattice(basis=kern, ambient_rank=n)
-    in_kernel = [
+    kset = {
         i
         for i, r in enumerate(phi.domain.rays)
         if la.is_zero(la.vecmat(r, phi.matrix))
-    ]
-    kset = set(in_kernel)
-    cones = [
-        c
-        for c in phi.domain.all_cones()
-        if c and set(c) <= kset
-    ]
-    maximal = [c for c in cones if not any(c < o for o in cones)]
-    used = sorted({i for c in maximal for i in c})
-    remap = {old: new for new, old in enumerate(used)}
-    local_rays = tuple(sub.coords(phi.domain.rays[i]) for i in used)
-    max_cones = sorted({tuple(sorted(remap[i] for i in c)) for c in maximal})
-    if not used:
-        return Fan(len(kern), (), ()), sub
-    return Fan(len(kern), local_rays, max_cones), sub
+    }
+    inner = phi.domain.subfan(c for c in phi.domain.all_cones() if c and c <= kset)
+    local_rays = tuple(sub.coords(r) for r in inner.rays)
+    return Fan(len(kern), local_rays, inner.max_cones), sub
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
+from . import exactlinalg as la
 from .errors import DegenerateInputError
 from .sympoly import ParamScalar
 
@@ -136,8 +138,6 @@ def j_invariants(mp):
 
 
 def _isqrt_exact(n):
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 
@@ -188,8 +188,6 @@ def ade_subgraph(polytope, direction):
     ``direction`` is positive; returns connected components as tuples of
     boundary-point coordinates, largest first.
     """
-    from . import exactlinalg as la
-
     g = polytope.skeleton()
 
     def keep(edge):

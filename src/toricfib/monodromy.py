@@ -170,14 +170,10 @@ def classify_kodaira(m):
     a, b, c, d = (int(e.re) for e in m.entries())
     t = a + d
     if t == 2:
-        from math import gcd
-
-        n = gcd(gcd(abs(a - 1), abs(b)), gcd(abs(c), abs(d - 1)))
+        n = math.gcd(abs(a - 1), abs(b), abs(c), abs(d - 1))
         return f"I{n}"
     if t == -2:
-        from math import gcd
-
-        n = gcd(gcd(abs(a + 1), abs(b)), gcd(abs(c), abs(d + 1)))
+        n = math.gcd(abs(a + 1), abs(b), abs(c), abs(d + 1))
         return f"I{n}*"
     if t in (-1, 0, 1):
         base = {1: "II", 0: "III", -1: "IV"}[t]

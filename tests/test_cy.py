@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import factorial
 
@@ -317,20 +318,17 @@ def test_anticanonical_smallest_case():
     assert degs == [(0, 2), (1, 1), (2, 0)]
 
 
-def test_batyrev_hodge_hyp(ctx):
-    h11, h21 = batyrev_hodge(ctx.hyp_simplex)
-    assert (h11, h21) == (243, 3)
-    # duality: h11 of the polar equals h21 and vice versa
-    h11p, h21p = batyrev_hodge(ctx.hyp_simplex.polar_cached())
-    assert (h11p, h21p) == (3, 243)
+def test_batyrev_hodge_four_p1():
+    # (P^1)^4: the anticanonical polytope is the 4-cube, its polar the
+    # cross-polytope; the mirror swaps the two numbers
+    cube = LatticePolytope.hull(list(itertools.product((-1, 1), repeat=4)))
+    assert batyrev_hodge(cube) == (4, 68)
+    assert batyrev_hodge(cube.polar()) == (68, 4)
 
 
-def test_batyrev_hodge_quintic():
-    small = LatticePolytope.hull(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]
-    )
-    quintic = small.polar()
-    assert batyrev_hodge(quintic) == (1, 101)
+def test_batyrev_hodge_p2_times_p2():
+    rays = [(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, -1)]
+    assert batyrev_hodge(LatticePolytope.hull(rays).polar()) == (2, 83)
 
 
 def test_mirror_mori_cone(ctx):

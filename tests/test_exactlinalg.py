@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -91,6 +93,18 @@ def test_rank_matches_hermite_rows(rows, rng):
 def test_rank_of_empty_matrix():
     assert la.rank(()) == 0
     assert la.independent_rows(()) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_mats)
+def test_maximal_minor_gcd_matches_full_scan(rows):
+    rows = rows[: len(rows[0])] if rows else rows
+    k, n = len(rows), len(rows[0]) if rows else 0
+    want = 0
+    for cols in itertools.combinations(range(n), k):
+        want = math.gcd(want, la.det([[r[c] for c in cols] for r in rows]))
+    assert la.maximal_minor_gcd(rows) == want
+    assert (want == 0) == (_hermite_rank(rows) < k)
 
 
 def _cofactor_basis_rays(constraints, dim):

@@ -1,11 +1,20 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
-from toricfib.errors import NotFullDimensionalError, NotReflexiveError, PolarUndefinedError
-from toricfib.polytope import LatticePolytope
+from toricfib import polytope
+from toricfib.errors import (
+    DegenerateInputError,
+    NotFullDimensionalError,
+    NotReflexiveError,
+    PolarUndefinedError,
+)
+from toricfib.polytope import LatticePolytope, enumerate_lattice_points
 
 # running polytopes
 CI_POLAR_VERTICES = [
@@ -189,6 +198,68 @@ def test_lattice_points_brute_force_rank2():
             continue
         interior, boundary = p.lattice_points()
         assert sorted(interior + boundary) == brute_force_points(list(p.vertices))
+
+
+@st.composite
+def boxes_with_inequalities(draw):
+    dim = draw(st.integers(1, 4))
+    lows = draw(st.lists(st.integers(-3, 2), min_size=dim, max_size=dim))
+    # a side of -1 or 0 points leaves the box empty
+    highs = [lo + draw(st.integers(-1, 5)) for lo in lows]
+    ineqs = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-4, 4)] * dim), st.integers(-6, 10)
+            ),
+            max_size=5,
+        )
+    )
+    # small blocks make the enumerator loop over leading coordinates
+    block = draw(st.sampled_from([1, 6, 40, polytope._BLOCK_ENTRIES]))
+    return ineqs, lows, highs, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes_with_inequalities())
+def test_enumerate_lattice_points_matches_product_filter(args):
+    ineqs, lows, highs, block = args
+    box = itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)])
+    want = [p for p in box if all(la.dot(p, n) >= -c for n, c in ineqs)]
+    with mock.patch.object(polytope, "_BLOCK_ENTRIES", block):
+        got = enumerate_lattice_points(ineqs, lows, highs)
+    assert got == want  # the same points in the same (lexicographic) order
+    assert all(type(x) is int for p in got for x in p)
+
+
+@pytest.mark.parametrize("block", [1, 3, polytope._BLOCK_ENTRIES])
+def test_enumerate_lattice_points_int64_bound(block):
+    # x0 in [0, 1], x1 in [-1, 1]: the bound is a + b + |c| for n = (a, b)
+    a, b = 2**62, 2**62 - 2
+    with mock.patch.object(polytope, "_BLOCK_ENTRIES", block):
+        assert enumerate_lattice_points([((a, b), 1)], [0, -1], [1, 1]) == [
+            (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)
+        ]
+        assert enumerate_lattice_points([((-a, -b), 1)], [0, -1], [1, 1]) == [
+            (0, -1), (0, 0)
+        ]
+    with pytest.raises(DegenerateInputError):
+        enumerate_lattice_points([((a, b), 2)], [0, -1], [1, 1])
+    with pytest.raises(DegenerateInputError):
+        enumerate_lattice_points([((a, b + 1), 1)], [0, -1], [1, 1])
+
+
+@pytest.mark.parametrize(
+    "name", ["ci_polar", "hyp_simplex", "k3_simplex", "base_pentagon"]
+)
+def test_points_tight_facets(ctx, name):
+    for p in (getattr(ctx, name), getattr(ctx, name).polar_cached()):
+        interior, boundary, masks = p._points_data()
+        assert list(interior) == sorted(interior)
+        assert list(boundary) == sorted(boundary)
+        assert set(masks) == set(interior) | set(boundary)
+        for q, mask in masks.items():
+            assert mask == {i for i, (n, c) in enumerate(p.facets) if la.dot(q, n) == -c}
+            assert bool(mask) == (q in boundary)
 
 
 def test_boundary_contains_paper_points():
