@@ -13,10 +13,18 @@ keep the search exact and fast:
   Only multiply-hit extensions survive the last enumeration stage.
 
 The enumeration keys each span by its normalized Pluecker row in int64.  The
-last stage groups (parent, row) pairs, and then the surviving rows, with
-np.unique on a view of each row as one opaque byte string: two int64 rows are
-equal exactly when their bytes are, so the grouping is exact and only the
-distinct survivors reach Python.
+last stage runs over batches of parents and groups each batch's (parent, row)
+pairs with np.unique on a view of each row as one opaque byte string: two
+int64 rows are equal exactly when their bytes are, so the grouping is exact
+and only the multiply-hit rows reach Python.  A set of the row bytes already
+seen keeps the first hit of each span, across batches too.
+
+The search is one lazy pipeline: each batch of new survivors is decided,
+saturated and evaluated before the next batch is enumerated, and candidates
+stream out as they are found.  A search consumes the stream of its own
+polytope in full; the ``balanced`` flags pull the polar side's stream only
+until every candidate has found its partner, and not at all when there are
+no candidates.
 
 For k <= 2 each surviving span is then decided without saturation or double
 description.  With B' the k generating points spanning L over Q, the slice is
@@ -100,25 +108,48 @@ def search_fibrations(delta, fibre_dim):
 
     The sublattices are spanned by boundary lattice points of the polar of
     ``delta``; each candidate carries the slice (in sublattice coordinates)
-    and the projection of ``delta`` (in dual quotient coordinates).  A
-    candidate is flagged ``balanced`` when its polytope classes also occur
-    with the roles of slice and projection interchanged on the polar side,
-    i.e. some slice of ``delta`` itself is lattice-isomorphic to the
-    candidate's projection; the fibration then has a matching partner on the
-    mirror ambient.
+    and the projection of ``delta`` (in dual quotient coordinates), in order
+    of sublattice basis.  A candidate is flagged ``balanced`` when its
+    polytope classes also occur with the roles of slice and projection
+    interchanged on the polar side, i.e. some slice of ``delta`` itself is
+    lattice-isomorphic to the candidate's projection; the fibration then has
+    a matching partner on the mirror ambient.
+
+    The polar side is searched lazily: its candidates are pulled from the
+    same stream as ``delta``'s, one at a time, only until every candidate of
+    ``delta`` has found its partner or the stream runs out.  With no
+    candidates, the polar side is not searched at all.
     """
     cands = _raw_candidates(delta, fibre_dim)
-    dual = _raw_candidates(delta.polar_cached(), fibre_dim)
-    out = []
-    for c in cands:
-        flag = any(
-            lattice_equivalent(c.projection, d.slice_polytope) for d in dual
-        )
-        out.append(replace(c, balanced=flag))
-    return tuple(out)
+    unmatched = set(range(len(cands)))
+    dual = _candidates(delta.polar_cached(), fibre_dim)
+    while unmatched and (d := next(dual, None)) is not None:
+        unmatched = {
+            i
+            for i in unmatched
+            if not lattice_equivalent(cands[i].projection, d.slice_polytope)
+        }
+    return tuple(
+        replace(c, balanced=i not in unmatched) for i, c in enumerate(cands)
+    )
 
 
 def _raw_candidates(delta, fibre_dim):
+    """Every candidate of ``delta`` in order of sublattice basis, each with
+    ``balanced`` False."""
+    return tuple(
+        sorted(_candidates(delta, fibre_dim), key=lambda c: c.sublattice.basis)
+    )
+
+
+def _candidates(delta, fibre_dim):
+    """Stream of the candidates of ``delta``, in the order their sublattices
+    first survive the span enumeration, each with ``balanced`` False.
+
+    Each batch of surviving spans is decided (by its integral projection for
+    k <= 2), saturated and evaluated before the next batch is enumerated, so
+    a consumer that stops early skips the rest of the search.
+    """
     if not delta.is_reflexive():
         raise NotReflexiveError("fibration search needs a reflexive polytope")
     n = delta.rank
@@ -128,50 +159,55 @@ def _raw_candidates(delta, fibre_dim):
     polar = delta.polar_cached()
     gens = _generating_points(polar, n - k)
     if len(gens) < k + 1:
-        return ()
+        return
     P = np.array(gens, dtype=np.int64)
-    reps = list(_span_survivors(P, k).values())
-    if k <= 2:
-        reps = [r for r, ok in zip(reps, _integral_slices(P, reps, polar)) if ok]
-    out = []
     seen_bases = set()
-    for rep in reps:
-        pts = la.mat([gens[i] for i in rep])
-        basis = la.saturation(pts)
-        if len(basis) != k or basis in seen_bases:
-            continue
-        seen_bases.add(basis)
-        cand = _evaluate_sublattice(delta, polar, basis)
-        if cand is not None:
-            out.append(cand)
-    out.sort(key=lambda c: c.sublattice.basis)
-    return tuple(out)
+    for batch in _span_survivors(P, k):
+        reps = [rep for _, rep in batch]
+        if k <= 2:
+            reps = [r for r, ok in zip(reps, _integral_slices(P, reps, polar)) if ok]
+        for rep in reps:
+            basis = la.saturation(la.mat([gens[i] for i in rep]))
+            if len(basis) != k or basis in seen_bases:
+                continue
+            seen_bases.add(basis)
+            cand = _evaluate_sublattice(delta, polar, basis)
+            if cand is not None:
+                yield cand
 
 
 def _span_survivors(P, k):
     """Rank-k spans of the rows of ``P`` that some rank-(k-1) span reaches
-    through two distinct rows.
+    through two distinct rows, as a stream.
 
-    Returns a dict from the normalized Pluecker row (a tuple) of each span to
-    its representative: the row indices of its first hit, smallest parent
-    first, then smallest appended row.  Raises DegenerateInputError when an
-    int64 minor could overflow.
+    Each item of the stream is a non-empty list of the spans first reached
+    from one batch of parents: pairs of the normalized Pluecker row (a tuple)
+    of a span and its representative, the row indices of its first hit,
+    smallest parent first, then smallest appended row.  The items follow in
+    that order too, so each span occurs once, with its first hit.  Raises
+    DegenerateInputError when an int64 minor could overflow, at the call,
+    before any item is pulled.
     """
     g, n = P.shape
     # Hadamard: every minor, and every partial sum of one, is below n*|row|^k
     norm2 = max(sum(x * x for x in row) for row in P.tolist())
     if n * n * norm2**k >= 2**126:
         raise DegenerateInputError("generating points too large for int64 minors")
+    return _span_batches(P, k)
+
+
+def _span_batches(P, k):
+    """The stream of _span_survivors, after its bound check."""
+    g, n = P.shape
     # staged span enumeration; stage r holds representative index tuples and
     # the Pluecker (r-minor) vector of each distinct rank-r span
     reps_idx = [()]
     reps_minors = np.ones((1, 1), dtype=np.int64)
-    hit_rows, hit_pos = [], []
     batch_size = 32
     for r in range(k):
         _, nc1, T = _stage_matrix(n, r)
         final = r + 1 == k
-        nxt_idx, nxt_rows, nxt_seen = [], [], set()
+        seen, nxt = set(), []
         for lo in range(0, len(reps_idx), batch_size):
             hi = min(lo + batch_size, len(reps_idx))
             B = hi - lo
@@ -181,15 +217,8 @@ def _span_survivors(P, k):
             nonzero = np.any(flat != 0, axis=1)
             rows = _normalize_rows(flat[nonzero])
             flat_pos = np.nonzero(nonzero)[0]
-            if not final:
-                for pos, row in zip(flat_pos, rows):
-                    kk = row.tobytes()
-                    if kk not in nxt_seen:
-                        nxt_seen.add(kk)
-                        b, q = divmod(int(pos), g)
-                        nxt_idx.append(reps_idx[lo + b] + (q,))
-                        nxt_rows.append(row)
-            else:
+            keep = np.arange(len(rows))
+            if final:
                 # keep spans reached by two distinct extensions of one parent;
                 # the first of each group is its smallest appended row, and
                 # sorting puts the hits in (parent, appended row) order
@@ -199,28 +228,21 @@ def _span_survivors(P, k):
                 _, first, counts = np.unique(
                     _void_rows(tagged), return_index=True, return_counts=True
                 )
-                first = np.sort(first[counts >= 2])
-                hit_rows.append(rows[first])
-                hit_pos.append(lo * g + flat_pos[first])
-        if not final:
-            reps_idx = nxt_idx
-            reps_minors = (
-                np.array(nxt_rows, dtype=np.int64)
-                if nxt_rows
-                else np.zeros((0, nc1), dtype=np.int64)
-            )
-    if not hit_rows:
-        return {}
-    # hits are in (parent, appended row) order, so the first hit of each span
-    # is its representative
-    hits = np.concatenate(hit_rows)
-    pos = np.concatenate(hit_pos)
-    _, first = np.unique(_void_rows(hits), return_index=True)
-    survivors = {}
-    for i in np.sort(first).tolist():
-        b, q = divmod(int(pos[i]), g)
-        survivors[tuple(hits[i].tolist())] = reps_idx[b] + (q,)
-    return survivors
+                keep = np.sort(first[counts >= 2])
+            # the first hit of a span not seen in an earlier batch represents it
+            new = []
+            for row, pos in zip(rows[keep], flat_pos[keep].tolist()):
+                key = row.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    b, q = divmod(pos, g)
+                    new.append((row, reps_idx[lo + b] + (q,)))
+            if not final:
+                nxt += new
+            elif new:
+                yield [(tuple(row.tolist()), rep) for row, rep in new]
+        reps_idx = [rep for _, rep in nxt]
+        reps_minors = np.array([row for row, _ in nxt], dtype=np.int64).reshape(-1, nc1)
 
 
 def _void_rows(m):
@@ -233,6 +255,8 @@ def _void_rows(m):
 def _integral_slices(P, reps, polar):
     """Per representative (k <= 2 row indices of ``P`` spanning L over Q),
     whether every vertex of the slice of ``polar`` by L is a lattice point.
+    The formulas below need every facet of ``polar`` at distance 1, as in the
+    polar of a reflexive polytope; raises NotReflexiveError otherwise.
 
     With B' the representative rows and Q' = B' u over the facet normals u of
     ``polar``, the slice is the polar of conv(Q'), written in B' coordinates.
@@ -250,7 +274,8 @@ def _integral_slices(P, reps, polar):
     differences, cross products, D and numerators stay below 8 M^2; raises
     DegenerateInputError unless M < 2^63 for k = 1 and 8 M^2 < 2^63 for k = 2.
     """
-    assert all(c == 1 for _, c in polar.facets), "polar of a reflexive polytope"
+    if any(c != 1 for _, c in polar.facets):
+        raise NotReflexiveError("slices need the polar of a reflexive polytope")
     if not reps:
         return []
     U = np.array([u for u, _ in polar.facets], dtype=np.int64)
@@ -333,7 +358,7 @@ def _evaluate_sublattice(delta, polar, basis):
         sublattice=sub,
         slice_polytope=slice_poly,
         projection=proj,
-        balanced=lattice_equivalent(slice_poly, proj),
+        balanced=False,
     )
 
 

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
+from toricfib import fibsearch
 from toricfib.cy import vertices_from_inequalities
-from toricfib.errors import DegenerateInputError
+from toricfib.errors import DegenerateInputError, NotReflexiveError
 from toricfib.fibsearch import (
     _edge_lines,
     _generating_points,
     _integral_slices,
+    _raw_candidates,
     _span_survivors,
     lattice_equivalent,
     search_fibrations,
@@ -212,7 +214,7 @@ def test_projection_test_matches_double_description(ctx):
         for k in (1, 2):
             gens = _generating_points(polar, delta.rank - k)
             P = np.array(gens, dtype=np.int64)
-            reps = list(_span_survivors(P, k).values())
+            reps = [rep for batch in _span_survivors(P, k) for _, rep in batch]
             verdicts = _integral_slices(P, reps, polar)
             assert len(verdicts) == len(reps) > 0
             for rep, ok in zip(reps, verdicts):
@@ -250,7 +252,8 @@ def _survivors_reference(rows, k):
     """Reference for _span_survivors, k <= 2, by Python loops: the spans that
     some stage-(k-1) representative (in order of first hit) reaches through
     two rows, keyed by the normalized Pluecker row and represented by the
-    first parent, then the first row, that reaches them twice."""
+    first parent, then the first row, that reaches them twice; in the order
+    of those representatives."""
     parents = [()]
     for r in range(k):
         reached = {}
@@ -274,7 +277,11 @@ def test_span_survivors_match_reference():
     assert len({_plucker_key([r]) for r in rows} - {None}) > 256
     P = np.array(rows, dtype=np.int64)
     for k in (1, 2):
-        assert _span_survivors(P, k) == _survivors_reference(rows, k)
+        batches = list(_span_survivors(P, k))
+        assert all(batches)
+        got = [pair for batch in batches for pair in batch]
+        assert got == list(_survivors_reference(rows, k).items())
+    assert len(batches) > 1
 
 
 def test_int64_bounds():
@@ -294,7 +301,7 @@ def test_int64_bounds():
     g = math.gcd(*minors)
     sign = 1 if next(m for m in minors if m) > 0 else -1
     want = tuple(sign * m // g for m in minors)
-    assert _span_survivors(np.array(rows, dtype=np.int64), 2) == {want: (0, 1)}
+    assert list(_span_survivors(np.array(rows, dtype=np.int64), 2)) == [[(want, (0, 1))]]
     # images B'u of the facet normals must fit as well
     square = LatticePolytope.hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     P = np.array([[2**62, 0], [0, 1]], dtype=np.int64)
@@ -324,3 +331,57 @@ def test_int64_bounds():
     P[0, 0] += 1
     with pytest.raises(DegenerateInputError):
         _integral_slices(P, reps, cross)
+
+
+def test_integral_slices_needs_reflexive_polar():
+    # facets at distance 2: the slice formulas would answer wrongly
+    square2 = LatticePolytope.hull([(2, 2), (2, -2), (-2, 2), (-2, -2)])
+    P = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    for reps in ([(0,)], [(0, 1)], []):
+        with pytest.raises(NotReflexiveError):
+            _integral_slices(P, reps, square2)
+
+
+@pytest.mark.parametrize(
+    "name, k, n_balanced", [("cube4", 2, 6), ("hyp_simplex", 2, 3), ("hyp_polar", 3, 1)]
+)
+def test_balanced_matches_eager_dual(ctx, monkeypatch, name, k, n_balanced):
+    # the polar side is searched only until every flag is settled: cube4's
+    # first dual slice matches all six projections, hyp_polar's partner is
+    # the third of nine dual candidates, and three of hyp_simplex's six
+    # candidates never match, so they drain the dual stream
+    delta = {
+        "cube4": LatticePolytope.hull(CUBE4),
+        "hyp_simplex": ctx.hyp_simplex,
+        "hyp_polar": ctx.hyp_simplex.polar_cached(),
+    }[name]
+    dual = delta.polar_cached()
+    calls = []
+    evaluate = fibsearch._evaluate_sublattice
+
+    def counting(d, polar, basis):
+        calls.append(d)
+        return evaluate(d, polar, basis)
+
+    monkeypatch.setattr(fibsearch, "_evaluate_sublattice", counting)
+    eager_dual = _raw_candidates(dual, k)
+    eager_evals = len(calls)
+    calls.clear()
+    cands = search_fibrations(delta, k)
+    lazy_evals = sum(d is dual for d in calls)
+    want = [
+        any(lattice_equivalent(c.projection, d.slice_polytope) for d in eager_dual)
+        for c in cands
+    ]
+    assert [c.balanced for c in cands] == want
+    assert sum(want) == n_balanced
+    raw = _raw_candidates(delta, k)
+    assert [c.sublattice for c in cands] == [c.sublattice for c in raw]
+    assert not any(c.balanced for c in raw + eager_dual)
+    if n_balanced < len(cands):
+        assert lazy_evals == eager_evals
+    else:
+        gens = _generating_points(dual.polar_cached(), dual.rank - k)
+        P = np.array(gens, dtype=np.int64)
+        survivors = sum(len(batch) for batch in _span_survivors(P, k))
+        assert lazy_evals < eager_evals <= survivors
