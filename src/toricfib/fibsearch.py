@@ -26,30 +26,32 @@ polytope in full; the ``balanced`` flags pull the polar side's stream only
 until every candidate has found its partner, and not at all when there are
 no candidates.
 
-For k <= 2 each surviving span is then decided without saturation or double
-description.  With B' the k generating points spanning L over Q, the slice is
-{y B' : <y, B' u> >= -1 for every facet normal u of the polar}, the polar of
-the integral projection Q' = conv(B' u).  Its vertices are dual to the edges of
-Q', and they lie in L meet Z^n exactly when their coordinates in a basis of
-L meet Z^n are integral: the test of the double-description path.  An integral
-slice is reflexive, its polar being the integral projection of the base
-polytope (the test of Avram, Kreuzer, Mandelberg and Skarke, "Searching for K3
-fibrations", hep-th/9610154).  For k = 2 the edges of Q' come from an exact
-int64 sweep over the images of all survivors at once, O(F^2) for F facets of
-the polar; with M bounding every image coordinate, its products stay below
-8 M^2, which must be below 2^63.
+Each surviving span is then decided without saturation or double
+description, by the test of Avram, Kreuzer, Mandelberg and Skarke ("Searching
+for K3 fibrations", hep-th/9610154) in the form of the fibration searches of
+Kreuzer and Skarke (hep-th/9701175).  With B' the k generating points spanning
+L over Q, the slice is {y B' : <y, B' u> >= -1 for every facet normal u of
+the polar}, the polar of the integral projection Q' = conv(B' u).  Each slice
+vertex is tight at k facets of the polar that meet in one of its vertices, so
+it is one of the Cramer solutions of y Q'_J = -1 over the k-subsets J of the
+facets tight at a common polar vertex: the feasible ones.  The span survives
+when all of them are lattice points; an integral slice is reflexive, its polar
+being the integral projection of the base polytope.  The test runs in int64
+over all spans of a batch at once, and every product stays below
+k k! M^k < 2^63, with M bounding every image coordinate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
 
 from . import exactlinalg as la
-from .cy import vertices_from_inequalities
-from .errors import DegenerateInputError, NotReflexiveError, ToricError
+from .errors import DegenerateInputError, NotReflexiveError
 from .polytope import LatticePolytope
 
 
@@ -146,9 +148,10 @@ def _candidates(delta, fibre_dim):
     """Stream of the candidates of ``delta``, in the order their sublattices
     first survive the span enumeration, each with ``balanced`` False.
 
-    Each batch of surviving spans is decided (by its integral projection for
-    k <= 2), saturated and evaluated before the next batch is enumerated, so
-    a consumer that stops early skips the rest of the search.
+    Each batch of surviving spans is decided by the vertices of its slices,
+    and the spans with integral slices are saturated and built into
+    candidates before the next batch is enumerated, so a consumer that stops
+    early skips the rest of the search.
     """
     if not delta.is_reflexive():
         raise NotReflexiveError("fibration search needs a reflexive polytope")
@@ -161,19 +164,15 @@ def _candidates(delta, fibre_dim):
     if len(gens) < k + 1:
         return
     P = np.array(gens, dtype=np.int64)
-    seen_bases = set()
+    # each span occurs once in the stream, so each saturated basis does too
     for batch in _span_survivors(P, k):
         reps = [rep for _, rep in batch]
-        if k <= 2:
-            reps = [r for r, ok in zip(reps, _integral_slices(P, reps, polar)) if ok]
-        for rep in reps:
-            basis = la.saturation(la.mat([gens[i] for i in rep]))
-            if len(basis) != k or basis in seen_bases:
-                continue
-            seen_bases.add(basis)
-            cand = _evaluate_sublattice(delta, polar, basis)
-            if cand is not None:
-                yield cand
+        for rep, verts in zip(reps, _integral_slices(P, reps, polar)):
+            if verts is not None:
+                basis = la.saturation(la.mat([gens[i] for i in rep]))
+                cand = _candidate(basis, verts)
+                if cand is not None:
+                    yield cand
 
 
 def _span_survivors(P, k):
@@ -253,111 +252,100 @@ def _void_rows(m):
 
 
 def _integral_slices(P, reps, polar):
-    """Per representative (k <= 2 row indices of ``P`` spanning L over Q),
-    whether every vertex of the slice of ``polar`` by L is a lattice point.
-    The formulas below need every facet of ``polar`` at distance 1, as in the
-    polar of a reflexive polytope; raises NotReflexiveError otherwise.
+    """Per representative (k row indices of ``P`` spanning L over Q), the
+    vertices of the slice of ``polar`` by L as a sorted tuple of lattice
+    points, or None when some vertex is not a lattice point.  Every facet of
+    ``polar`` must be at distance 1, as in the polar of a reflexive polytope;
+    raises NotReflexiveError otherwise.
 
     With B' the representative rows and Q' = B' u over the facet normals u of
-    ``polar``, the slice is the polar of conv(Q'), written in B' coordinates.
-    For k = 1, Q' spans [a, b] and the slice vertices are g/|a| and -g/b.  For
-    k = 2, the vertex dual to a hull edge through q with direction b and
-    D = det(q, q + b) > 0 is -(b2 b'1 - b1 b'2) / D.  The edge lines are found
-    by an exact sweep over the images, vectorized over the representatives:
-    for each image q_i, b_i is the most clockwise nonzero difference
-    q_r - q_i (the earlier one on a tie), and (q_i, q_i + b_i) is an
-    anticlockwise edge line of conv(Q') exactly when every image lies on its
-    left or on it.  Images on an edge give that edge's line again, which
-    repeats the same test.
+    ``polar``, the slice is {y B' : y Q' >= -1}.  Each of its vertices is
+    tight at k facets with independent images in Q', and those facets all
+    contain one vertex of ``polar``.  So for every k-subset J of the facets
+    tight at a common vertex of ``polar``, y_J solves y Q'_J = -1 by Cramer's
+    rule, y_J = -(1 adj Q'_J) / det Q'_J, and the feasible y_J (y_J Q' >= -1)
+    are exactly the slice's vertices.  The subsets are taken in chunks, and the
+    representatives with a fractional vertex y_J B' are dropped after each.
 
-    With M = max |u|_1 * max |P| bounding every image coordinate, all
-    differences, cross products, D and numerators stay below 8 M^2; raises
-    DegenerateInputError unless M < 2^63 for k = 1 and 8 M^2 < 2^63 for k = 2.
+    With M = max |u|_1 * max |P| bounding every entry of Q', each determinant
+    is at most k! M^k, and every product and partial sum at most k k! M^k;
+    raises DegenerateInputError unless k k! M^k < 2^63.
     """
     if any(c != 1 for _, c in polar.facets):
         raise NotReflexiveError("slices need the polar of a reflexive polytope")
     if not reps:
         return []
+    k = len(reps[0])
     U = np.array([u for u, _ in polar.facets], dtype=np.int64)
     M = max(sum(map(abs, u)) for u in U.tolist()) * int(np.abs(P).max())
-    k = len(reps[0])
-    if (M if k == 1 else 8 * M * M) >= 2**63:
+    if k * math.factorial(k) * M**k >= 2**63:
         raise DegenerateInputError("generating points too large for int64 images")
+    subsets = sorted(
+        {J for v in polar.faces(0) for J in combinations(sorted(v.tight_facets), k)}
+    )
     B = P[np.array(reps)]
-    if k == 1:
-        Q = B @ U.T
-        g = B[:, 0]
-        a = -Q[:, 0].min(axis=1)
-        b = Q[:, 0].max(axis=1)
-        fractional = np.any(g % a[:, None], axis=1) | np.any(g % b[:, None], axis=1)
-        return (~fractional).tolist()
-    out = []
-    batch_size = 4096
-    for lo in range(0, len(B), batch_size):
-        Bb = B[lo : lo + batch_size]
-        Q = Bb @ U.T
-        x, y = Q[:, 0], Q[:, 1]
-        edge, bx, by = _edge_lines(x, y)
-        D = np.where(edge, x * by - y * bx, 1)
-        num = by[:, :, None] * Bb[:, None, 0, :] - bx[:, :, None] * Bb[:, None, 1, :]
-        out.extend((~np.any(num % D[:, :, None], axis=(1, 2))).tolist())
-    return out
+    Q = B @ U.T
+    live = np.arange(len(reps))
+    owners, points = [], []
+    for lo in range(0, len(subsets), 4):
+        J = np.array(subsets[lo : lo + 4])
+        Bl, Ql = B[live], Q[live]
+        # A[s, c] = Q'_J for subset c; with its row i set to 1, the
+        # determinant is entry i of 1 adj A
+        A = Ql[:, :, J].transpose(0, 2, 1, 3)
+        ones = np.repeat(A[:, :, None], k, axis=2)
+        ones[:, :, range(k), range(k)] = 1
+        D = _det(A)
+        N = -np.sign(D)[..., None] * _det(ones)
+        D = np.abs(D)
+        feasible = (D > 0) & np.all(
+            np.einsum("sci,sif->scf", N, Ql) >= -D[..., None], axis=-1
+        )
+        X = np.einsum("sci,sin->scn", N, Bl)
+        fractional = feasible[..., None] & (X % np.maximum(D, 1)[..., None] != 0)
+        keep = ~np.any(fractional, axis=(1, 2))
+        s, c = np.nonzero(feasible & keep[:, None])
+        owners.append(live[s])
+        points.append(X[s, c] // D[s, c, None])
+        live = live[keep]
+    owners, points = np.concatenate(owners), np.concatenate(points)
+    kept = np.isin(owners, live)
+    verts = {i: set() for i in live.tolist()}
+    for i, x in zip(owners[kept].tolist(), points[kept].tolist()):
+        verts[i].add(tuple(x))
+    return [tuple(sorted(verts[i])) if i in verts else None for i in range(len(reps))]
 
 
-def _edge_lines(x, y):
-    """Edge lines of the convex hulls of plane point sets, by an exact sweep.
-
-    Row s of ``x`` and ``y`` holds the coordinates of one point set.  Returns
-    (edge, bx, by): bx, by hold b_i, the most clockwise nonzero difference
-    q_r - q_i (the earlier one on a tie), and edge[s, i] says whether the line
-    through q_i and q_i + b_i is an anticlockwise edge line of the hull, that
-    is, whether no point lies right of it.  Each hull edge is found from the
-    vertex it leaves anticlockwise; points on an edge find its line again.
-    """
-    bx, by = np.zeros_like(x), np.zeros_like(y)
-    for r in range(x.shape[1]):
-        dx, dy = x[:, r, None] - x, y[:, r, None] - y
-        # a zero difference never replaces a nonzero b: its cross is 0
-        turn = ((bx == 0) & (by == 0)) | (bx * dy - by * dx < 0)
-        bx, by = np.where(turn, dx, bx), np.where(turn, dy, by)
-    edge = np.ones(x.shape, dtype=bool)
-    for r in range(x.shape[1]):
-        edge &= bx * (y[:, r, None] - y) - by * (x[:, r, None] - x) >= 0
-    return edge, bx, by
+def _det(A):
+    """Exact determinants of the trailing k x k matrices of an int64 array,
+    by the Leibniz formula: a signed sum of k! products of k entries."""
+    k = A.shape[-1]
+    perms, signs = _signed_permutations(k)
+    return np.prod(A[..., range(k), perms], axis=-1) @ signs
 
 
-def _evaluate_sublattice(delta, polar, basis):
-    k = len(basis)
-    sub = la.Sublattice(basis=basis, ambient_rank=delta.rank)
-    # slice of the polar by the sublattice, in basis coordinates
-    ineqs = [
-        (tuple(la.dot(b, u) for b in basis), c) for (u, c) in polar.facets
-    ]
-    try:
-        verts = vertices_from_inequalities(ineqs, k)
-    except DegenerateInputError:
-        return None
-    if not verts:
-        return None
-    iverts = []
-    for v in verts:
-        w = tuple(int(x) for x in v)
-        if any(a != b for a, b in zip(v, w)):
-            return None
-        iverts.append(w)
-    try:
-        slice_poly = LatticePolytope.hull(iverts)
-    except ToricError:
-        return None
+@cache
+def _signed_permutations(k):
+    """The permutations of range(k) as the rows of an array, and their signs."""
+    perms = list(permutations(range(k)))
+    signs = [(-1) ** sum(a > b for a, b in combinations(p, 2)) for p in perms]
+    return np.array(perms), np.array(signs)
+
+
+def _candidate(basis, verts):
+    """The candidate over the saturated ``basis`` whose slice has the ambient
+    lattice points ``verts`` as vertices, or None if the slice is not
+    reflexive."""
+    sub = la.Sublattice(basis=basis, ambient_rank=len(basis[0]))
+    slice_poly = LatticePolytope.hull([sub.coords(v) for v in verts])
     if not slice_poly.is_reflexive():
         return None
-    # the projection of delta along the annihilator of the sublattice is
-    # dual to the slice of its polar, so it is the slice's (reflexive) polar
-    proj = slice_poly.polar()
+    # the projection of the base polytope along the annihilator of the
+    # sublattice is dual to the slice of its polar, so it is the slice's polar
     return FibrationCandidate(
         sublattice=sub,
         slice_polytope=slice_poly,
-        projection=proj,
+        projection=slice_poly.polar(),
         balanced=False,
     )
 

@@ -41,6 +41,28 @@ def test_fibrations_hyp_simplex(capsys):
     ]
 
 
+def test_fibrations_ci_polar_dim3(capsys):
+    # the CI model's polar at k = 3: two balanced K3 slices, both with the
+    # P(1,1,4,6) fibre polytope and its polar as projection
+    path = resources.files("toricfib").joinpath("fixtures", "ci_polar.json")
+    assert main(["fibrations", str(path), "--dim", "3", "--json"]) == 0
+    cands = json.loads(capsys.readouterr().out)
+    fibre = {
+        "slice": {
+            "rank": 3,
+            "vertices": [[-1, -4, -6], [0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        },
+        "projection": {
+            "rank": 3,
+            "vertices": [[-1, -1, -1], [-1, -1, 1], [-1, 2, -1], [11, -1, -1]],
+        },
+    }
+    assert cands == [
+        {"basis": [first, [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], "balanced": True, **fibre}
+        for first in ([0, 1, 1, 0, 0], [1, 0, 1, 0, 0])
+    ]
+
+
 def test_fibrations_not_reflexive(tmp_path, capsys):
     path = tmp_path / "diamond.json"
     path.write_text(json.dumps({"vertices": [[2, 0], [0, 2], [-2, 0], [0, -2]]}))

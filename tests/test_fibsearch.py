@@ -1,9 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
@@ -11,7 +12,6 @@ from toricfib import fibsearch
 from toricfib.cy import vertices_from_inequalities
 from toricfib.errors import DegenerateInputError, NotReflexiveError
 from toricfib.fibsearch import (
-    _edge_lines,
     _generating_points,
     _integral_slices,
     _raw_candidates,
@@ -107,131 +107,93 @@ def _minors(rows, k):
     ]
 
 
-def _dd_slice_integral(points, polar):
-    """Reference verdict: the slice vertices by double description, in a
-    basis of the saturation of the span of ``points``."""
+def _dd_slice(points, polar):
+    """Reference: the slice vertices by double description, in a basis of
+    the saturation of the span of ``points``; in ambient coordinates and
+    sorted when they are all lattice points, else None."""
     basis = la.saturation(points)
     ineqs = [(tuple(la.dot(b, u) for b in basis), c) for u, c in polar.facets]
     verts = vertices_from_inequalities(ineqs, len(basis))
-    return all(x.denominator == 1 for v in verts for x in v)
-
-
-def _convex_polygon(points):
-    """Reference: vertices of the convex hull of distinct plane points,
-    anticlockwise (Andrew's monotone chain; collinear boundary points
-    dropped)."""
-    pts = sorted(points)
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-            ) <= 0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    return chain(pts) + chain(reversed(pts))
-
-
-def _line(p, b):
-    """An oriented line through p with direction b: (primitive b, det(p, b))."""
-    g = math.gcd(*b)
-    b = (b[0] // g, b[1] // g)
-    return b, p[0] * b[1] - p[1] * b[0]
+    if any(x.denominator != 1 for v in verts for x in v):
+        return None
+    return tuple(sorted(la.vecmat(tuple(int(x) for x in v), basis) for v in verts))
 
 
 def _reference_slice_integral(B, polar):
-    """Reference k = 2 verdict: the vertex dual to each edge (p, q) of the
-    monotone-chain hull of Q' = B' u is -((q2 - p2) b'1 + (p1 - q1) b'2) / D
-    with D = det(p, q), in Python integers."""
-    b1, b2 = B
-    images = [(la.dot(b1, u), la.dot(b2, u)) for u, _ in polar.facets]
-    hull = _convex_polygon(set(images))
-    return not any(
-        ((q2 - p2) * x + (p1 - q1) * y) % (p1 * q2 - p2 * q1)
-        for (p1, p2), (q1, q2) in zip(hull, hull[1:] + hull[:1])
-        for x, y in zip(b1, b2)
+    """Reference verdict in Python integers: over every k-subset J of the
+    facets whose images Q'_J = B' u_J are independent, the feasible solutions
+    y_J of y Q'_J = -1 give the slice vertices y_J B'."""
+    k = len(B)
+    images = [[la.dot(b, u) for b in B] for u, _ in polar.facets]
+    for J in itertools.combinations(images, k):
+        A = [[q[i] for q in J] for i in range(k)]
+        d = la.det(A)
+        if d == 0:
+            continue
+        adj = la.adjugate(A)
+        y = [Fraction(-sum(row[i] for row in adj), d) for i in range(k)]
+        if all(sum(a * b for a, b in zip(y, q)) >= -1 for q in images):
+            x = [sum(a * b for a, b in zip(y, col)) for col in zip(*B)]
+            if any(c.denominator != 1 for c in x):
+                return False
+    return True
+
+
+def _models(ctx):
+    cube = LatticePolytope.hull(CUBE4)
+    return (
+        ctx.k3_simplex,
+        ctx.k3_simplex.polar_cached(),
+        cube,
+        cube.polar(),
+        ctx.hyp_simplex,
+        ctx.hyp_simplex.polar_cached(),
     )
-
-
-@st.composite
-def plane_point_sets(draw):
-    """Integer point sets with the origin strictly inside their hull, with
-    duplicates and, when drawn, every lattice point on the hull's edges."""
-    pts = draw(
-        st.lists(
-            st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=12
-        )
-    )
-    hull = _convex_polygon(set(pts))
-    edges = list(zip(hull, hull[1:] + hull[:1]))
-    if len(hull) < 3 or any(p[0] * q[1] - p[1] * q[0] <= 0 for p, q in edges):
-        pts = pts + [(5, 0), (-3, 4), (-2, -5)]
-    if draw(st.booleans()):
-        hull = _convex_polygon(set(pts))
-        for p, q in zip(hull, hull[1:] + hull[:1]):
-            g = math.gcd(q[0] - p[0], q[1] - p[1])
-            step = ((q[0] - p[0]) // g, (q[1] - p[1]) // g)
-            pts += [(p[0] + t * step[0], p[1] + t * step[1]) for t in range(1, g)]
-    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
-    return draw(st.permutations(pts))
-
-
-@settings(max_examples=300, deadline=None)
-@given(plane_point_sets())
-def test_edge_lines_match_monotone_chain(pts):
-    hull = _convex_polygon(set(pts))
-    edges = list(zip(hull, hull[1:] + hull[:1]))
-    assert all(p[0] * q[1] - p[1] * q[0] > 0 for p, q in edges)
-    want = {_line(p, (q[0] - p[0], q[1] - p[1])) for p, q in edges}
-    x = np.array([[p[0] for p in pts]], dtype=np.int64)
-    y = np.array([[p[1] for p in pts]], dtype=np.int64)
-    edge, bx, by = _edge_lines(x, y)
-    got = {
-        _line(p, (int(b1), int(b2)))
-        for p, e, b1, b2 in zip(pts, edge[0], bx[0], by[0])
-        if e
-    }
-    assert got == want
-    # every hull vertex finds the edge it leaves anticlockwise
-    for p, q in edges:
-        i = pts.index(p)
-        assert edge[0, i]
-        b = (int(bx[0, i]), int(by[0, i]))
-        assert _line(p, b) == _line(p, (q[0] - p[0], q[1] - p[1]))
 
 
 def test_projection_test_matches_double_description(ctx):
     # every surviving span, including those whose representative points
     # generate a sublattice of index > 1 in L meet Z^n
-    cube = LatticePolytope.hull(CUBE4)
     seen = set()
-    for delta in (ctx.k3_simplex, ctx.k3_simplex.polar_cached(), cube, cube.polar()):
+    for delta in _models(ctx):
         polar = delta.polar_cached()
-        for k in (1, 2):
+        for k in range(1, delta.rank):
             gens = _generating_points(polar, delta.rank - k)
             P = np.array(gens, dtype=np.int64)
             reps = [rep for batch in _span_survivors(P, k) for _, rep in batch]
-            verdicts = _integral_slices(P, reps, polar)
-            assert len(verdicts) == len(reps) > 0
-            for rep, ok in zip(reps, verdicts):
+            got = _integral_slices(P, reps, polar)
+            assert len(got) == len(reps) > 0
+            for rep, verts in zip(reps, got):
                 points = [gens[i] for i in rep]
-                assert ok == _dd_slice_integral(points, polar), (k, points)
+                assert verts == _dd_slice(points, polar), (k, points)
                 index = math.gcd(*_minors(points, k))
-                seen.add((k, index > 1, ok))
+                seen.add((k, index > 1, verts is not None))
     assert {(2, True, True), (2, False, True), (2, False, False)} <= seen
+    assert {(3, True, True), (3, False, True), (3, False, False)} <= seen
     # fractional slices: lines with a fractional vertex at only one end, and
-    # a plane whose two points have index 9 in its saturation (no survivor
-    # above has both index > 1 and a fractional slice)
+    # a plane whose two points have index 9 in its saturation
     polar = ctx.k3_simplex.polar_cached()
     assert math.gcd(*_minors([(-1, -1, -1), (8, -1, -1)], 2)) == 9
     for points in ([(-1, -1, -1)], [(1, 1, 1)], [(-1, -1, -1), (8, -1, -1)]):
-        assert not _dd_slice_integral(points, polar)
+        assert _dd_slice(points, polar) is None
         rep = tuple(range(len(points)))
-        assert _integral_slices(np.array(points), [rep], polar) == [False]
+        assert _integral_slices(np.array(points), [rep], polar) == [None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_slice_vertices_match_double_description_on_random_spans(ctx, data):
+    polar = data.draw(st.sampled_from(_models(ctx))).polar_cached()
+    n = polar.rank
+    k = data.draw(st.integers(1, n - 1))
+    _, boundary = polar.lattice_points()
+    row = st.one_of(st.sampled_from(boundary), st.tuples(*[st.integers(-3, 3)] * n))
+    rows = data.draw(st.lists(row, min_size=k, max_size=k))
+    assume(la.rank(rows) == k)
+    P = np.array(rows, dtype=np.int64)
+    got = _integral_slices(P, [tuple(range(k))], polar)
+    assert got == [_dd_slice(rows, polar)]
+    assert (got[0] is not None) == _reference_slice_integral(rows, polar)
 
 
 def _plucker_key(pts):
@@ -302,44 +264,48 @@ def test_int64_bounds():
     sign = 1 if next(m for m in minors if m) > 0 else -1
     want = tuple(sign * m // g for m in minors)
     assert list(_span_survivors(np.array(rows, dtype=np.int64), 2)) == [[(want, (0, 1))]]
-    # images B'u of the facet normals must fit as well
-    square = LatticePolytope.hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    P = np.array([[2**62, 0], [0, 1]], dtype=np.int64)
-    with pytest.raises(DegenerateInputError):
-        _integral_slices(P, [(0,)], square.polar_cached())
-    # k = 2 needs 8 M^2 < 2^63 for M = max|u|_1 max|P|; the cross-polytope's
-    # facet normals have |u|_1 = 4, so the bound falls at max|P| = 2^28
+    # the slice test needs k k! M^k < 2^63 for M = max|u|_1 max|P|; the
+    # cross-polytope's facet normals have |u|_1 = 4, so for k = 1, 2, 3 the
+    # bound falls between max|P| = m and m + 1
     cross = LatticePolytope.hull(CUBE4).polar_cached()
-    m = 2**28 - 1
-    rows = [
-        (m, 0, 0, 0),
-        (0, m, 0, 0),
-        (m, m - 2, 1, 0),
-        (m - 1, -m, 3, 5),
-        (-m, 7, m - 4, 2),
-        (1, 1, 0, 0),
-        (0, 0, m, m - 6),
-    ]
-    reps = list(itertools.combinations(range(len(rows)), 2))
-    P = np.array(rows, dtype=np.int64)
-    got = _integral_slices(P, reps, cross)
-    want = [_dd_slice_integral([rows[i] for i in rep], cross) for rep in reps]
-    assert got == want == [
-        _reference_slice_integral([rows[i] for i in rep], cross) for rep in reps
-    ]
-    assert True in got and False in got
-    P[0, 0] += 1
-    with pytest.raises(DegenerateInputError):
-        _integral_slices(P, reps, cross)
+    for k, m in ((1, 2**61 - 1), (2, 379625062), (3, 200053)):
+        bound = k * math.factorial(k) * 4**k
+        assert bound * m**k < 2**63 <= bound * (m + 1) ** k
+        rows = [
+            (m, 0, 0, 0),
+            (0, m, 0, 0),
+            (0, 0, m, 0),
+            (m, m - 2, 1, 0),
+            (m - 1, -m, 3, 5),
+            (-m, 7, m - 4, 2),
+            (1, 1, 0, 0),
+            (0, 0, m, m - 6),
+        ]
+        reps = [
+            rep
+            for rep in itertools.combinations(range(len(rows)), k)
+            if la.rank([rows[i] for i in rep]) == k
+        ]
+        P = np.array(rows, dtype=np.int64)
+        got = _integral_slices(P, reps, cross)
+        assert got == [_dd_slice([rows[i] for i in rep], cross) for rep in reps]
+        verdicts = [verts is not None for verts in got]
+        assert verdicts == [
+            _reference_slice_integral([rows[i] for i in rep], cross) for rep in reps
+        ]
+        assert True in verdicts and False in verdicts
+        P[0, 0] += 1
+        with pytest.raises(DegenerateInputError):
+            _integral_slices(P, reps, cross)
 
 
 def test_integral_slices_needs_reflexive_polar():
-    # facets at distance 2: the slice formulas would answer wrongly
-    square2 = LatticePolytope.hull([(2, 2), (2, -2), (-2, 2), (-2, -2)])
-    P = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    for reps in ([(0,)], [(0, 1)], []):
+    # facets at distance 2: the slice test would answer wrongly
+    cube2 = LatticePolytope.hull([tuple(2 * x for x in v) for v in CUBE4])
+    P = np.eye(4, dtype=np.int64)
+    for reps in ([(0,)], [(0, 1)], [(0, 1, 2)], []):
         with pytest.raises(NotReflexiveError):
-            _integral_slices(P, reps, square2)
+            _integral_slices(P, reps, cube2)
 
 
 @pytest.mark.parametrize(
@@ -356,19 +322,19 @@ def test_balanced_matches_eager_dual(ctx, monkeypatch, name, k, n_balanced):
         "hyp_polar": ctx.hyp_simplex.polar_cached(),
     }[name]
     dual = delta.polar_cached()
-    calls = []
-    evaluate = fibsearch._evaluate_sublattice
+    decided = []
+    integral_slices = fibsearch._integral_slices
 
-    def counting(d, polar, basis):
-        calls.append(d)
-        return evaluate(d, polar, basis)
+    def counting(P, reps, polar):
+        decided.append((polar, len(reps)))
+        return integral_slices(P, reps, polar)
 
-    monkeypatch.setattr(fibsearch, "_evaluate_sublattice", counting)
+    monkeypatch.setattr(fibsearch, "_integral_slices", counting)
     eager_dual = _raw_candidates(dual, k)
-    eager_evals = len(calls)
-    calls.clear()
+    eager_decided = sum(n for _, n in decided)
+    decided.clear()
     cands = search_fibrations(delta, k)
-    lazy_evals = sum(d is dual for d in calls)
+    lazy_decided = sum(n for p, n in decided if p is dual.polar_cached())
     want = [
         any(lattice_equivalent(c.projection, d.slice_polytope) for d in eager_dual)
         for c in cands
@@ -379,9 +345,9 @@ def test_balanced_matches_eager_dual(ctx, monkeypatch, name, k, n_balanced):
     assert [c.sublattice for c in cands] == [c.sublattice for c in raw]
     assert not any(c.balanced for c in raw + eager_dual)
     if n_balanced < len(cands):
-        assert lazy_evals == eager_evals
+        assert lazy_decided == eager_decided
     else:
         gens = _generating_points(dual.polar_cached(), dual.rank - k)
         P = np.array(gens, dtype=np.int64)
         survivors = sum(len(batch) for batch in _span_survivors(P, k))
-        assert lazy_evals < eager_evals <= survivors
+        assert lazy_decided < eager_decided == survivors
