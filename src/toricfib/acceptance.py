@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from math import factorial
 from types import SimpleNamespace
@@ -107,141 +108,106 @@ class _Ctx:
 
     def __init__(self, fixtures):
         self.fx = fixtures
-        self._cache = {}
-
-    def get(self, name, builder):
-        if name not in self._cache:
-            self._cache[name] = builder()
-        return self._cache[name]
 
     # model polytopes -----------------------------------------------------
-    @property
+    @cached_property
     def ci_polar(self):
-        return self.get("ci_polar", lambda: self.fx.polytope("ci_polar"))
+        return self.fx.polytope("ci_polar")
 
-    @property
+    @cached_property
     def ci_base(self):
-        return self.get("ci_base", lambda: self.ci_polar.polar_cached())
+        return self.ci_polar.polar()
 
-    @property
+    @cached_property
     def hyp_simplex(self):
-        return self.get("hyp_simplex", lambda: self.fx.polytope("hyp_simplex"))
+        return self.fx.polytope("hyp_simplex")
 
-    @property
+    @cached_property
     def k3_simplex(self):
-        return self.get("k3_simplex", lambda: self.fx.polytope("k3_simplex"))
+        return self.fx.polytope("k3_simplex")
 
-    @property
+    @cached_property
     def base_pentagon(self):
-        return self.get("base_pentagon", lambda: self.fx.polytope("base_pentagon"))
+        return self.fx.polytope("base_pentagon")
 
-    @property
+    @cached_property
     def nef_partition(self):
-        return self.get(
-            "nef_partition",
-            lambda: make_nef_partition(self.ci_base, self.fx.nef_assignment()),
-        )
+        return make_nef_partition(self.ci_base, self.fx.nef_assignment())
 
-    @property
+    @cached_property
     def base_fan(self):
-        return self.get("base_fan", lambda: face_fan(self.base_pentagon))
+        return face_fan(self.base_pentagon)
 
-    @property
+    @cached_property
     def line_fan(self):
-        return self.get("line_fan", lambda: Fan(1, ((1,), (-1,)), ((0,), (1,))))
+        return Fan(1, ((1,), (-1,)), ((0,), (1,)))
 
-    @property
+    @cached_property
     def ci_face_fan(self):
-        return self.get("ci_face_fan", lambda: face_fan(self.ci_polar))
+        return face_fan(self.ci_polar)
 
-    @property
+    @cached_property
     def ci_fan(self):
         """Refinement of the 5d face fan compatible with the base projection."""
+        return subdivide_domain(
+            self.fx.matrix("proj_first_two"), self.ci_face_fan, self.base_fan
+        )
 
-        def build():
-            return subdivide_domain(
-                self.fx.matrix("proj_first_two"), self.ci_face_fan, self.base_fan
-            )
-
-        return self.get("ci_fan", build)
-
-    @property
+    @cached_property
     def ci_partial(self):
         """Subfan avoiding the two quadric coordinates and the joint torus factor.
 
         Drops every cone touching the ray (1,-1,0,0,0) or (-1,1,0,0,0), or
         containing both (12,0,-1,-1,-1) and (0,12,-1,-1,-1).
         """
+        fan = self.ci_fan
+        i0 = fan.rays.index((1, -1, 0, 0, 0))
+        i1 = fan.rays.index((-1, 1, 0, 0, 0))
+        i4 = fan.rays.index((12, 0, -1, -1, -1))
+        i5 = fan.rays.index((0, 12, -1, -1, -1))
+        keep = [
+            c
+            for c in fan.all_cones()
+            if i0 not in c and i1 not in c and not ({i4, i5} <= set(c))
+        ]
+        return fan.subfan(keep)
 
-        def build():
-            fan = self.ci_fan
-            i0 = fan.rays.index((1, -1, 0, 0, 0))
-            i1 = fan.rays.index((-1, 1, 0, 0, 0))
-            i4 = fan.rays.index((12, 0, -1, -1, -1))
-            i5 = fan.rays.index((0, 12, -1, -1, -1))
-            keep = [
-                c
-                for c in fan.all_cones()
-                if i0 not in c and i1 not in c and not ({i4, i5} <= set(c))
-            ]
-            return fan.subfan(keep)
-
-        return self.get("ci_partial", build)
-
-    @property
+    @cached_property
     def hyp_fan_6(self):
-        def build():
-            fan = face_fan(self.hyp_simplex.polar_cached())
-            return star_subdivide(fan, models.HYP_EDGE_MIDPOINT)
+        fan = face_fan(self.hyp_simplex.polar())
+        return star_subdivide(fan, models.HYP_EDGE_MIDPOINT)
 
-        return self.get("hyp_fan_6", build)
-
-    @property
+    @cached_property
     def hyp_fan_12(self):
-        def build():
-            fan = self.hyp_fan_6
-            for r in (
-                models.HYP_BELOW_SLICE,
-                models.HYP_ABOVE_SLICE,
-                models.HYP_TRIANGLE_INTERIOR,
-            ) + models.HYP_TRIANGLE_EDGE_POINTS:
-                fan = star_subdivide(fan, r)
-            return fan
+        fan = self.hyp_fan_6
+        for r in (
+            models.HYP_BELOW_SLICE,
+            models.HYP_ABOVE_SLICE,
+            models.HYP_TRIANGLE_INTERIOR,
+        ) + models.HYP_TRIANGLE_EDGE_POINTS:
+            fan = star_subdivide(fan, r)
+        return fan
 
-        return self.get("hyp_fan_12", build)
-
-    @property
+    @cached_property
     def beta12(self):
         """Projection of the 12-ray 4d fan onto the line along the K3 slice."""
+        matrix = self.fx.matrix("fibre_direction")
+        return check_compatibility(matrix, self.hyp_fan_12, self.line_fan)
 
-        def build():
-            matrix = self.fx.matrix("fibre_direction")
-            return check_compatibility(matrix, self.hyp_fan_12, self.line_fan)
-
-        return self.get("beta12", build)
-
-    @property
+    @cached_property
     def transition(self):
         """Fibration onto the 12-ray 4d fan, with the final 5d edge-midpoint insertion."""
+        matrix = self.fx.matrix("transition_matrix")
+        domain = subdivide_domain(matrix, self.ci_partial, self.hyp_fan_12)
+        domain = star_subdivide(domain, models.CI_EDGE_MIDPOINT)
+        return check_compatibility(matrix, domain, self.hyp_fan_12)
 
-        def build():
-            matrix = self.fx.matrix("transition_matrix")
-            domain = subdivide_domain(matrix, self.ci_partial, self.hyp_fan_12)
-            domain = star_subdivide(domain, models.CI_EDGE_MIDPOINT)
-            return check_compatibility(matrix, domain, self.hyp_fan_12)
-
-        return self.get("transition", build)
-
-    @property
+    @cached_property
     def chart_rays(self):
         """Ray container for the equations of the resolved partial ambient:
         the two dropped quadric rays plus the rays of the transition domain."""
-
-        def build():
-            quadric = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0))
-            return SimpleNamespace(rays=quadric + self.transition.domain.rays)
-
-        return self.get("chart_rays", build)
+        quadric = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0))
+        return SimpleNamespace(rays=quadric + self.transition.domain.rays)
 
 
 # -- small helpers --------------------------------------------------------
@@ -297,7 +263,7 @@ def criterion_01_reflexivity(ctx):
         (-1, -1, -1, 1),
     }
     _check(
-        set(hyp.polar_cached().vertices) == expected_polar,
+        set(hyp.polar().vertices) == expected_polar,
         "4d polar vertices match the printed columns",
         fails,
     )
@@ -323,7 +289,7 @@ def criterion_02_fan_counts(ctx):
 def criterion_03_normal_fan(ctx):
     """normal fan of the K3 slice simplex"""
     fails = []
-    slice_poly = ctx.k3_simplex.polar_cached()
+    slice_poly = ctx.k3_simplex.polar()
     rays = set(normal_fan(slice_poly).rays)
     _check(
         rays == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -4, -6)},
@@ -592,7 +558,7 @@ def criterion_07_chart_elimination(ctx):
 
 def _gkz_degrees(ctx):
     np_ = ctx.nef_partition
-    mirror_fan = face_fan(np_.nabla.polar_cached())
+    mirror_fan = face_fan(np_.nabla.polar())
     names = {pt: n for n, pt in models.CI_COEFF_POINTS.items()}
     parts = []
     for vs, _ in np_.part_polytopes:
@@ -667,7 +633,7 @@ def criterion_09_hodge(ctx):
     fails = []
     h11, h21 = batyrev_hodge(ctx.hyp_simplex)
     _check((h11, h21) == (243, 3), "hypersurface model Hodge numbers", fails)
-    flipped = batyrev_hodge(ctx.hyp_simplex.polar_cached())
+    flipped = batyrev_hodge(ctx.hyp_simplex.polar())
     _check(flipped == (3, 243), "polar duality of the Hodge formula", fails)
     small = LatticePolytope.hull(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]
@@ -716,7 +682,7 @@ def criterion_11_skeleton_ade(ctx):
     k3 = ctx.k3_simplex
     total = sum(e.ninterior * k3.dual_face(e).ninterior for e in k3.faces(1))
     _check(total == 0, "edge pairing sum vanishes", fails)
-    P = k3.polar_cached()
+    P = k3.polar()
     _check(len(ade_subgraph(P, (1, 2, 3))) == 2, "two components for (1,2,3)", fails)
     _check(len(ade_subgraph(P, (0, 1, 1))) == 1, "one component for (0,1,1)", fails)
     return fails
@@ -899,37 +865,44 @@ def criterion_15_monodromy_table(ctx):
     fam_b = RootFamily.build(
         [[0] * 11 + [2, 0, 2], [0], [0, 0, 0, 0, Fraction(-1, 4)], [1]]
     )
+
+    def run(p, init_step=None):
+        """Permutations and residuals of every loop, tracked at p bits from
+        the base point and singular values taken at p bits."""
+        out = {}
+        with mp.workprec(p):
+            base = mp.mpc(-1) / 10
+            sing_a = singular_parameters(fam_a, p)
+            sing_b = singular_parameters(fam_b, p)
+            allsing = sing_a + sing_b
+            radius = mp.mpf("1e-4")
+            for v in centers:
+                loop = Loop(base=base, center=mp.mpc(v), radius=radius, margin=0.5)
+                pa, res_a = track_roots(fam_a, loop, p, initial_step=init_step, _singulars=allsing)
+                pb, res_b = track_roots(fam_b, loop, p, initial_step=init_step, _singulars=allsing)
+                out[keys[v]] = (pa, pb, res_a, res_b)
+            pa, res_a = track_loop_at_infinity(fam_a, base, 4.0, p, initial_step=init_step, _singulars=sing_a)
+            pb, res_b = track_loop_at_infinity(fam_b, base, 4.0, p, initial_step=init_step, _singulars=sing_b)
+            out["inf"] = (pa, pb, res_a, res_b)
+        return out
+
     with mp.workprec(prec):
         base = mp.mpc(-1) / 10
-        sing_a = singular_parameters(fam_a, prec)
-        sing_b = singular_parameters(fam_b, prec)
-        allsing = sing_a + sing_b
+        allsing = singular_parameters(fam_a, prec) + singular_parameters(fam_b, prec)
         centers = []
         for v, _ in sorted(allsing, key=lambda t: (mp.re(t[0]), mp.im(t[0]))):
             if not any(abs(v - u) < 1e-6 for u in centers):
                 centers.append(v)
         _check(len(centers) == 7, "seven finite singular values", fails)
-        radius = mp.mpf("1e-4")
+        keys = {v: mp.nstr(v, 8) for v in centers}
 
-        def run(init_step=None, p=prec):
-            out = {}
-            for v in centers:
-                loop = Loop(base=base, center=v, radius=radius, margin=0.5)
-                pa, res_a = track_roots(fam_a, loop, p, initial_step=init_step, _singulars=allsing)
-                pb, res_b = track_roots(fam_b, loop, p, initial_step=init_step, _singulars=allsing)
-                out[mp.nstr(v, 8)] = (pa, pb, res_a, res_b)
-            pa, res_a = track_loop_at_infinity(fam_a, base, 4.0, p, initial_step=init_step, _singulars=sing_a)
-            pb, res_b = track_loop_at_infinity(fam_b, base, 4.0, p, initial_step=init_step, _singulars=sing_b)
-            out["inf"] = (pa, pb, res_a, res_b)
-            return out
-
-        run1 = run()
+        run1 = run(prec)
         for key, (pa, pb, res_a, res_b) in run1.items():
             _check(max(res_a, res_b) < mp.mpf(10) ** -20, f"residual bound at {key}", fails)
 
         # per-loop cycle types of the table
         def types(v):
-            pa, pb, *_ = run1[mp.nstr(v, 8)]
+            pa, pb, *_ = run1[keys[v]]
             return (cycle_type(pa), cycle_type(pb))
 
         zero = [v for v in centers if abs(v) < 1e-8][0]
@@ -971,38 +944,23 @@ def criterion_15_monodromy_table(ctx):
         order = sorted(centers, key=lambda v: mp.arg(v - base), reverse=True)
         prod = tuple(range(6))
         for v in order:
-            pa, pb, *_ = run1[mp.nstr(v, 8)]
+            pa, pb, *_ = run1[keys[v]]
             prod = compose(prod, six(pa, pb))
         prod = compose(prod, six(run1["inf"][0], run1["inf"][1]))
         _check(prod == tuple(range(6)), "total monodromy is the identity", fails)
 
         # convergence: halved maximal step agrees
-        run_half = run(init_step=mp.mpf(1) / 16)
+        run_half = run(prec, init_step=mp.mpf(1) / 16)
         _check(
             all(run_half[k][0:2] == run1[k][0:2] for k in run1),
             "permutations stable under step halving",
             fails,
         )
-        keys = {mp.nstr(v, 8): v for v in centers}
 
     # 256-bit double check of every permutation
-    out256 = {}
-    with mp.workprec(256):
-        base = mp.mpc(-1) / 10
-        sing_a = singular_parameters(fam_a, 256)
-        sing_b = singular_parameters(fam_b, 256)
-        allsing = sing_a + sing_b
-        radius = mp.mpf("1e-4")
-        for key, v in keys.items():
-            loop = Loop(base=base, center=mp.mpc(v), radius=radius, margin=0.5)
-            pa, _ = track_roots(fam_a, loop, 256, _singulars=allsing)
-            pb, _ = track_roots(fam_b, loop, 256, _singulars=allsing)
-            out256[key] = (pa, pb)
-        pa, _ = track_loop_at_infinity(fam_a, base, 4.0, 256, _singulars=sing_a)
-        pb, _ = track_loop_at_infinity(fam_b, base, 4.0, 256, _singulars=sing_b)
-        out256["inf"] = (pa, pb)
+    out256 = run(256)
     for k in run1:
-        _check(out256[k] == run1[k][0:2], f"256-bit double check at {k}", fails)
+        _check(out256[k][0:2] == run1[k][0:2], f"256-bit double check at {k}", fails)
     return fails
 
 
@@ -1036,7 +994,7 @@ def criterion_17_property_suites(ctx):
         LatticePolytope.hull([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
         LatticePolytope.hull([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]),
         ctx.k3_simplex,
-        ctx.k3_simplex.polar_cached(),
+        ctx.k3_simplex.polar(),
         ctx.hyp_simplex,
     ]
     found = 0
@@ -1052,7 +1010,7 @@ def criterion_17_property_suites(ctx):
             pool.append(p)
             found += 1
     for p in pool:
-        q = p.polar_cached()
+        q = p.polar()
         _check(q.polar() == p, "polar involution", fails)
         for d in range(p.rank):
             _check(
@@ -1116,7 +1074,7 @@ def criterion_17_property_suites(ctx):
     _check(LatticePolytope.hull(union) == np_.polar_base, "hull identity", fails)
     union_d = sorted({p for vs, _ in np_.part_polytopes for p in vs})
     _check(
-        LatticePolytope.hull(union_d) == np_.nabla.polar_cached(),
+        LatticePolytope.hull(union_d) == np_.nabla.polar(),
         "dual hull identity",
         fails,
     )

@@ -81,7 +81,7 @@ class NefPartition:
 
     def dual(self):
         """Swap the roles of the two polytope families; an involution."""
-        nabla_polar = self.nabla.polar_cached()
+        nabla_polar = self.nabla.polar()
         parts = []
         for verts, _pts in self.part_polytopes:
             vset = set(verts)
@@ -104,7 +104,7 @@ def make_nef_partition(delta, assignment):
     """
     if not delta.is_reflexive():
         raise NotReflexiveError("nef-partitions need a reflexive polytope")
-    polar = delta.polar_cached()
+    polar = delta.polar()
     missing = [v for v in polar.vertices if tuple(v) not in {tuple(k) for k in assignment}]
     if missing:
         raise NotNefPartitionError("assignment misses vertices", missing=missing)
@@ -190,8 +190,8 @@ def anticanonical_polynomial(
     ``monomials`` is "all" or "no-facet-interior"; the latter drops points
     interior to facets, which never move a generic hypersurface.
     """
-    _check_crepant(fan, delta.polar_cached())
-    interior, boundary, masks = delta._points_data()
+    _check_crepant(fan, delta.polar())
+    interior, boundary, masks = delta._points_data
     allpts = sorted(interior + boundary)
     if monomials == "all":
         chosen = allpts
@@ -272,14 +272,14 @@ def batyrev_hodge(delta):
         raise NotReflexiveError("Hodge numbers need a reflexive polytope")
 
     def h11_of(p):
-        q = p.polar_cached()
+        q = p.polar()
         total = q.npoints() - 5
         total -= sum(f.ninterior for f in q.faces(3))
         for f in q.faces(2):
             total += f.ninterior * q.dual_face(f).ninterior
         return total
 
-    return h11_of(delta), h11_of(delta.polar_cached())
+    return h11_of(delta), h11_of(delta.polar())
 
 
 @dataclass(frozen=True)

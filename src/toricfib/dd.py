@@ -5,7 +5,8 @@ The primitive is `extreme_rays`: the extreme rays of
 same routine turns generators into facet normals and inequalities into rays.
 Its partner `cone_contains` answers membership from the resulting facet and
 equation description with dot products alone.  All arithmetic is on
-arbitrary-precision integers.
+arbitrary-precision integers.  The third primitive, `face_closure`, lists
+every face of a cone or polytope from its generator-facet incidence alone.
 
 The starting simplicial cone comes from two fraction-free eliminations: the
 row echelon of `exactlinalg.independent_rows` picks the constraints, and one
@@ -118,3 +119,26 @@ def cone_contains(facet_normals, equations, v):
     return all(dot(v, e) == 0 for e in equations) and all(
         dot(v, a) >= 0 for a in facet_normals
     )
+
+
+def face_closure(incidence, nfacets):
+    """Every nonempty face, as {tight facet set: generator-index set}.
+
+    ``incidence[i]`` is the frozenset of facets tight at generator i (a ray
+    of a cone or a vertex of a polytope).  A face is keyed by the full set of
+    facets tight on all of its generators; faces are found by closing facet
+    sets from the empty one, one added facet at a time.
+    """
+    faces = {}
+    frontier = [frozenset()]
+    while frontier:
+        tight = frontier.pop()
+        gens = frozenset(i for i, m in enumerate(incidence) if tight <= m)
+        if not gens:
+            continue
+        full = frozenset.intersection(*(incidence[i] for i in gens))
+        if full in faces:
+            continue
+        faces[full] = gens
+        frontier.extend(full | {j} for j in range(nfacets) if j not in full)
+    return faces

@@ -289,9 +289,8 @@ def saturation(m):
     ncols = len(m[0])
     k = right_kernel(m)
     if not k:
-        return tuple(identity(ncols))
-    sat = right_kernel(k)
-    return sat if sat else ()
+        return identity(ncols)
+    return right_kernel(k)
 
 
 def solve_exact(a, b):

@@ -1,17 +1,19 @@
 """Rational polyhedral fans, fan morphisms, subdivisions and the Mori cone.
 
 Fans store primitive rays plus maximal cones as ray-index tuples; faces are
-derived on demand.  Morphisms carry per-cone compatibility certificates (the
-smallest codomain cone containing each image); fibration verdicts, kernel
-fans, monomial coordinate forms, and wall-relation Mori cones build on that.
+derived on demand, each cone's from its cached ray-facet incidence.
+Morphisms carry per-cone compatibility certificates (the smallest codomain
+cone containing each image); fibration verdicts, kernel fans, monomial
+coordinate forms, and wall-relation Mori cones build on that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import exactlinalg as la
-from .dd import cone_contains, extreme_rays
+from .dd import cone_contains, extreme_rays, face_closure
 from .errors import (
     DegenerateInputError,
     IncompatibleMorphismError,
@@ -30,40 +32,40 @@ class ConeGeom:
     integer membership; every query below reads these two tuples.  Facet
     normals are computed in ambient coordinates and lie in the span of the
     rays: the span's equations enter the double description as pairs of
-    opposite inequalities.
+    opposite inequalities.  Faces are read off the cached ray-facet
+    incidence ``_ray_facets`` by ``dd.face_closure``.
     """
 
     def __init__(self, rays, ambient_rank):
         self.rays = la.mat(rays)
         self.ambient_rank = ambient_rank
-        self._cache = {}
 
     @property
     def dim(self):
         return self.ambient_rank - len(self.equations)
 
-    @property
+    @cached_property
     def equations(self):
         """Ambient functionals vanishing on the span."""
-        if "eqns" not in self._cache:
-            if not self.rays:
-                self._cache["eqns"] = la.identity(self.ambient_rank)
-            else:
-                self._cache["eqns"] = la.right_kernel(self.rays)
-        return self._cache["eqns"]
+        if not self.rays:
+            return la.identity(self.ambient_rank)
+        return la.right_kernel(self.rays)
 
-    @property
+    @cached_property
     def ambient_ineqs(self):
         """Primitive facet normals, as ambient functionals lying in the span."""
-        if "amb" not in self._cache:
-            self._cache["amb"] = self._facet_normals()
-        return self._cache["amb"]
-
-    def _facet_normals(self):
         if not self.rays:
             return ()
         eqs = self.equations
         return extreme_rays(self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank)
+
+    @cached_property
+    def _ray_facets(self):
+        """Per ray, the frozenset of facet indices (into ambient_ineqs) it lies on."""
+        return [
+            frozenset(j for j, f in enumerate(self.ambient_ineqs) if la.dot(r, f) == 0)
+            for r in self.rays
+        ]
 
     def contains(self, v):
         return cone_contains(self.ambient_ineqs, self.equations, la.vec(v))
@@ -71,40 +73,19 @@ class ConeGeom:
     def facet_ray_sets(self):
         """Ray-index subsets (into self.rays) tight on each facet."""
         return tuple(
-            frozenset(i for i, r in enumerate(self.rays) if la.dot(r, f) == 0)
-            for f in self.ambient_ineqs
+            frozenset(i for i, m in enumerate(self._ray_facets) if j in m)
+            for j in range(len(self.ambient_ineqs))
         )
 
     def all_face_ray_sets(self):
         """Ray-index subsets of every face, the zero cone included."""
-        if "faces" in self._cache:
-            return self._cache["faces"]
-        if not self.rays:
-            self._cache["faces"] = (frozenset(),)
-            return self._cache["faces"]
-        facets = self.ambient_ineqs
-        ray_masks = []
-        for r in self.rays:
-            ray_masks.append(frozenset(i for i, f in enumerate(facets) if la.dot(r, f) == 0))
-        closed = set()
-        frontier = [frozenset()]
-        while frontier:
-            tight = frontier.pop()
-            rs = frozenset(i for i, m in enumerate(ray_masks) if tight <= m)
-            if rs:
-                full = frozenset.intersection(*[ray_masks[i] for i in rs])
-            else:
-                full = frozenset(range(len(facets)))
-            key = rs
-            if key in closed:
-                continue
-            closed.add(key)
-            for i in range(len(facets)):
-                if i not in full:
-                    frontier.append(full | {i})
-        closed.add(frozenset())  # the origin
-        self._cache["faces"] = tuple(sorted(closed, key=lambda s: (len(s), sorted(s))))
-        return self._cache["faces"]
+        return self._face_ray_sets
+
+    @cached_property
+    def _face_ray_sets(self):
+        faces = set(face_closure(self._ray_facets, len(self.ambient_ineqs)).values())
+        faces.add(frozenset())  # the apex
+        return tuple(sorted(faces, key=lambda s: (len(s), sorted(s))))
 
     def is_simplicial(self):
         return len(self.rays) == self.dim
@@ -203,30 +184,17 @@ def face_fan(p):
     """Cones over the facets of a reflexive polytope; rays are its vertices."""
     if not p.is_reflexive():
         raise NotReflexiveError("face fan requires a reflexive polytope")
-    verts = p.vertices
-    cones = []
-    for n, c in p.facets:
-        cones.append(
-            tuple(
-                i for i, v in enumerate(verts) if la.dot(v, n) == -c
-            )
-        )
-    return Fan(p.rank, verts, cones)
+    inc = p._vertex_facets
+    cones = [
+        tuple(i for i, m in enumerate(inc) if j in m) for j in range(len(p.facets))
+    ]
+    return Fan(p.rank, p.vertices, cones)
 
 
 def normal_fan(p):
     """Inner facet normals as rays; one maximal cone per vertex."""
     normals = tuple(n for n, _ in p.facets)
-    cones = []
-    for v in p.vertices:
-        cones.append(
-            tuple(
-                i
-                for i, (n, c) in enumerate(p.facets)
-                if la.dot(v, n) == -c
-            )
-        )
-    return Fan(p.rank, normals, cones)
+    return Fan(p.rank, normals, [tuple(sorted(m)) for m in p._vertex_facets])
 
 
 def star_subdivide(fan, ray):
@@ -268,7 +236,7 @@ def classify(fan, delta=None):
         "complete": fan.is_complete(),
     }
     if delta is not None:
-        _, boundary = delta.polar_cached().lattice_points()
+        _, boundary = delta.polar().lattice_points()
         bset = set(boundary)
         out["crepant"] = all(r in bset for r in fan.rays)
     return out
@@ -312,10 +280,12 @@ def _smallest_containing_cone(fan, vectors):
     for c in fan.max_cones or ((),):  # a fan without cones still holds the origin
         geom = fan.cone_geom(c)
         if all(geom.contains(v) for v in vectors):
-            tight = [f for f in geom.ambient_ineqs if all(la.dot(v, f) == 0 for v in vectors)]
-            return frozenset(
-                c[i] for i, r in enumerate(geom.rays) if all(la.dot(r, f) == 0 for f in tight)
-            )
+            tight = {
+                j
+                for j, f in enumerate(geom.ambient_ineqs)
+                if all(la.dot(v, f) == 0 for v in vectors)
+            }
+            return frozenset(c[i] for i, m in enumerate(geom._ray_facets) if tight <= m)
     return None
 
 
@@ -415,7 +385,7 @@ def _check_coverage(geom, pieces):
         on_boundary = any(
             all(la.dot(r, f) == 0 for r in wall) for f in geom.ambient_ineqs
         )
-        if not on_boundary and cnt != 2:
+        if not on_boundary:
             raise SupportError(
                 "domain support does not map into the codomain support"
             )

@@ -67,9 +67,9 @@ class FibrationCandidate:
 
 def _generating_points(polar, max_face_dim):
     _, boundary = polar.lattice_points()
-    masks = polar._points_data()[2]
+    masks = polar._points_data[2]
     tight2dim = {}
-    for fs in polar._face_data().values():
+    for fs in polar._face_data.values():
         for f in fs:
             tight2dim[f.tight_facets] = f.dim
     return [p for p in boundary if tight2dim[masks[p]] <= max_face_dim]
@@ -124,7 +124,7 @@ def search_fibrations(delta, fibre_dim):
     """
     cands = _raw_candidates(delta, fibre_dim)
     unmatched = set(range(len(cands)))
-    dual = _candidates(delta.polar_cached(), fibre_dim)
+    dual = _candidates(delta.polar(), fibre_dim)
     while unmatched and (d := next(dual, None)) is not None:
         unmatched = {
             i
@@ -159,7 +159,7 @@ def _candidates(delta, fibre_dim):
     k = fibre_dim
     if not 1 <= k < n:
         raise DegenerateInputError("fibre dimension must be between 1 and rank-1")
-    polar = delta.polar_cached()
+    polar = delta.polar()
     gens = _generating_points(polar, n - k)
     if len(gens) < k + 1:
         return

@@ -20,6 +20,15 @@ def _require(cond, msg):
         raise ParseError(msg)
 
 
+def _int_rows(rows):
+    """True for a non-empty list of lists of ints; bools and floats fail."""
+    return (
+        isinstance(rows, list)
+        and bool(rows)
+        and all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows)
+    )
+
+
 def polytope_to_json(p):
     return {"rank": p.rank, "vertices": [list(v) for v in p.vertices]}
 
@@ -28,21 +37,15 @@ def polytope_from_json(data):
     _require(isinstance(data, dict), "polytope must be an object")
     _require("vertices" in data, "polytope needs 'vertices'")
     verts = data["vertices"]
-    _require(
-        isinstance(verts, list) and verts and all(isinstance(v, list) for v in verts),
-        "'vertices' must be a non-empty list of integer lists",
-    )
+    _require(_int_rows(verts), "'vertices' must be a non-empty list of integer lists")
     rank = data.get("rank", len(verts[0]))
     _require(all(len(v) == rank for v in verts), "vertex length mismatch")
     return LatticePolytope.hull(verts)
 
 
 def matrix_from_json(data):
-    _require(
-        isinstance(data, list) and data and all(isinstance(r, list) for r in data),
-        "matrix must be a list of rows",
-    )
-    return tuple(tuple(int(x) for x in r) for r in data)
+    _require(_int_rows(data), "matrix must be a non-empty list of integer lists")
+    return tuple(tuple(r) for r in data)
 
 
 def matrix_to_json(m):

@@ -3,7 +3,10 @@
 A LatticePolytope is immutable: vertices in canonical (lexicographic) order
 and primitive facet inequalities ``<u, normal> >= -offset``.  Polar duality,
 the face lattice with its inclusion-reversing correspondence, lattice point
-enumeration and the boundary skeleton graph all live here.
+enumeration and the boundary skeleton graph all live here.  Derived data is
+computed once per polytope: the faces come from the cached vertex-facet
+incidence ``_vertex_facets`` through ``dd.face_closure``, and the face and
+normal fans read the same incidence.
 
 Lattice points come from one int64 array test over the bounding box: for each
 value of the leading coordinates, every facet functional is evaluated on the
@@ -20,11 +23,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import exactlinalg as la
-from .dd import extreme_rays
+from .dd import extreme_rays, face_closure
 from .errors import (
     DegenerateInputError,
     NotFullDimensionalError,
@@ -136,7 +140,6 @@ class LatticePolytope:
         self.vertices = tuple(sorted(la.mat(vertices)))
         # facets: tuple of (primitive normal, offset), meaning <u,n> >= -c
         self.facets = tuple(sorted(facets))
-        self._cache = {}
 
     # -- construction -----------------------------------------------------
 
@@ -202,9 +205,15 @@ class LatticePolytope:
     def polar(self):
         """Polar polytope; exact, defined only for interior origin.
 
-        Raises NotReflexiveError (carrying the fractional vertices) when some
-        polar vertex is not a lattice point.
+        Computed once per polytope.  The polar's own polar is computed afresh
+        when asked for, not taken to be ``self``.  Raises NotReflexiveError
+        (carrying the fractional vertices) when some polar vertex is not a
+        lattice point.
         """
+        return self._polar
+
+    @cached_property
+    def _polar(self):
         if not self.origin_is_interior():
             raise PolarUndefinedError("polar undefined: origin not interior")
         fractional = [
@@ -220,111 +229,81 @@ class LatticePolytope:
 
     # -- lattice points ----------------------------------------------------
 
+    @cached_property
     def _points_data(self):
-        if "points" not in self._cache:
-            lows = [min(v[i] for v in self.vertices) for i in range(self.rank)]
-            highs = [max(v[i] for v in self.vertices) for i in range(self.rank)]
-            pts = enumerate_lattice_points(self.facets, lows, highs)
-            # exact: the enumerator's bound covers <p, n> on the whole box
-            N = np.array([n for n, _ in self.facets], dtype=np.int64)
-            c = np.array([c for _, c in self.facets], dtype=np.int64)
-            tight = np.array(pts, dtype=np.int64) @ N.T == -c
-            interior, boundary = [], []
-            masks = {}
-            for p, row in zip(pts, tight):
-                mask = frozenset(np.flatnonzero(row).tolist())
-                masks[p] = mask
-                (boundary if mask else interior).append(p)
-            self._cache["points"] = (tuple(interior), tuple(boundary), masks)
-        return self._cache["points"]
+        lows = [min(v[i] for v in self.vertices) for i in range(self.rank)]
+        highs = [max(v[i] for v in self.vertices) for i in range(self.rank)]
+        pts = enumerate_lattice_points(self.facets, lows, highs)
+        # exact: the enumerator's bound covers <p, n> on the whole box
+        N = np.array([n for n, _ in self.facets], dtype=np.int64)
+        c = np.array([c for _, c in self.facets], dtype=np.int64)
+        tight = np.array(pts, dtype=np.int64) @ N.T == -c
+        interior, boundary = [], []
+        masks = {}
+        for p, row in zip(pts, tight):
+            mask = frozenset(np.flatnonzero(row).tolist())
+            masks[p] = mask
+            (boundary if mask else interior).append(p)
+        return tuple(interior), tuple(boundary), masks
 
     def lattice_points(self):
         """(interior points, boundary points), each lexicographically sorted."""
-        interior, boundary, _ = self._points_data()
+        interior, boundary, _ = self._points_data
         return interior, boundary
 
     def npoints(self):
-        interior, boundary, _ = self._points_data()
+        interior, boundary, _ = self._points_data
         return len(interior) + len(boundary)
 
     # -- face lattice --------------------------------------------------------
 
+    @cached_property
+    def _vertex_facets(self):
+        """Per vertex, the frozenset of facet indices tight at it."""
+        return [
+            frozenset(j for j, (n, c) in enumerate(self.facets) if la.dot(v, n) == -c)
+            for v in self.vertices
+        ]
+
+    @cached_property
     def _face_data(self):
-        if "faces" in self._cache:
-            return self._cache["faces"]
-        nfac = len(self.facets)
-        _, _, masks = self._points_data()
-        vert_masks = [masks[v] for v in self.vertices]
-        # closure of facet-set intersections; a face is identified by the
-        # full set of facets containing it
-
-        def vertex_set(tight):
-            return frozenset(
-                i for i, m in enumerate(vert_masks) if tight <= m
-            )
-
-        # seed: whole polytope and facets
-        frontier = [frozenset()] + [frozenset([i]) for i in range(nfac)]
-        closed = set()
-        while frontier:
-            tight = frontier.pop()
-            vs = vertex_set(tight)
-            if not vs:
-                continue
-            # close up: all facets containing every vertex of the face
-            full = frozenset.intersection(*[vert_masks[i] for i in vs])
-            if full in closed:
-                continue
-            closed.add(full)
-            for i in range(nfac):
-                if i not in full:
-                    frontier.append(full | {i})
-        faces = []
-        for tight in closed:
-            vs = vertex_set(tight)
+        _, _, masks = self._points_data
+        by_dim = {}
+        for tight, vs in face_closure(self._vertex_facets, len(self.facets)).items():
             verts = [self.vertices[i] for i in vs]
             dim = la.rank([la.sub(v, verts[0]) for v in verts[1:]])
             npts = sum(1 for m in masks.values() if tight <= m)
             nint = sum(1 for m in masks.values() if tight == m)
-            faces.append(Face(dim, vs, tight, npts, nint))
-        by_dim = {}
-        for f in faces:
-            by_dim.setdefault(f.dim, []).append(f)
-        for d in by_dim:
-            by_dim[d].sort(key=Face.sort_key)
-        self._cache["faces"] = by_dim
+            by_dim.setdefault(dim, []).append(Face(dim, vs, tight, npts, nint))
+        for fs in by_dim.values():
+            fs.sort(key=Face.sort_key)
         return by_dim
 
     def faces(self, dim):
         """All faces of the given dimension, canonically ordered."""
-        return tuple(self._face_data().get(dim, ()))
+        return tuple(self._face_data.get(dim, ()))
 
     def dual_face(self, face):
         """The polar face pairing to -1 with all of ``face``; needs reflexivity."""
         if not self.is_reflexive():
             raise NotReflexiveError("dual faces require a reflexive polytope")
-        polar = self.polar_cached()
+        polar = self.polar()
         # facets of self <-> vertices of polar (same normal vectors)
         normals = [n for n, _ in self.facets]
         dual_vertex_set = frozenset(
             polar.vertices.index(normals[i]) for i in face.tight_facets
         )
-        for fs in polar._face_data().values():
+        for fs in polar._face_data.values():
             for f in fs:
                 if f.vertex_indices == dual_vertex_set:
                     return f
         raise KeyError("dual face not found")
 
-    def polar_cached(self):
-        if "polar" not in self._cache:
-            self._cache["polar"] = self.polar()
-        return self._cache["polar"]
-
     # -- skeleton ------------------------------------------------------------
 
     def skeleton(self):
         """Graph on boundary lattice points; edges join consecutive points of 1-faces."""
-        interior, boundary, masks = self._points_data()
+        interior, boundary, masks = self._points_data
         index = {p: i for i, p in enumerate(boundary)}
         edges = set()
         for f in self.faces(1):

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from toricfib.cli import main
+from toricfib.jsonio import ParseError, matrix_from_json
 
 
 def test_verify_json(capsys):
@@ -68,3 +69,22 @@ def test_fibrations_not_reflexive(tmp_path, capsys):
     path.write_text(json.dumps({"vertices": [[2, 0], [0, 2], [-2, 0], [0, -2]]}))
     assert main(["fibrations", str(path), "--dim", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["code"] == "not-reflexive"
+
+
+@pytest.mark.parametrize("bad", [1.7, "1", True, None], ids=["float", "string", "bool", "null"])
+def test_fibrations_non_integer_vertex(tmp_path, capsys, bad):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"vertices": [[bad, 0], [0, 1], [-1, -1]]}))
+    assert main(["fibrations", str(path), "--dim", "1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "parse-error",
+        "message": "'vertices' must be a non-empty list of integer lists",
+        "context": {},
+    }
+
+
+def test_matrix_from_json_rejects_non_integers():
+    assert matrix_from_json([[1, -2], [0, 3]]) == ((1, -2), (0, 3))
+    for bad in ([[1.9, 2], [1, 0]], [[1, "2"], [1, 0]], [[True, 0]], [], [1, 2]):
+        with pytest.raises(ParseError):
+            matrix_from_json(bad)

@@ -47,7 +47,7 @@ def test_nef_partition_four_identities(ctx):
     assert LatticePolytope.hull(union) == polar
     # polar of the Minkowski sum is the hull of the dual parts
     union_d = sorted({p for vs, _ in np_.part_polytopes for p in vs})
-    assert LatticePolytope.hull(union_d) == np_.nabla.polar_cached()
+    assert LatticePolytope.hull(union_d) == np_.nabla.polar()
     # the base is the Minkowski sum of the dual parts
     from toricfib.cy import minkowski_sum_hull
 
@@ -57,11 +57,11 @@ def test_nef_partition_four_identities(ctx):
 
 def test_nef_partition_single_part(ctx):
     delta = ctx.hyp_simplex
-    assignment = {v: 0 for v in delta.polar_cached().vertices}
+    assignment = {v: 0 for v in delta.polar().vertices}
     np_ = make_nef_partition(delta, assignment)
-    assert np_.nabla == delta.polar_cached()
+    assert np_.nabla == delta.polar()
     dual = np_.dual()
-    assert dual.base == delta.polar_cached()
+    assert dual.base == delta.polar()
 
 
 def test_nef_partition_dual_involution(ctx):
@@ -84,7 +84,7 @@ def test_invalid_split_errors_somewhere():
     ]
     ok, bad = 0, 0
     for p in polys:
-        verts = p.polar_cached().vertices
+        verts = p.polar().vertices
         for mask in range(1, 2 ** len(verts) - 1):
             assignment = {v: (mask >> i) & 1 for i, v in enumerate(verts)}
             if len(set(assignment.values())) < 2:
@@ -96,7 +96,7 @@ def test_invalid_split_errors_somewhere():
                 continue
             ok += 1
             union = sorted({q for vs in np_.nabla_parts for q in vs})
-            assert LatticePolytope.hull(union) == p.polar_cached()
+            assert LatticePolytope.hull(union) == p.polar()
     assert ok > 0 and bad > 0
 
 
@@ -334,7 +334,7 @@ def test_batyrev_hodge_p2_times_p2():
 def test_mirror_mori_cone(ctx):
     from toricfib.fans import mori_cone
 
-    mirror_fan = face_fan(ctx.nef_partition.nabla.polar_cached())
+    mirror_fan = face_fan(ctx.nef_partition.nabla.polar())
     assert mirror_fan.nrays() == 7
     gens = mori_cone(mirror_fan)
     assert len(gens) == 2

@@ -38,10 +38,25 @@ def p1xp1_fan():
     )
 
 
-def test_face_fan_counts(ctx):
-    fan = face_fan(ctx.ci_polar)
-    assert fan.nrays() == 10
-    assert fan.ngenerating_cones() == 14
+@pytest.mark.parametrize("name", ["k3_simplex", "k3_polar", "hyp_simplex", "cube4", "ci_polar"])
+def test_cone_faces_match_polytope_faces(ctx, name):
+    # the cone over {1} x P has the faces of P as its faces, plus the apex;
+    # its facet normals come from its own double description, not from P
+    p = {
+        "k3_simplex": ctx.k3_simplex,
+        "k3_polar": ctx.k3_simplex.polar(),
+        "hyp_simplex": ctx.hyp_simplex,
+        "cube4": LatticePolytope.hull(list(itertools.product((-1, 1), repeat=4))),
+        "ci_polar": ctx.ci_polar,
+    }[name]
+    cone = ConeGeom([(1,) + v for v in p.vertices], p.rank + 1)
+    polytope_faces = {f.vertex_indices for d in range(p.rank + 1) for f in p.faces(d)}
+    assert set(cone.all_face_ray_sets()) == polytope_faces | {frozenset()}
+    fan = face_fan(p)
+    assert fan.rays == p.vertices
+    facets = {tuple(sorted(f.vertex_indices)) for f in p.faces(p.rank - 1)}
+    assert set(fan.max_cones) == facets
+    assert {tuple(sorted(s)) for s in cone.facet_ray_sets()} == facets
 
 
 def test_face_fan_simplex(ctx):
@@ -59,7 +74,7 @@ def test_face_fan_square():
 def test_normal_fan_of_slice_simplex(ctx):
     # the polar of the (1,1,4,6) simplex is the K3 slice polytope; its normal
     # fan is the fan of that weighted projective space
-    slice_simplex = ctx.k3_simplex.polar_cached()
+    slice_simplex = ctx.k3_simplex.polar()
     assert set(slice_simplex.vertices) == {
         (-1, -1, -1),
         (11, -1, -1),
@@ -404,11 +419,11 @@ def test_transition_ray_images(ctx):
         if not la.is_zero(w):
             images.add(la.primitive(w))
     assert len(images) == 9
-    _, boundary = ctx.hyp_simplex.polar_cached().lattice_points()
+    _, boundary = ctx.hyp_simplex.polar().lattice_points()
     assert images <= set(boundary)
     assert models.HYP_EDGE_MIDPOINT in images
     assert models.HYP_TRIANGLE_INTERIOR in images
-    assert set(ctx.hyp_simplex.polar_cached().vertices) <= images
+    assert set(ctx.hyp_simplex.polar().vertices) <= images
 
 
 def test_transition_morphism_resolved(ctx):

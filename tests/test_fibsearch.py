@@ -38,7 +38,7 @@ def test_square_axis_slices():
 def test_square_brute_force_oracle():
     # oracle: check every rank-1 span of a boundary point directly
     square = LatticePolytope.hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    polar = square.polar_cached()
+    polar = square.polar()
     _, boundary = polar.lattice_points()
     expect = set()
     for p in boundary:
@@ -88,7 +88,7 @@ def test_hyp_model_search_contains_k3_slice(ctx):
     ann = la.right_kernel(cand.sublattice.basis)
     assert ann == ((1, 1, 4, 6),)
     assert cand.balanced
-    assert lattice_equivalent(cand.slice_polytope, ctx.k3_simplex.polar_cached())
+    assert lattice_equivalent(cand.slice_polytope, ctx.k3_simplex.polar())
 
 
 def test_lattice_equivalent():
@@ -143,11 +143,11 @@ def _models(ctx):
     cube = LatticePolytope.hull(CUBE4)
     return (
         ctx.k3_simplex,
-        ctx.k3_simplex.polar_cached(),
+        ctx.k3_simplex.polar(),
         cube,
         cube.polar(),
         ctx.hyp_simplex,
-        ctx.hyp_simplex.polar_cached(),
+        ctx.hyp_simplex.polar(),
     )
 
 
@@ -156,7 +156,7 @@ def test_projection_test_matches_double_description(ctx):
     # generate a sublattice of index > 1 in L meet Z^n
     seen = set()
     for delta in _models(ctx):
-        polar = delta.polar_cached()
+        polar = delta.polar()
         for k in range(1, delta.rank):
             gens = _generating_points(polar, delta.rank - k)
             P = np.array(gens, dtype=np.int64)
@@ -172,7 +172,7 @@ def test_projection_test_matches_double_description(ctx):
     assert {(3, True, True), (3, False, True), (3, False, False)} <= seen
     # fractional slices: lines with a fractional vertex at only one end, and
     # a plane whose two points have index 9 in its saturation
-    polar = ctx.k3_simplex.polar_cached()
+    polar = ctx.k3_simplex.polar()
     assert math.gcd(*_minors([(-1, -1, -1), (8, -1, -1)], 2)) == 9
     for points in ([(-1, -1, -1)], [(1, 1, 1)], [(-1, -1, -1), (8, -1, -1)]):
         assert _dd_slice(points, polar) is None
@@ -183,7 +183,7 @@ def test_projection_test_matches_double_description(ctx):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_slice_vertices_match_double_description_on_random_spans(ctx, data):
-    polar = data.draw(st.sampled_from(_models(ctx))).polar_cached()
+    polar = data.draw(st.sampled_from(_models(ctx))).polar()
     n = polar.rank
     k = data.draw(st.integers(1, n - 1))
     _, boundary = polar.lattice_points()
@@ -267,7 +267,7 @@ def test_int64_bounds():
     # the slice test needs k k! M^k < 2^63 for M = max|u|_1 max|P|; the
     # cross-polytope's facet normals have |u|_1 = 4, so for k = 1, 2, 3 the
     # bound falls between max|P| = m and m + 1
-    cross = LatticePolytope.hull(CUBE4).polar_cached()
+    cross = LatticePolytope.hull(CUBE4).polar()
     for k, m in ((1, 2**61 - 1), (2, 379625062), (3, 200053)):
         bound = k * math.factorial(k) * 4**k
         assert bound * m**k < 2**63 <= bound * (m + 1) ** k
@@ -319,9 +319,9 @@ def test_balanced_matches_eager_dual(ctx, monkeypatch, name, k, n_balanced):
     delta = {
         "cube4": LatticePolytope.hull(CUBE4),
         "hyp_simplex": ctx.hyp_simplex,
-        "hyp_polar": ctx.hyp_simplex.polar_cached(),
+        "hyp_polar": ctx.hyp_simplex.polar(),
     }[name]
-    dual = delta.polar_cached()
+    dual = delta.polar()
     decided = []
     integral_slices = fibsearch._integral_slices
 
@@ -334,7 +334,7 @@ def test_balanced_matches_eager_dual(ctx, monkeypatch, name, k, n_balanced):
     eager_decided = sum(n for _, n in decided)
     decided.clear()
     cands = search_fibrations(delta, k)
-    lazy_decided = sum(n for p, n in decided if p is dual.polar_cached())
+    lazy_decided = sum(n for p, n in decided if p is dual.polar())
     want = [
         any(lattice_equivalent(c.projection, d.slice_polytope) for d in eager_dual)
         for c in cands
@@ -347,7 +347,7 @@ def test_balanced_matches_eager_dual(ctx, monkeypatch, name, k, n_balanced):
     if n_balanced < len(cands):
         assert lazy_decided == eager_decided
     else:
-        gens = _generating_points(dual.polar_cached(), dual.rank - k)
+        gens = _generating_points(dual.polar(), dual.rank - k)
         P = np.array(gens, dtype=np.int64)
         survivors = sum(len(batch) for batch in _span_survivors(P, k))
         assert lazy_decided < eager_decided == survivors

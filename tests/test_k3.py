@@ -160,7 +160,7 @@ def test_singular_fibre_locus_symmetric_functions():
 
 
 def test_ade_subgraph_components(ctx):
-    P = ctx.k3_simplex.polar_cached()
+    P = ctx.k3_simplex.polar()
     comps = ade_subgraph(P, (1, 2, 3))
     assert len(comps) == 2
     comps_alt = ade_subgraph(P, (0, 1, 1))
@@ -169,7 +169,7 @@ def test_ade_subgraph_components(ctx):
 
 
 def test_ade_subgraph_sign_partition(ctx):
-    P = ctx.k3_simplex.polar_cached()
+    P = ctx.k3_simplex.polar()
     d = (1, 2, 3)
     from toricfib import exactlinalg as la
 

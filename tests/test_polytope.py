@@ -120,8 +120,8 @@ def test_hull_not_full_dimensional_payload(points):
     "name", ["ci_polar", "hyp_simplex", "k3_simplex", "base_pentagon"]
 )
 def test_face_dims_match_affine_span(ctx, name):
-    for p in (getattr(ctx, name), getattr(ctx, name).polar_cached()):
-        faces = p._face_data()
+    for p in (getattr(ctx, name), getattr(ctx, name).polar()):
+        faces = p._face_data
         assert set(faces) == set(range(p.rank + 1))
         for dim, fs in faces.items():
             for f in fs:
@@ -160,7 +160,9 @@ def test_polar_hyp_simplex():
 
 def test_polar_involution_ci():
     p = LatticePolytope.hull(CI_POLAR_VERTICES)
-    assert p.polar().polar() == p
+    assert p.polar() is p.polar()
+    # the memo is per polytope: the polar's polar is recomputed, not self
+    assert p.polar().polar() == p and p.polar().polar() is not p
 
 
 def test_polar_not_reflexive():
@@ -252,8 +254,8 @@ def test_enumerate_lattice_points_int64_bound(block):
     "name", ["ci_polar", "hyp_simplex", "k3_simplex", "base_pentagon"]
 )
 def test_points_tight_facets(ctx, name):
-    for p in (getattr(ctx, name), getattr(ctx, name).polar_cached()):
-        interior, boundary, masks = p._points_data()
+    for p in (getattr(ctx, name), getattr(ctx, name).polar()):
+        interior, boundary, masks = p._points_data
         assert list(interior) == sorted(interior)
         assert list(boundary) == sorted(boundary)
         assert set(masks) == set(interior) | set(boundary)
@@ -288,7 +290,7 @@ def test_face_count_duality():
 
 def test_dual_face_involution_and_dims():
     p = LatticePolytope.hull(HYP_SIMPLEX_VERTICES)
-    q = p.polar_cached()
+    q = p.polar()
     for d in range(p.rank):
         for f in p.faces(d):
             g = p.dual_face(f)
