@@ -10,12 +10,15 @@ every face of a cone or polytope from its generator-facet incidence alone.
 
 The starting simplicial cone comes from two fraction-free eliminations: the
 row echelon of `exactlinalg.independent_rows` picks the constraints, and one
-Gauss-Jordan elimination of [A | I] over them gives its rays.
+Gauss-Jordan elimination of [A | I] over them gives its rays.  The same
+elimination, run on the Gram matrix R R^T of linearly independent rays R,
+gives the facet normals of the simplicial cone they span without the double
+description loop: `simplicial_facets`.
 """
 
 from __future__ import annotations
 
-from .exactlinalg import dot, independent_rows, mat, primitive
+from .exactlinalg import dot, independent_rows, mat, primitive, vecmat
 
 
 def _initial_basis_rays(constraints, dim):
@@ -48,6 +51,19 @@ def _initial_basis_rays(constraints, dim):
     sign = -1 if prev < 0 else 1
     rays = [primitive(tuple(sign * row[dim + j] for row in a)) for j in range(dim)]
     return idx, rays
+
+
+def simplicial_facets(rays):
+    """Primitive facet normals, in the span, of the cone on independent rays.
+
+    With G = R R^T, the normal y_j = c_j R pairs with the rays to c_j G, so
+    the columns c_j of d * G^-1 give y_j tight on every ray but ray j.  They
+    are the rays of ``_initial_basis_rays(G, k)``.  Returns the sorted tuple
+    that ``extreme_rays`` returns for the rays and the span's equations.
+    """
+    gram = tuple(tuple(dot(r, s) for s in rays) for r in rays)
+    _, coeffs = _initial_basis_rays(gram, len(rays))
+    return tuple(sorted(primitive(vecmat(c, rays)) for c in coeffs))
 
 
 def extreme_rays(constraints, dim):

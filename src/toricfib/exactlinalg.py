@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 Vec = tuple
 Mat = tuple
 
 
 def vec(it):
-    return tuple(int(x) for x in it)
+    return tuple(map(int, it))
 
 
 def mat(rows):
@@ -44,7 +45,11 @@ def is_zero(v):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    """Inner product.  ``map`` alone would stop at the shorter vector, so the
+    lengths are checked first: a mismatch raises ValueError."""
+    if len(u) != len(v):
+        raise ValueError("dot of vectors of different lengths")
+    return sum(map(mul, u, v))
 
 
 def add(u, v):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import exactlinalg as la
-from .dd import cone_contains, extreme_rays, face_closure
+from .dd import cone_contains, extreme_rays, face_closure, simplicial_facets
 from .errors import (
     DegenerateInputError,
     IncompatibleMorphismError,
@@ -31,9 +31,12 @@ class ConeGeom:
     equations cut out the saturated span of the rays, so this also decides
     integer membership; every query below reads these two tuples.  Facet
     normals are computed in ambient coordinates and lie in the span of the
-    rays: the span's equations enter the double description as pairs of
-    opposite inequalities.  Faces are read off the cached ray-facet
-    incidence ``_ray_facets`` by ``dd.face_closure``.
+    rays.  A simplicial cone skips the double description: its normals come
+    from one elimination on the Gram matrix of its rays
+    (``dd.simplicial_facets``).  For any other cone the span's equations
+    enter the double description as pairs of opposite inequalities.  Faces
+    are read off the cached ray-facet incidence ``_ray_facets`` by
+    ``dd.face_closure``.
     """
 
     def __init__(self, rays, ambient_rank):
@@ -56,6 +59,8 @@ class ConeGeom:
         """Primitive facet normals, as ambient functionals lying in the span."""
         if not self.rays:
             return ()
+        if self.is_simplicial():
+            return simplicial_facets(self.rays)
         eqs = self.equations
         return extreme_rays(self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank)
 

@@ -66,13 +66,18 @@ class FibrationCandidate:
 
 
 def _generating_points(polar, max_face_dim):
-    _, boundary = polar.lattice_points()
-    masks = polar._points_data[2]
-    tight2dim = {}
-    for fs in polar._face_data.values():
-        for f in fs:
-            tight2dim[f.tight_facets] = f.dim
-    return [p for p in boundary if tight2dim[masks[p]] <= max_face_dim]
+    """Boundary points of ``polar`` on faces of dimension <= max_face_dim.
+
+    A point's tight facet set T is that of its carrier face, whose dimension
+    is rank - rank(normals of T); it is computed once per distinct T.
+    """
+    _, boundary, masks = polar._points_data
+    normals = [n for n, _ in polar.facets]
+    dims = {
+        tight: polar.rank - la.rank([normals[j] for j in tight])
+        for tight in {masks[p] for p in boundary}
+    }
+    return [p for p in boundary if dims[masks[p]] <= max_face_dim]
 
 
 def _normalize_rows(m):
@@ -281,7 +286,7 @@ def _integral_slices(P, reps, polar):
     if k * math.factorial(k) * M**k >= 2**63:
         raise DegenerateInputError("generating points too large for int64 images")
     subsets = sorted(
-        {J for v in polar.faces(0) for J in combinations(sorted(v.tight_facets), k)}
+        {J for tight in polar._vertex_facets for J in combinations(sorted(tight), k)}
     )
     B = P[np.array(reps)]
     Q = B @ U.T

@@ -330,6 +330,11 @@ class RootFamily:
             rows.append(row)
         return tuple(_pdet(rows))
 
+    @cached_property
+    def _singular_values(self):
+        """``singular_parameters`` per precision, filled by that function."""
+        return {}
+
 
 def _squarefree(p):
     d = _pderiv(p)
@@ -348,23 +353,28 @@ def singular_parameters(family, prec=128):
 
     Returns a list of (value, radius) sorted by (re, im): the distinct zeros
     of the discriminant and of the leading coefficient, found as the roots
-    of the exact squarefree part of their product.
+    of the exact squarefree part of their product.  Values and radii are
+    rounded to ``prec`` bits, whatever the caller's precision.  They are
+    computed once per family and precision; each call returns a new list.
     """
-    disc = family.discriminant
-    if not disc:
-        raise DegenerateInputError("non-reduced family: discriminant vanishes")
-    sf = _squarefree(_pmul(disc, family.coeffs[-1]))
-    if len(sf) <= 1:
-        return []
-    with mp.workprec(prec + 40):
-        roots = _polyroots([c.to_mpc() for c in sf])
-    vals = sorted(map(mp.mpc, roots), key=_reim)
-    out = []
-    for v in vals:
-        others = [abs(v - u) for u in vals if u is not v]
-        radius = min(others) / 2 if others else mp.mpf(1)
-        out.append((v, radius))
-    return out
+    memo = family._singular_values
+    if prec not in memo:
+        disc = family.discriminant
+        if not disc:
+            raise DegenerateInputError("non-reduced family: discriminant vanishes")
+        sf = _squarefree(_pmul(disc, family.coeffs[-1]))
+        out = []
+        if len(sf) > 1:
+            with mp.workprec(prec + 40):
+                roots = _polyroots([c.to_mpc() for c in sf])
+            with mp.workprec(prec):
+                vals = sorted(map(mp.mpc, roots), key=_reim)
+                for v in vals:
+                    others = [abs(v - u) for u in vals if u is not v]
+                    radius = min(others) / 2 if others else mp.mpf(1)
+                    out.append((v, radius))
+        memo[prec] = tuple(out)
+    return list(memo[prec])
 
 
 @dataclass(frozen=True)

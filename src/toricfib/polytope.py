@@ -6,7 +6,10 @@ the face lattice with its inclusion-reversing correspondence, lattice point
 enumeration and the boundary skeleton graph all live here.  Derived data is
 computed once per polytope: the faces come from the cached vertex-facet
 incidence ``_vertex_facets`` through ``dd.face_closure``, and the face and
-normal fans read the same incidence.
+normal fans read the same incidence.  ``hull`` takes its facets from
+``dd.extreme_rays`` on the homogenized points and its vertices from incidence
+alone: a point is a vertex iff no other distinct point is tight on every facet
+tight at it.
 
 Lattice points come from one int64 array test over the bounding box: for each
 value of the leading coordinates, every facet functional is evaluated on the
@@ -23,7 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 import numpy as np
 
@@ -324,9 +328,28 @@ class LatticePolytope:
 
 
 def _extract_vertices(points, facets, dim):
-    verts = []
-    for p in points:
-        tight = [n for n, c in facets if la.dot(p, n) == -c]
-        if len(tight) >= dim and la.rank(tight) == dim:
-            verts.append(p)
-    return tuple(sorted(set(verts)))
+    """The vertices among ``points``, read off facet incidence alone.
+
+    A point is a vertex iff no other distinct point is tight on every facet
+    tight at it: a vertex is the only point of the intersection of its
+    facets, and a point in the relative interior of a face of dimension >= 1
+    is tight wherever that face's vertices are.  Only points tight on at
+    least ``dim`` facets can be vertices, or dominate one.  ``on[j]`` has bit
+    i set when candidate i is tight at facet j, so the candidates tight at
+    all of i's facets are one AND of those masks.
+    """
+    cands = []
+    for p in set(points):
+        tight = [j for j, (n, c) in enumerate(facets) if la.dot(p, n) == -c]
+        if len(tight) >= dim:
+            cands.append((p, tight))
+    on = [0] * len(facets)
+    for i, (_, tight) in enumerate(cands):
+        for j in tight:
+            on[j] |= 1 << i
+    verts = [
+        p
+        for i, (p, tight) in enumerate(cands)
+        if reduce(and_, map(on.__getitem__, tight)) == 1 << i
+    ]
+    return tuple(sorted(verts))

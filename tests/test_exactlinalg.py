@@ -4,11 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
-from toricfib.dd import _initial_basis_rays, extreme_rays
+from toricfib.dd import _initial_basis_rays, extreme_rays, simplicial_facets
 
 
 def test_hermite_small():
@@ -149,6 +149,28 @@ def test_initial_basis_rays_match_cofactor_reference():
         assert _initial_basis_rays(rows, dim) == want, rows
     # both outcomes occur often enough to be tested
     assert 200 < raised < 1300
+
+
+@seed(1312)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_simplicial_facets_match_double_description(data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, n))
+    entries = st.integers(-6, 6)
+    rays = data.draw(st.lists(st.tuples(*[entries] * n), min_size=k, max_size=k))
+    assume(la.rank(rays) == k)
+    rays = la.mat(rays)
+    eqs = la.right_kernel(rays)
+    want = extreme_rays(rays + eqs + tuple(map(la.neg, eqs)), n)
+    assert simplicial_facets(rays) == want
+
+
+def test_dot_rejects_different_lengths():
+    assert la.dot((1, 2, 3), (4, 5, 6)) == 32
+    for u, v in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (1,))):
+        with pytest.raises(ValueError):
+            la.dot(u, v)
 
 
 @settings(max_examples=150, deadline=None)

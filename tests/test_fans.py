@@ -6,6 +6,7 @@ import pytest
 
 from toricfib import exactlinalg as la
 from toricfib import models
+from toricfib.dd import extreme_rays, simplicial_facets
 from toricfib.errors import DegenerateInputError, IncompatibleMorphismError
 from toricfib.fans import (
     ConeGeom,
@@ -228,21 +229,25 @@ def test_beta_not_fibration_without_midpoint(ctx):
     assert not is_fibration(phi)
 
 
-def test_beta_fibration_12ray(ctx):
-    phi = ctx.beta12
-    fan = phi.domain
-    assert fan.nrays() == 12
-    assert is_fibration(phi)
-    mm = homogeneous_map(phi)
-    names = [models.HYP_RAY_NAMES[r] for r in fan.rays]
-    s_entry = {(names[i], e) for i, e in mm.entries[phi.codomain.rays.index((1,))]}
-    t_entry = {(names[i], e) for i, e in mm.entries[phi.codomain.rays.index((-1,))]}
-    assert s_entry == {("z0", 12), ("z170", 1)}
-    assert t_entry == {("z3", 12), ("z168", 1)}
+def test_simplicial_facets_match_double_description_on_model_fans(ctx):
+    # every cone of the 12-ray 4d fan, the refined 5d face fan and the
+    # transition's domain: the simplicial route gives what DD gives
+    for fan in (ctx.hyp_fan_12, ctx.ci_fan, ctx.transition.domain):
+        nsimplicial = 0
+        for c in fan.all_cones()[1:]:
+            geom = fan.cone_geom(c)
+            eqs = geom.equations
+            want = extreme_rays(geom.rays + eqs + tuple(map(la.neg, eqs)), fan.rank)
+            assert geom.ambient_ineqs == want, c
+            if geom.is_simplicial():
+                assert simplicial_facets(geom.rays) == want, c
+                nsimplicial += 1
+        assert nsimplicial > len(fan.max_cones)
 
 
 def test_hyp_12ray_triangle_charts_smooth(ctx):
     fan = ctx.hyp_fan_12
+    assert fan.nrays() == 12
     tri = models.HYP_TRIANGLE_INTERIOR
     idx = fan.rays.index(tri)
     for c in fan.max_cones:

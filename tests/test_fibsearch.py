@@ -151,6 +151,26 @@ def _models(ctx):
     )
 
 
+def test_generating_points_match_face_lattice(ctx, monkeypatch):
+    # face dimensions by the rank of the tight normals, against the face
+    # lattice; the search itself never builds the face lattice.  The 5d CI
+    # polytopes have lattice points inside non-simple faces.
+    for delta in _models(ctx) + (ctx.ci_polar, ctx.ci_base):
+        polar = delta.polar()
+        _, boundary = polar.lattice_points()
+        masks = polar._points_data[2]
+        tight2dim = {f.tight_facets: f.dim for fs in polar._face_data.values() for f in fs}
+        for max_face_dim in range(polar.rank):
+            want = [p for p in boundary if tight2dim[masks[p]] <= max_face_dim]
+            assert _generating_points(polar, max_face_dim) == want
+    def no_face_lattice(self):
+        raise AssertionError("the search built a face lattice")
+
+    monkeypatch.setattr(LatticePolytope, "_face_data", property(no_face_lattice))
+    for vertices, k in ((CUBE4, 2), (CUBE4, 3), (ctx.hyp_simplex.vertices, 3)):
+        assert search_fibrations(LatticePolytope.hull(vertices), k)
+
+
 def test_projection_test_matches_double_description(ctx):
     # every surviving span, including those whose representative points
     # generate a sublattice of index > 1 in L meet Z^n

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from toricfib import monodromy
 from toricfib.errors import DegenerateInputError
 from toricfib.monodromy import (
     GaussRat,
@@ -44,6 +45,23 @@ def test_discriminant_computed_once():
     assert twin == fam and hash(twin) == hash(fam)
     assert twin.discriminant == disc
     assert singular_parameters(fam) == singular_parameters(twin)
+
+
+def test_singular_parameters_at_requested_precision_once(monkeypatch):
+    # the caller's precision does not round the values or radii
+    fam = RootFamily.build(FAMILY_A)
+    got = singular_parameters(fam, 256)
+    with mp.workprec(256):
+        want = singular_parameters(RootFamily.build(FAMILY_A), 256)
+    assert got == want and len(got) == 5
+    with mp.workprec(53):
+        assert any(+v != v for v, _ in got)
+    # a second call reads the memo, and mutating a result does not reach it
+    monkeypatch.setattr(monodromy, "_polyroots", None)
+    again = singular_parameters(fam, 256)
+    assert again == got and again is not got
+    again.clear()
+    assert singular_parameters(fam, 256) == got
 
 
 def test_singular_parameters_tiny_values():

@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
@@ -127,6 +127,65 @@ def test_face_dims_match_affine_span(ctx, name):
             for f in fs:
                 verts = [p.vertices[i] for i in sorted(f.vertex_indices)]
                 assert f.dim == dim == len(_affine_span(verts)[1])
+
+
+def _rank_rule_vertices(points, facets, dim):
+    """Reference vertex rule: a point whose tight facet normals have full rank."""
+    verts = set()
+    for p in points:
+        tight = [n for n, c in facets if la.dot(p, n) == -c]
+        if len(tight) >= dim and la.rank(tight) == dim:
+            verts.add(p)
+    return tuple(sorted(verts))
+
+
+def _cross_polytope_with_edge_midpoints(dim):
+    """2 * (the dim-cross-polytope), so that its edge midpoints e_i +- e_j are
+    lattice points.  In dim 4 each midpoint is tight on 4 facets."""
+    verts = [tuple(2 * s * (i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+    edges = [(u, v) for u, v in itertools.combinations(verts, 2) if u != la.neg(v)]
+    return verts, [tuple((a + b) // 2 for a, b in zip(u, v)) for u, v in edges]
+
+
+def test_vertex_rule_rejects_cross_polytope_edge_midpoints():
+    verts, mids = _cross_polytope_with_edge_midpoints(4)
+    points = mids + verts + verts[:3]
+    p = LatticePolytope.hull(points)
+    assert len(p.facets) == 16
+    for m in mids:
+        assert sum(1 for n, c in p.facets if la.dot(m, n) == -c) == 4
+    assert p.vertices == tuple(sorted(verts))
+    assert polytope._extract_vertices(points, p.facets, 4) == p.vertices
+    assert _rank_rule_vertices(points, p.facets, 4) == p.vertices
+
+
+@st.composite
+def point_sets(draw):
+    dim = draw(st.integers(2, 4))
+    pts = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=dim + 1, max_size=12)
+    )
+    # duplicates, and the non-simple octahedron or cross-polytope with its
+    # edge midpoints among the points
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    if draw(st.booleans()):
+        verts, mids = _cross_polytope_with_edge_midpoints(dim)
+        pts += draw(st.lists(st.sampled_from(verts + mids), max_size=2 * dim + 4))
+    return pts
+
+
+@seed(6433)
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_vertex_rule_matches_rank_rule(points):
+    dim = len(points[0])
+    try:
+        p = LatticePolytope.hull(points)
+    except NotFullDimensionalError:
+        assume(False)
+    want = _rank_rule_vertices(points, p.facets, dim)
+    assert polytope._extract_vertices(points, p.facets, dim) == want
+    assert p.vertices == want
 
 
 def test_hull_idempotent():
