@@ -203,6 +203,35 @@ class _Ctx:
         return check_compatibility(matrix, domain, self.hyp_fan_12)
 
     @cached_property
+    def mirror_fan(self):
+        """Face fan of the polar of nabla; its rays are named coefficient points."""
+        return face_fan(self.nef_partition.nabla.polar())
+
+    @cached_property
+    def mirror_gkz(self):
+        """GKZ degree data of the CI model over the Mori cone of the mirror fan."""
+        names = {pt: n for n, pt in models.CI_COEFF_POINTS.items()}
+        rays = self.mirror_fan.rays
+        parts = [
+            tuple(i for i, r in enumerate(rays) if r in vs)
+            for vs, _ in self.nef_partition.part_polytopes
+        ]
+        ray_names = {i: names[r] for i, r in enumerate(rays)}
+        return gkz_degrees(self.mirror_fan, parts, ray_names, ("a2", "b8"))
+
+    @cached_property
+    def ci_equations(self):
+        """The two CI equations over every monomial, coefficients named a*, b*."""
+        names = models.CI_COEFF_POINTS.items()
+        return nef_ci_polynomials(
+            self.nef_partition,
+            self.ci_face_fan,
+            monomials="all",
+            ray_names=models.CI_RAY_NAMES,
+            coeff_names=tuple({pt: n for n, pt in names if n[0] == c} for c in "ab"),
+        )
+
+    @cached_property
     def chart_rays(self):
         """Ray container for the equations of the resolved partial ambient:
         the two dropped quadric rays plus the rays of the transition domain."""
@@ -222,12 +251,6 @@ def _named_poly(ring, terms, field=None):
         key = tuple(exps)
         out[key] = coeff
     return SparsePoly(ring, out, field=field)
-
-
-def _ci_coeff_names():
-    names0 = {pt: n for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("a")}
-    names1 = {pt: n for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("b")}
-    return (names0, names1)
 
 
 def _ci_reduced_coeffs(xi0=None, xi1=None, field=None):
@@ -377,9 +400,7 @@ def criterion_06_cy_equations(ctx):
     fails = []
     np_ = ctx.nef_partition
     fan = ctx.ci_face_fan
-    g0, g1 = nef_ci_polynomials(
-        np_, fan, monomials="all", ray_names=models.CI_RAY_NAMES, coeff_names=_ci_coeff_names()
-    )
+    g0, g1 = ctx.ci_equations
     _check(len(g0.terms) == 3, "first equation has 3 terms", fails)
     _check(len(g1.terms) == 9, "second equation has 9 terms", fails)
     v = ParamScalar.var
@@ -507,11 +528,7 @@ def criterion_06_cy_equations(ctx):
 def criterion_07_chart_elimination(ctx):
     """shift substitution in the cubic chart: support and coefficients"""
     fails = []
-    np_ = ctx.nef_partition
-    fan = ctx.ci_face_fan
-    _, g1 = nef_ci_polynomials(
-        np_, fan, monomials="all", ray_names=models.CI_RAY_NAMES, coeff_names=_ci_coeff_names()
-    )
+    _, g1 = ctx.ci_equations
     ring = g1.ring
     one = SparsePoly.constant(ring, 1)
     chart = g1.substitute({"y4": one, "y5": one, "y6": one, "y7": one})
@@ -556,21 +573,10 @@ def criterion_07_chart_elimination(ctx):
     return fails
 
 
-def _gkz_degrees(ctx):
-    np_ = ctx.nef_partition
-    mirror_fan = face_fan(np_.nabla.polar())
-    names = {pt: n for n, pt in models.CI_COEFF_POINTS.items()}
-    parts = []
-    for vs, _ in np_.part_polytopes:
-        parts.append(tuple(i for i, r in enumerate(mirror_fan.rays) if r in set(vs)))
-    ray_names = {i: names[mirror_fan.rays[i]] for p in parts for i in p}
-    return gkz_degrees(mirror_fan, parts, ray_names, ("a2", "b8")), mirror_fan
-
-
 def criterion_08_mori_gkz(ctx):
     """Mori generators, GKZ degree matrix, moduli monomials, coefficients"""
     fails = []
-    deg, mirror_fan = _gkz_degrees(ctx)
+    deg, mirror_fan = ctx.mirror_gkz, ctx.mirror_fan
     gens = mori_cone(mirror_fan)
     _check(len(gens) == 2, "two Mori generators", fails)
     names = {pt: n for n, pt in models.CI_COEFF_POINTS.items()}
@@ -767,8 +773,7 @@ def _transition_rings(ctx):
         field=field,
     )
     # chart equations with the matched moduli
-    xi0 = 2 * B / ((12 * psi0**2) ** 6)
-    xi1 = -4 * psi1 / ((12 * psi0**2) ** 3)
+    xi0, xi1 = match_parameters(B, psi0, psi1, field=field)
     g0f, g1f = nef_ci_polynomials(
         ctx.nef_partition,
         ctx.chart_rays,
@@ -1062,7 +1067,7 @@ def criterion_17_property_suites(ctx):
         _check((lc**power) * f == q * g + r, "pseudo-division certificate", fails)
 
     # GKZ integrality and nonnegativity
-    deg, _ = _gkz_degrees(ctx)
+    deg = ctx.mirror_gkz
     for _ in range(120):
         k = (rng.randint(0, 9), rng.randint(0, 9))
         cval = gkz_coefficient(deg, k)
@@ -1150,12 +1155,16 @@ TIME_BUDGETS = {
 
 
 def run(only=None):
-    """Run the acceptance criteria; returns a list of CriterionResult."""
+    """Run the acceptance criteria, or only the one named ``only``; returns a
+    list of CriterionResult.  Raises ValueError when no criterion has that name."""
+    criteria = CRITERIA
+    if only is not None:
+        criteria = [(name, func) for name, func in CRITERIA if name == only]
+        if not criteria:
+            raise ValueError(f"no acceptance criterion named {only!r}")
     ctx = _Ctx(Fixtures())
     results = []
-    for name, func in CRITERIA:
-        if only and only not in name:
-            continue
+    for name, func in criteria:
         start = time.perf_counter()
         try:
             fails = func(ctx)

@@ -3,22 +3,26 @@
 The primitive is `extreme_rays`: the extreme rays of
 {y : <y, a> >= 0 for all a in constraints}.  Conversion is self-dual, so the
 same routine turns generators into facet normals and inequalities into rays.
-Its partner `cone_contains` answers membership from the resulting facet and
-equation description with dot products alone.  All arithmetic is on
-arbitrary-precision integers.  The third primitive, `face_closure`, lists
-every face of a cone or polytope from its generator-facet incidence alone.
+All arithmetic is on arbitrary-precision integers.  Two more primitives read
+a cone's generator-facet incidence alone: `face_closure` lists every face,
+and `extreme_generators` picks the generators that are extreme rays (for the
+homogenized points of a polytope, its vertices).
 
 The starting simplicial cone comes from two fraction-free eliminations: the
-row echelon of `exactlinalg.independent_rows` picks the constraints, and one
-Gauss-Jordan elimination of [A | I] over them gives its rays.  The same
-elimination, run on the Gram matrix R R^T of linearly independent rays R,
-gives the facet normals of the simplicial cone they span without the double
-description loop: `simplicial_facets`.
+row echelon of `exactlinalg.independent_rows` picks the constraints, and
+`exactlinalg.scaled_inverse` of them gives its rays as the columns of the
+adjugate.  The same elimination, run on the Gram matrix R R^T of linearly
+independent rays R, gives the facet normals of the simplicial cone they span
+without the double description loop: `simplicial_facets`.
 """
 
 from __future__ import annotations
 
-from .exactlinalg import dot, independent_rows, mat, primitive, vecmat
+from collections import defaultdict
+from functools import reduce
+from operator import and_
+
+from .exactlinalg import dot, independent_rows, mat, primitive, scaled_inverse, vecmat
 
 
 def _initial_basis_rays(constraints, dim):
@@ -26,31 +30,16 @@ def _initial_basis_rays(constraints, dim):
 
     Picks the first row-independent subset I of the constraints with
     ``independent_rows`` and returns (I, rays) where ray j satisfies
-    <ray_j, a_i> = 0 for i != j and > 0 for i = j.  The rays are the columns
-    of d * A^-1, read off one fraction-free Gauss-Jordan elimination of
-    [A | I] over the chosen rows A, which ends at [d * I | d * A^-1].
+    <ray_j, a_i> = 0 for i != j and > 0 for i = j.  Ray j is column j of
+    adj A signed by det A, for the chosen rows A (``scaled_inverse``).
     """
     idx = independent_rows(constraints)
     if len(idx) < dim:
         raise ValueError("cone is not pointed (constraints do not span)")
-    a = [list(constraints[i]) + [int(r == j) for j in range(dim)] for r, i in enumerate(idx)]
-    prev = 1
-    for k in range(dim):
-        if a[k][k] == 0:
-            # A is nonsingular, so some row below has a nonzero entry here
-            s = next(i for i in range(k + 1, dim) if a[i][k])
-            a[k], a[s] = a[s], a[k]
-        pk = a[k]
-        for i in range(dim):
-            if i != k:
-                ri = a[i]
-                c = ri[k]
-                a[i] = [(pk[k] * x - c * y) // prev for x, y in zip(ri, pk)]
-        prev = pk[k]
-    # column j of d * A^-1 pairs with row a_i to d * delta_ij; flip when d < 0
-    sign = -1 if prev < 0 else 1
-    rays = [primitive(tuple(sign * row[dim + j] for row in a)) for j in range(dim)]
-    return idx, rays
+    d, adj = scaled_inverse([constraints[i] for i in idx])
+    # column j of adj A pairs with row a_i to d * delta_ij; flip when d < 0
+    sign = -1 if d < 0 else 1
+    return idx, [primitive(tuple(sign * row[j] for row in adj)) for j in range(dim)]
 
 
 def simplicial_facets(rays):
@@ -130,13 +119,6 @@ def extreme_rays(constraints, dim):
     return tuple(sorted(set(rays)))
 
 
-def cone_contains(facet_normals, equations, v):
-    """Membership test against a facet/equation description."""
-    return all(dot(v, e) == 0 for e in equations) and all(
-        dot(v, a) >= 0 for a in facet_normals
-    )
-
-
 def face_closure(incidence, nfacets):
     """Every nonempty face, as {tight facet set: generator-index set}.
 
@@ -158,3 +140,26 @@ def face_closure(incidence, nfacets):
         faces[full] = gens
         frontier.extend(full | {j} for j in range(nfacets) if j not in full)
     return faces
+
+
+def extreme_generators(incidence, dim):
+    """Indices of the extreme generators of a pointed cone of dimension dim.
+
+    ``incidence[i]`` is the frozenset of facets tight at generator i; no
+    generator is zero or a positive multiple of another.  The facets tight at
+    a generator cut out the smallest face containing it, so it is extreme iff
+    no other generator is tight on all of them.  That needs at least dim - 1
+    tight facets.  ``on[j]`` has bit b set when candidate b is tight at facet
+    j, so the candidates tight at all of a generator's facets are one AND.
+    """
+    cands = [i for i, tight in enumerate(incidence) if len(tight) >= dim - 1]
+    on = defaultdict(int)
+    for b, i in enumerate(cands):
+        for j in incidence[i]:
+            on[j] |= 1 << b
+    everyone = (1 << len(cands)) - 1
+    return tuple(
+        i
+        for b, i in enumerate(cands)
+        if reduce(and_, map(on.__getitem__, incidence[i]), everyone) == 1 << b
+    )

@@ -8,7 +8,9 @@ Three eliminations serve them.  ``hermite_form`` is unimodular and returns
 its transform; kernels, saturation and ``solve_exact`` need that certificate.
 ``independent_rows`` is a fraction-free row echelon with gcd-reduced rows and
 no transform; ``rank`` and the double description's choice of a starting
-basis need only which rows it keeps.  ``det`` is Bareiss elimination.
+basis need only which rows it keeps.  ``scaled_inverse`` is Bareiss's
+fraction-free Gauss-Jordan elimination, giving det A and adj A at once;
+``det`` and the double description's starting rays read it.
 
 Entry points that take a matrix or vector from outside (``hermite_form``,
 ``independent_rows``, ``rank``, ``kernel_basis``, ``right_kernel``,
@@ -197,35 +199,48 @@ def rank(m):
     return len(independent_rows(m))
 
 
-def det(m):
-    """Determinant by fraction-free (Bareiss) elimination."""
+def scaled_inverse(m):
+    """(det m, adj m) of a square matrix from one fraction-free elimination.
+
+    Bareiss's Gauss-Jordan elimination of [m | I] divides every update by
+    the previous pivot exactly, since after step k each entry is a k x k
+    minor; it ends at [p * I | p * m^-1], where the last pivot p is det m up
+    to the sign of the row swaps.  adj m = det m * m^-1 is None when m is
+    singular.
+    """
     n = len(m)
-    if n == 0:
-        return 1
-    a = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    if any(len(r) != n for r in m):
+        raise ValueError("not a square matrix")
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    sign = prev = 1
+    for k in range(n):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            s = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if s is None:
+                return 0, None
+            a[k], a[s] = a[s], a[k]
+            sign = -sign
+        pk = a[k]
+        for i in range(n):
+            if i != k:
+                ri = a[i]
+                c = ri[k]
+                a[i] = [(pk[k] * x - c * y) // prev for x, y in zip(ri, pk)]
+        prev = pk[k]
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def det(m):
+    """Determinant, from ``scaled_inverse``."""
+    return scaled_inverse(m)[0]
 
 
 def adjugate(m):
     """Transposed cofactor matrix: adj[i][j] = (-1)^(i+j) det(m minus row j, col i).
 
-    m * adjugate(m) = adjugate(m) * m = det(m) * Id.
+    m * adjugate(m) = adjugate(m) * m = det(m) * Id.  It costs n^2
+    determinants; ``scaled_inverse`` gives the same matrix from one
+    elimination, and this definition is its reference in the tests.
     """
     n = len(m)
     return tuple(

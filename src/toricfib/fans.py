@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import exactlinalg as la
-from .dd import cone_contains, extreme_rays, face_closure, simplicial_facets
+from .dd import extreme_generators, extreme_rays, face_closure, simplicial_facets
 from .errors import (
     DegenerateInputError,
     IncompatibleMorphismError,
@@ -73,7 +73,10 @@ class ConeGeom:
         ]
 
     def contains(self, v):
-        return cone_contains(self.ambient_ineqs, self.equations, la.vec(v))
+        v = la.vec(v)
+        return all(la.dot(v, e) == 0 for e in self.equations) and all(
+            la.dot(v, a) >= 0 for a in self.ambient_ineqs
+        )
 
     def facet_ray_sets(self):
         """Ray-index subsets (into self.rays) tight on each facet."""
@@ -561,15 +564,15 @@ def mori_cone(fan):
 
 
 def _extreme_generators(vectors):
-    """Extreme rays of the cone positively spanned by the given vectors."""
-    vecs = [v for v in {la.vec(v) for v in vectors} if not la.is_zero(v)]
-    if not vecs:
+    """Extreme rays of the cone positively spanned by the given vectors.
+
+    The cone is pointed iff its facet normals span the dual of its span, and
+    then its extreme rays are read off the ray-facet incidence.
+    """
+    prim = tuple(sorted({la.primitive(v) for v in map(la.vec, vectors) if not la.is_zero(v)}))
+    if not prim:
         return ()
-    prim = tuple(sorted({la.primitive(v) for v in vecs}))
-    eqs = la.right_kernel(prim)
-    span = eqs + tuple(map(la.neg, eqs))
-    facets = extreme_rays(prim + span, len(prim[0]))
-    try:
-        return extreme_rays(facets + span, len(prim[0]))
-    except ValueError as exc:
-        raise DegenerateInputError("cone of relations is not strictly convex") from exc
+    geom = ConeGeom(prim, len(prim[0]))
+    if la.rank(geom.ambient_ineqs) != geom.dim:
+        raise DegenerateInputError("cone of relations is not strictly convex")
+    return tuple(prim[i] for i in extreme_generators(geom._ray_facets, geom.dim))

@@ -363,39 +363,27 @@ def lattice_equivalent(p, q):
     if len(p.facets) != len(q.facets):
         return False
     k = p.rank
-    base = None
-    for sub in combinations(range(len(p.vertices)), k):
-        m = la.mat([p.vertices[i] for i in sub])
-        if abs(la.det(m)) > 0:
-            base = m
+    for base in combinations(p.vertices, k):
+        d, adj = la.scaled_inverse(base)
+        if adj is not None:
             break
-    if base is None:
+    else:
         return False
-    d = la.det(base)
-    adj = la.adjugate(base)
     qverts = set(q.vertices)
-    for target in permutations(q.vertices, k):
-        w = la.mat(target)
-        # solve base * U = w over the rationals; integrality required
-        u = _solve_matrix(adj, w, d)
-        if u is None:
+    for sub in combinations(q.vertices, k):
+        # base * U = target has |det U| = 1 only when |det target| = |d|
+        if abs(la.scaled_inverse(sub)[0]) != abs(d):
             continue
-        if abs(la.det(u)) != 1:
-            continue
-        if {la.vecmat(v, u) for v in p.vertices} == qverts:
-            return True
+        for target in permutations(sub):
+            u = _solve_matrix(adj, target, d)
+            if u is not None and {la.vecmat(v, u) for v in p.vertices} == qverts:
+                return True
     return False
 
 
 def _solve_matrix(adj_a, b, det_a):
     """Integer matrix U with a*U = b, given adj(a) and det(a); None if fractional."""
     num = la.matmul(adj_a, b)
-    u = []
-    for row in num:
-        r = []
-        for x in row:
-            if x % det_a:
-                return None
-            r.append(x // det_a)
-        u.append(tuple(r))
-    return tuple(u)
+    if any(x % det_a for row in num for x in row):
+        return None
+    return tuple(tuple(x // det_a for x in row) for row in num)

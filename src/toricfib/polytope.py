@@ -7,9 +7,9 @@ enumeration and the boundary skeleton graph all live here.  Derived data is
 computed once per polytope: the faces come from the cached vertex-facet
 incidence ``_vertex_facets`` through ``dd.face_closure``, and the face and
 normal fans read the same incidence.  ``hull`` takes its facets from
-``dd.extreme_rays`` on the homogenized points and its vertices from incidence
-alone: a point is a vertex iff no other distinct point is tight on every facet
-tight at it.
+``dd.extreme_rays`` on the homogenized points, which also decides that they
+span, and its vertices from their facet incidence by
+``dd.extreme_generators``.
 
 Lattice points come from one int64 array test over the bounding box: for each
 value of the leading coordinates, every facet functional is evaluated on the
@@ -26,13 +26,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 
 import numpy as np
 
 from . import exactlinalg as la
-from .dd import extreme_rays, face_closure
+from .dd import extreme_generators, extreme_rays, face_closure
 from .errors import (
     DegenerateInputError,
     NotFullDimensionalError,
@@ -151,35 +150,39 @@ class LatticePolytope:
     def hull(cls, points):
         """Convex hull of lattice points, which must span the ambient space.
 
-        A non full-dimensional input raises NotFullDimensionalError carrying
-        the affine span so the caller can restrict to a sublattice and retry.
+        A non full-dimensional input, found by the double description as
+        homogenized points that do not span, raises NotFullDimensionalError
+        carrying the affine span so the caller can restrict to a sublattice
+        and retry.
         """
-        pts = la.mat(points)
+        pts = tuple(dict.fromkeys(la.mat(points)))
         if not pts:
             raise DegenerateInputError("no points")
         dim = len(pts[0])
-        if la.rank([la.sub(p, pts[0]) for p in pts[1:]]) < dim:
+        try:
+            raw = extreme_rays(tuple((1,) + p for p in pts), dim + 1)
+        except ValueError:
             base, basis = affine_span(pts)
             raise NotFullDimensionalError(
                 "points are not full-dimensional",
                 base=list(base),
                 span_basis=[list(b) for b in basis],
-            )
-        gens = tuple((1,) + p for p in pts)
-        raw = extreme_rays(gens, dim + 1)
+            ) from None
         facets = []
         for f in raw:
             c, n = f[0], f[1:]
-            g = la.gcd_vec(n)
-            if g == 0:
+            if la.is_zero(n):
                 # the inequality t >= 0 cannot be a facet of a bounded
                 # full-dimensional polytope's homogenization
                 raise DegenerateInputError("unbounded homogenization")
             # a facet of a lattice polytope contains lattice points, so the
             # jointly-primitive (c, n) already has a primitive normal part
             facets.append((n, c))
-        poly = cls(dim, _extract_vertices(pts, facets, dim), facets)
-        return poly
+        incidence = [
+            frozenset(j for j, (n, c) in enumerate(facets) if la.dot(p, n) == -c)
+            for p in pts
+        ]
+        return cls(dim, [pts[i] for i in extreme_generators(incidence, dim + 1)], facets)
 
     # -- basic queries -----------------------------------------------------
 
@@ -325,31 +328,3 @@ class LatticePolytope:
             for u, v in zip(pts, pts[1:]):
                 edges.add(frozenset((index[u], index[v])))
         return SkeletonGraph(nodes=boundary, edges=frozenset(edges))
-
-
-def _extract_vertices(points, facets, dim):
-    """The vertices among ``points``, read off facet incidence alone.
-
-    A point is a vertex iff no other distinct point is tight on every facet
-    tight at it: a vertex is the only point of the intersection of its
-    facets, and a point in the relative interior of a face of dimension >= 1
-    is tight wherever that face's vertices are.  Only points tight on at
-    least ``dim`` facets can be vertices, or dominate one.  ``on[j]`` has bit
-    i set when candidate i is tight at facet j, so the candidates tight at
-    all of i's facets are one AND of those masks.
-    """
-    cands = []
-    for p in set(points):
-        tight = [j for j, (n, c) in enumerate(facets) if la.dot(p, n) == -c]
-        if len(tight) >= dim:
-            cands.append((p, tight))
-    on = [0] * len(facets)
-    for i, (_, tight) in enumerate(cands):
-        for j in tight:
-            on[j] |= 1 << i
-    verts = [
-        p
-        for i, (p, tight) in enumerate(cands)
-        if reduce(and_, map(on.__getitem__, tight)) == 1 << i
-    ]
-    return tuple(sorted(verts))

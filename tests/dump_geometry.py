@@ -7,10 +7,12 @@ every cone its ``equations``, ``ambient_ineqs``, ``facet_ray_sets()`` and
 every domain cone.  For every model polytope, the 4-cube, ``nabla`` of the nef
 partition and their polars it prints the vertices, the facets, the faces of
 every dimension and the point counts; then the same for the 30 reflexive
-polygons that the acceptance criterion ``property-suites`` draws.  The last
-line is the md5 of the lines before it, so two source trees answer alike when
-they print the same last line.  Only public attributes are read, so older
-trees run it unchanged.
+polygons that the acceptance criterion ``property-suites`` draws.  Last come
+the Mori cone generators of every complete model fan: those in
+``COMPLETE_FANS`` and the mirror fan, the face fan of the polar of ``nabla``.
+The last line is the md5 of the lines before it, so two source trees answer
+alike when they print the same last line.  Only public attributes are read, so
+older trees run it unchanged.
 
 Run from the root of a source checkout (pytest does not collect this file):
 
@@ -25,6 +27,7 @@ import random
 
 from toricfib import acceptance
 from toricfib.errors import ToricError
+from toricfib.fans import face_fan, mori_cone
 from toricfib.polytope import LatticePolytope
 
 FANS = (
@@ -36,6 +39,7 @@ FANS = (
     "hyp_fan_6",
     "hyp_fan_12",
 )
+COMPLETE_FANS = ("base_fan", "ci_face_fan", "ci_fan", "hyp_fan_6", "hyp_fan_12")
 MORPHISMS = ("beta12", "transition")
 POLYTOPES = ("ci_polar", "hyp_simplex", "k3_simplex", "base_pentagon")
 
@@ -127,6 +131,9 @@ def dump_lines():
     lines += _with_polar("nabla", ctx.nef_partition.nabla)
     for i, p in enumerate(property_suite_polygons()):
         lines += polytope_lines(f"polygon {i}", p)
+    for name in COMPLETE_FANS:
+        lines.append(f"mori {name} {mori_cone(getattr(ctx, name))}")
+    lines.append(f"mori mirror {mori_cone(face_fan(ctx.nef_partition.nabla.polar()))}")
     return lines
 
 

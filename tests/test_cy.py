@@ -4,9 +4,7 @@ from math import factorial
 
 from toricfib import models
 from toricfib.acceptance import (
-    _ci_coeff_names,
     _ci_reduced_coeffs,
-    _gkz_degrees,
     _named_poly,
 )
 from toricfib.cy import (
@@ -19,7 +17,6 @@ from toricfib.cy import (
     anticanonical_polynomial,
 )
 from toricfib.errors import NotNefPartitionError
-from toricfib.fans import face_fan
 from toricfib.polytope import LatticePolytope
 from toricfib.sympoly import ParamScalar, SparsePoly
 
@@ -36,6 +33,9 @@ def test_nef_partition_data(ctx):
     pts1 = set(np_.part_polytopes[1][1])
     for name, pt in models.CI_COEFF_POINTS.items():
         assert pt in (pts0 if name.startswith("a") else pts1)
+    # the mirror fan has seven rays, each a named coefficient point
+    assert ctx.mirror_fan.nrays() == 7
+    assert set(ctx.mirror_fan.rays) <= set(models.CI_COEFF_POINTS.values())
 
 
 def test_nef_partition_four_identities(ctx):
@@ -101,13 +101,7 @@ def test_invalid_split_errors_somewhere():
 
 
 def test_nef_ci_equations_full(ctx):
-    g0, g1 = nef_ci_polynomials(
-        ctx.nef_partition,
-        ctx.ci_face_fan,
-        monomials="all",
-        ray_names=models.CI_RAY_NAMES,
-        coeff_names=_ci_coeff_names(),
-    )
+    g0, g1 = ctx.ci_equations
     ring = g0.ring
     v = ParamScalar.var
     expected_g0 = _named_poly(
@@ -331,28 +325,8 @@ def test_batyrev_hodge_p2_times_p2():
     assert batyrev_hodge(LatticePolytope.hull(rays).polar()) == (2, 83)
 
 
-def test_mirror_mori_cone(ctx):
-    from toricfib.fans import mori_cone
-
-    mirror_fan = face_fan(ctx.nef_partition.nabla.polar())
-    assert mirror_fan.nrays() == 7
-    gens = mori_cone(mirror_fan)
-    assert len(gens) == 2
-    names = {pt: n for n, pt in models.CI_COEFF_POINTS.items()}
-    as_dicts = []
-    for g in gens:
-        d = {names[r]: g[i] for i, r in enumerate(mirror_fan.rays) if g[i]}
-        d["origin"] = g[-1]
-        as_dicts.append(d)
-    expected = [
-        {"b0": 2, "b1": 3, "b4": 1, "origin": -6},
-        {"a0": 1, "a1": 1, "b2": 1, "b3": 1, "b4": -2, "origin": -2},
-    ]
-    assert sorted(as_dicts, key=str) == sorted(expected, key=str)
-
-
 def test_gkz_degrees_matrix(ctx):
-    deg, _ = _gkz_degrees(ctx)
+    deg = ctx.mirror_gkz
     order = ("a0", "a1", "a2", "b0", "b1", "b2", "b3", "b4", "b8")
     rows = {
         tuple(deg.columns[n][j] for n in order) for j in range(2)
@@ -379,7 +353,7 @@ def _k_for(deg, m, n):
 
 
 def test_gkz_coefficients(ctx):
-    deg, _ = _gkz_degrees(ctx)
+    deg = ctx.mirror_gkz
     assert gkz_coefficient(deg, _k_for(deg, 0, 0)) == 1
     assert gkz_coefficient(deg, _k_for(deg, 1, 2)) == 55440
     assert gkz_coefficient(deg, _k_for(deg, 1, 0)) == 0
@@ -390,7 +364,7 @@ def test_gkz_coefficients(ctx):
 
 
 def test_gkz_series_reindexed(ctx):
-    deg, _ = _gkz_degrees(ctx)
+    deg = ctx.mirror_gkz
     table = gkz_series_reindexed(deg, 6)
     assert table[(0, 0)] == 1
     assert table[(0, 1)] == 60
@@ -406,7 +380,7 @@ def test_gkz_series_reindexed(ctx):
 
 
 def test_gkz_nonnegative_integral(ctx):
-    deg, _ = _gkz_degrees(ctx)
+    deg = ctx.mirror_gkz
     random.seed(11)
     for _ in range(120):
         k = (random.randint(0, 8), random.randint(0, 8))

@@ -30,6 +30,43 @@ def test_adjugate_inverts_up_to_det():
             assert la.matmul(la.adjugate(m), m) == scaled
 
 
+def _leibniz_det(m):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
+    return total
+
+
+def test_scaled_inverse_matches_cofactor_reference():
+    rng = random.Random(1968)
+    singular = swapped = 0
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        size = rng.choice((1, 2, 30))
+        m = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            u, v = rng.sample(range(n), 2)
+            m[u] = [rng.randint(-2, 2) * x for x in m[v]]  # a dependent row
+        m = tuple(map(tuple, m))
+        d, adj = la.scaled_inverse(m)
+        assert d == _leibniz_det(m) == la.det(m), m
+        if d == 0:
+            singular += 1
+            assert adj is None
+            continue
+        swapped += m[0][0] == 0
+        assert adj == la.adjugate(m), m
+        scaled = tuple(tuple(d * x for x in row) for row in la.identity(n))
+        assert la.matmul(m, adj) == la.matmul(adj, m) == scaled
+    # singular inputs and inputs that need a row swap both occur often
+    assert singular > 200 and swapped > 100
+    assert la.scaled_inverse(()) == (1, ())
+    with pytest.raises(ValueError, match="square"):
+        la.scaled_inverse(((1, 2),))
+
+
 def test_hermite_identity_and_zero():
     h, u = la.hermite_form(la.identity(3))
     assert h == la.identity(3)

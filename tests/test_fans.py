@@ -6,7 +6,7 @@ import pytest
 
 from toricfib import exactlinalg as la
 from toricfib import models
-from toricfib.dd import extreme_rays, simplicial_facets
+from toricfib.dd import extreme_generators, extreme_rays, simplicial_facets
 from toricfib.errors import DegenerateInputError, IncompatibleMorphismError
 from toricfib.fans import (
     ConeGeom,
@@ -330,6 +330,10 @@ def test_lower_dim_cone_rays_not_generating_span_lattice(rays):
 
 
 def test_extreme_generators_one_dimensional():
+    # a ray lies on no facet of its own cone, and dim - 1 = 0 facets suffice
+    ray = ConeGeom(((1, -2, 0),), 3)
+    assert ray.dim == 1 and ray._ray_facets == [frozenset()]
+    assert extreme_generators(ray._ray_facets, ray.dim) == (0,)
     assert _extreme_generators([(2, -4, 0), (1, -2, 0), (3, -6, 0)]) == ((1, -2, 0),)
     assert _extreme_generators([(-1, 2, 0)]) == ((-1, 2, 0),)
     with pytest.raises(DegenerateInputError, match="strictly convex"):
@@ -387,6 +391,16 @@ def test_mori_p2():
 def test_mori_p1xp1():
     gens = set(mori_cone(p1xp1_fan()))
     assert gens == {(1, 1, 0, 0, -2), (0, 0, 1, 1, -2)}
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_mori_hirzebruch(a):
+    # rays u1..u4 of F_a; the wall at u4 gives the relation u1 + u3 + a*u4 = 0,
+    # which is (1, -a, 1, 0) + a * (0, 1, 0, 1): a wall relation that is not
+    # extreme
+    fan = Fan(2, ((1, 0), (0, 1), (-1, a), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+    assert fan.is_complete()
+    assert mori_cone(fan) == ((0, 1, 0, 1, -2), (1, -a, 1, 0, a - 2))
 
 
 def test_mori_requires_complete():

@@ -97,6 +97,10 @@ def test_lattice_equivalent():
     assert lattice_equivalent(p, q)
     r = LatticePolytope.hull([(1, 0), (0, 1), (-1, 0), (0, -1)])
     assert not lattice_equivalent(p, r)
+    # the integral map (x, y) -> (x + y, x - y) of determinant -2 takes r's
+    # vertices onto the square's, but no unimodular map does
+    square = LatticePolytope.hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    assert not lattice_equivalent(r, square)
 
 
 def _minors(rows, k):

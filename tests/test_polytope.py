@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
 from toricfib import polytope
+from toricfib.dd import extreme_generators
 from toricfib.errors import (
     DegenerateInputError,
     NotFullDimensionalError,
@@ -139,6 +140,16 @@ def _rank_rule_vertices(points, facets, dim):
     return tuple(sorted(verts))
 
 
+def _incidence_rule_vertices(points, facets, dim):
+    """The vertices that ``dd.extreme_generators`` reads off the facet
+    incidence of the distinct homogenized points."""
+    pts = sorted(set(points))
+    incidence = [
+        frozenset(j for j, (n, c) in enumerate(facets) if la.dot(p, n) == -c) for p in pts
+    ]
+    return tuple(pts[i] for i in extreme_generators(incidence, dim + 1))
+
+
 def _cross_polytope_with_edge_midpoints(dim):
     """2 * (the dim-cross-polytope), so that its edge midpoints e_i +- e_j are
     lattice points.  In dim 4 each midpoint is tight on 4 facets."""
@@ -155,7 +166,7 @@ def test_vertex_rule_rejects_cross_polytope_edge_midpoints():
     for m in mids:
         assert sum(1 for n, c in p.facets if la.dot(m, n) == -c) == 4
     assert p.vertices == tuple(sorted(verts))
-    assert polytope._extract_vertices(points, p.facets, 4) == p.vertices
+    assert _incidence_rule_vertices(points, p.facets, 4) == p.vertices
     assert _rank_rule_vertices(points, p.facets, 4) == p.vertices
 
 
@@ -184,7 +195,7 @@ def test_vertex_rule_matches_rank_rule(points):
     except NotFullDimensionalError:
         assume(False)
     want = _rank_rule_vertices(points, p.facets, dim)
-    assert polytope._extract_vertices(points, p.facets, dim) == want
+    assert _incidence_rule_vertices(points, p.facets, dim) == want
     assert p.vertices == want
 
 
