@@ -42,7 +42,6 @@ from .fans import (
     homogeneous_map,
     is_fibration,
     kernel_fan,
-    mori_cone,
     normal_fan,
     star_subdivide,
     subdivide_domain,
@@ -577,7 +576,7 @@ def criterion_08_mori_gkz(ctx):
     """Mori generators, GKZ degree matrix, moduli monomials, coefficients"""
     fails = []
     deg, mirror_fan = ctx.mirror_gkz, ctx.mirror_fan
-    gens = mori_cone(mirror_fan)
+    gens = deg.generators
     _check(len(gens) == 2, "two Mori generators", fails)
     names = {pt: n for n, pt in models.CI_COEFF_POINTS.items()}
     as_dicts = []
@@ -864,12 +863,7 @@ def criterion_15_monodromy_table(ctx):
     """root tracking around the eight singular fibres of the double cover"""
     fails = []
     prec = 128
-    fam_a = RootFamily.build(
-        [[0] * 11 + [-2, 0, -2], [0], [0, 0, 0, 0, Fraction(-1, 4)], [1]]
-    )
-    fam_b = RootFamily.build(
-        [[0] * 11 + [2, 0, 2], [0], [0, 0, 0, 0, Fraction(-1, 4)], [1]]
-    )
+    fam_a, fam_b = map(RootFamily.build, models.DOUBLE_COVER_FAMILIES)
 
     def run(p, init_step=None):
         """Permutations and residuals of every loop, tracked at p bits from
@@ -972,9 +966,7 @@ def criterion_15_monodromy_table(ctx):
 def criterion_16_kodaira_tables(ctx):
     """matrix powers and Kodaira classification of the three local monodromies"""
     fails = []
-    m0 = Mat2.of([[0, 1], [-1, 0]], scale=complex(0, 1))
-    m1 = Mat2.of([[1, 1], [0, 1]])
-    minf = Mat2.of([[0, 1], [-1, -1]], scale=complex(0, 1))
+    m0, m1, minf = (Mat2.of(rows, scale) for rows, scale in models.LOCAL_MONODROMIES)
     p0 = power_monodromy(m0, 6)
     p1 = power_monodromy(m1, 2)
     pinf = power_monodromy(minf, 6)

@@ -284,8 +284,10 @@ def batyrev_hodge(delta):
 
 @dataclass(frozen=True)
 class GkzDegrees:
-    """Per-coefficient degree vectors under the Mori generators, plus moduli."""
+    """The Mori generators, each coefficient's degree vector under them, and
+    the moduli."""
 
+    generators: tuple  # the Mori cone generators of the mirror fan
     coeff_names: tuple  # canonical order: part by part, origin last in each
     columns: dict  # name -> tuple of degrees, one per Mori generator
     origin_flags: frozenset  # names playing the origin role
@@ -323,6 +325,7 @@ def gkz_degrees(mirror_fan, parts, part_ray_names, origin_names):
                 mono[name] = d
         moduli.append(mono)
     return GkzDegrees(
+        generators=gens,
         coeff_names=tuple(names),
         columns=columns,
         origin_flags=frozenset(origin_names),

@@ -6,11 +6,13 @@ Gorenstein Fano variety carries a two-part nef complete intersection, and the
 weights (1, 1, 2, 8, 12).  Both fibre torically over the 3-dimensional space
 polar to the (1, 1, 4, 6) weighted projective space.
 
-This module holds only the points used to subdivide the model fans and the
-names of homogeneous coordinates and equation coefficients.  The polytopes,
-fans and morphisms themselves are built from the bundled fixtures by
-``acceptance._Ctx``.
+This module holds the points used to subdivide the model fans, the names of
+homogeneous coordinates and equation coefficients, and the root families and
+local monodromies of the double cover.  The polytopes, fans and morphisms
+themselves are built from the bundled fixtures by ``acceptance._Ctx``.
 """
+
+from fractions import Fraction
 
 # boundary points of the 4d polar used to resolve the hypersurface ambient:
 # the midpoint of the edge joining (23,-1,-1,-1) and (-1,-1,-1,-1), ...
@@ -87,3 +89,19 @@ HYP_COEFF_POINTS = {
     "a6": (0, 0, -2, -3),
     "a10": (0, 0, 0, 0),
 }
+
+# the two cubic root families of the double cover, y^3 - x^4/4 y^2 -+ 2 x^11
+# (1 + x^2): per power of y (ascending) the coefficient polynomial in x
+# (ascending), as ``monodromy.RootFamily.build`` takes it
+DOUBLE_COVER_FAMILIES = (
+    ((0,) * 11 + (-2, 0, -2), (0,), (0, 0, 0, 0, Fraction(-1, 4)), (1,)),
+    ((0,) * 11 + (2, 0, 2), (0,), (0, 0, 0, 0, Fraction(-1, 4)), (1,)),
+)
+
+# the local monodromies at x = 0, x = -1 and x = infinity, each as integer
+# rows and a Gaussian scale, as ``monodromy.Mat2.of`` takes them
+LOCAL_MONODROMIES = (
+    (((0, 1), (-1, 0)), 1j),
+    (((1, 1), (0, 1)), 1),
+    (((0, 1), (-1, -1)), 1j),
+)

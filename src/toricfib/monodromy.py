@@ -4,8 +4,13 @@ Roots of a univariate family f(y, x) are continued along loops in the x
 plane with a predictor/corrector scheme: the predictor is the previous root,
 the corrector is Newton iteration, and a step is accepted only when every
 root moves less than 0.4 times the minimal pairwise root distance of the
-previous step.  Discriminants are computed exactly; floats only enter in
-root finding.
+previous step.  Floats only enter in root finding.
+
+The exact layer works over the smallest rings its callers need.  A family's
+coefficients are rationals (``Fraction``), and its discriminant in x is the
+Sylvester resultant of f and df/dy, taken by Bareiss's fraction-free
+elimination over Q[x].  Local monodromy matrices (``Mat2``) have Gaussian
+integer entries (``GaussInt``).
 
 Precision policy: the path is tracked in IEEE double precision (Python
 ``complex``), whatever ``prec`` is.  Its Newton and collapse thresholds are
@@ -26,98 +31,59 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 
 import mpmath as mp
 
 from .errors import DegenerateInputError
 
 
-# -- exact Gaussian rationals and 2x2 matrices --------------------------------
+# -- exact 2x2 matrices over the Gaussian integers ----------------------------
 
 
 @dataclass(frozen=True)
-class GaussRat:
-    re: Fraction
-    im: Fraction
+class GaussInt:
+    re: int
+    im: int
 
     @classmethod
     def of(cls, x):
-        if isinstance(x, GaussRat):
+        """x as a Gaussian integer; raises unless both its parts are integers."""
+        if isinstance(x, GaussInt):
             return x
-        if isinstance(x, complex):
-            return cls(Fraction(x.real), Fraction(x.imag))
-        return cls(Fraction(x), Fraction(0))
+        parts = (int(x.real), int(x.imag))
+        if parts != (x.real, x.imag):
+            raise DegenerateInputError("not a Gaussian integer", value=str(x))
+        return cls(*parts)
 
     def __add__(self, o):
-        o = GaussRat.of(o)
-        return GaussRat(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
+        return GaussInt(self.re + o.re, self.im + o.im)
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return GaussInt(-self.re, -self.im)
 
     def __sub__(self, o):
-        return self + (-GaussRat.of(o))
-
-    def __rsub__(self, o):
-        return GaussRat.of(o) + (-self)
+        return GaussInt(self.re - o.re, self.im - o.im)
 
     def __mul__(self, o):
-        o = GaussRat.of(o)
-        return GaussRat(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = GaussRat.of(o)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError
-        return GaussRat(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
-    def to_mpc(self):
-        return mp.mpc(
-            mp.mpf(self.re.numerator) / self.re.denominator,
-            mp.mpf(self.im.numerator) / self.im.denominator,
-        )
-
-    def to_complex(self):
-        return complex(float(self.re), float(self.im))
+        return GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     def is_integer(self):
-        return self.im == 0 and self.re.denominator == 1
-
-
-ZERO = GaussRat(Fraction(0), Fraction(0))
-ONE = GaussRat(Fraction(1), Fraction(0))
+        return self.im == 0
 
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix over Gaussian rationals."""
+    """2x2 matrix over the Gaussian integers."""
 
-    a: GaussRat
-    b: GaussRat
-    c: GaussRat
-    d: GaussRat
+    a: GaussInt
+    b: GaussInt
+    c: GaussInt
+    d: GaussInt
 
     @classmethod
-    def of(cls, rows, scale=None):
-        (a, b), (c, d) = rows
-        m = cls(GaussRat.of(a), GaussRat.of(b), GaussRat.of(c), GaussRat.of(d))
-        if scale is not None:
-            s = GaussRat.of(scale)
-            m = Mat2(m.a * s, m.b * s, m.c * s, m.d * s)
-        return m
+    def of(cls, rows, scale=1):
+        return cls(*(GaussInt.of(e) * GaussInt.of(scale) for row in rows for e in row))
 
     def __mul__(self, o):
         return Mat2(
@@ -130,15 +96,12 @@ class Mat2:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def trace(self):
-        return self.a + self.d
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
     @classmethod
     def identity(cls):
-        return cls(ONE, ZERO, ZERO, ONE)
+        return cls.of([[1, 0], [0, 1]])
 
     def is_integer(self):
         return all(e.is_integer() for e in self.entries())
@@ -165,9 +128,9 @@ def classify_kodaira(m):
     """
     if not m.is_integer():
         raise DegenerateInputError("matrix entries must be rational integers")
-    if m.det() != ONE:
+    if m.det() != GaussInt(1, 0):
         raise DegenerateInputError("determinant must be 1")
-    a, b, c, d = (int(e.re) for e in m.entries())
+    a, b, c, d = (e.re for e in m.entries())
     t = a + d
     if t == 2:
         n = math.gcd(abs(a - 1), abs(b), abs(c), abs(d - 1))
@@ -185,54 +148,48 @@ def classify_kodaira(m):
     )
 
 
-# -- univariate polynomials over Gaussian rationals ---------------------------
+# -- univariate polynomials over Q, as ascending lists of Fractions ------------
 
 
 def _pnorm(p):
-    while p and p[-1].is_zero():
-        p = p[:-1]
-    return list(p)
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
 def _padd(p, q):
-    n = max(len(p), len(q))
-    return _pnorm(
-        [
-            (p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO)
-            for i in range(n)
-        ]
-    )
+    return _pnorm(a + b for a, b in zip_longest(p, q, fillvalue=0))
 
 
 def _pmul(p, q):
     if not p or not q:
         return []
-    out = [ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
+            out[i + j] += a * b
     return _pnorm(out)
 
 
 def _pscale(p, c):
-    return _pnorm([a * c for a in p])
+    return _pnorm(a * c for a in p)
 
 
 def _pdivmod(p, q):
-    p = _pnorm(list(p))
-    q = _pnorm(list(q))
+    p = _pnorm(p)
+    q = _pnorm(q)
     if not q:
         raise ZeroDivisionError
-    quot = [ZERO] * max(0, len(p) - len(q) + 1)
-    while p and len(p) >= len(q):
+    quot = [0] * max(0, len(p) - len(q) + 1)
+    while len(p) >= len(q):
         c = p[-1] / q[-1]
         k = len(p) - len(q)
         quot[k] = c
-        new = list(p)
         for i in range(len(q)):
-            new[i + k] = new[i + k] - q[i] * c
-        new.pop()  # the leading term cancels exactly
-        p = _pnorm(new)
+            p[i + k] -= q[i] * c
+        p.pop()  # the leading term cancels exactly
+        p = _pnorm(p)
     return _pnorm(quot), p
 
 
@@ -242,40 +199,36 @@ def _pgcd(p, q):
         _, r = _pdivmod(p, q)
         p, q = q, r
     if p:
-        p = _pscale(p, ONE / p[-1])
+        p = _pscale(p, 1 / p[-1])
     return p
 
 
 def _pderiv(p):
-    return _pnorm([p[i] * GaussRat.of(i) for i in range(1, len(p))])
+    return _pnorm(p[i] * i for i in range(1, len(p)))
 
 
 def _pdet(mat):
-    """Determinant of a matrix of polynomials by Laplace expansion with memo."""
-    cols_all = tuple(range(len(mat)))
-    memo = {}
-
-    def det(rows, cols):
-        if not rows:
-            return [ONE]
-        key = (rows, cols)
-        if key in memo:
-            return memo[key]
-        r = rows[0]
-        total = []
-        for k, c in enumerate(cols):
-            entry = mat[r][c]
-            if not entry:
-                continue
-            sub = det(rows[1:], cols[:k] + cols[k + 1 :])
-            term = _pmul(entry, sub)
-            if k % 2:
-                term = _pscale(term, -ONE)
-            total = _padd(total, term)
-        memo[key] = total
-        return total
-
-    return det(cols_all, cols_all)
+    """Determinant of a square matrix over Q[x] by Bareiss's fraction-free
+    elimination: each 2x2 minor update divides exactly by the previous pivot,
+    and a zero pivot swaps rows and flips the sign."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return []
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = _padd(_pmul(m[k][k], m[i][j]), _pscale(_pmul(m[i][k], m[k][j]), -1))
+                m[i][j], r = _pdivmod(num, prev)
+                if r:
+                    raise ArithmeticError("inexact Bareiss division")
+        prev = m[k][k]
+    return _pscale(m[-1][-1], sign)
 
 
 @dataclass(frozen=True)
@@ -286,16 +239,14 @@ class RootFamily:
     leading coefficient must not vanish identically.
     """
 
-    coeffs: tuple  # per y-degree, tuple of GaussRat (ascending x powers)
+    coeffs: tuple  # per y-degree, tuple of Fractions (ascending x powers)
 
     @classmethod
     def build(cls, coeffs):
-        out = []
-        for c in coeffs:
-            out.append(tuple(GaussRat.of(x) for x in c))
-        while out and not _pnorm(list(out[-1])):
+        out = [tuple(map(Fraction, c)) for c in coeffs]
+        while out and not _pnorm(out[-1]):
             out.pop()
-        if not out or len(out) == 1:
+        if len(out) < 2:
             raise DegenerateInputError("family must have positive degree in y")
         return cls(coeffs=tuple(out))
 
@@ -305,35 +256,28 @@ class RootFamily:
 
     def y_poly_at(self, x):
         """Coefficients (ascending in y) at a numeric parameter value."""
-        return [_horner([a.to_mpc() for a in c], x)[0] for c in self.coeffs]
+        return [_horner(list(map(_mpf, c)), x)[0] for c in self.coeffs]
 
     @cached_property
     def discriminant(self):
-        """Exact discriminant in x via the Sylvester resultant of (f, df/dy),
-        computed once per family (a tuple of ascending coefficients)."""
+        """Exact discriminant in x, the Sylvester resultant of (f, df/dy) by
+        ``_pdet``, computed once per family (a tuple of ascending coefficients)."""
         n = self.degree
-        f = [list(c) for c in self.coeffs]
-        fp = [
-            _pscale(list(self.coeffs[k]), GaussRat.of(k)) for k in range(1, n + 1)
-        ]
-        rows = []
-        size = 2 * n - 1
-        for i in range(n - 1):
-            row = [[] for _ in range(size)]
-            for k in range(n + 1):
-                row[i + k] = _pnorm(list(f[n - k]))
-            rows.append(row)
-        for i in range(n):
-            row = [[] for _ in range(size)]
-            for k in range(n):
-                row[i + k] = _pnorm(list(fp[n - 1 - k]))
-            rows.append(row)
+        f = [_pnorm(c) for c in reversed(self.coeffs)]
+        fp = [_pscale(self.coeffs[k], k) for k in range(n, 0, -1)]
+        rows = [[[]] * i + f + [[]] * (n - 2 - i) for i in range(n - 1)]
+        rows += [[[]] * i + fp + [[]] * (n - 1 - i) for i in range(n)]
         return tuple(_pdet(rows))
 
     @cached_property
     def _singular_values(self):
         """``singular_parameters`` per precision, filled by that function."""
         return {}
+
+
+def _mpf(q):
+    """The rational q at the working precision."""
+    return mp.mpf(q.numerator) / q.denominator
 
 
 def _squarefree(p):
@@ -366,7 +310,7 @@ def singular_parameters(family, prec=128):
         out = []
         if len(sf) > 1:
             with mp.workprec(prec + 40):
-                roots = _polyroots([c.to_mpc() for c in sf])
+                roots = _polyroots(list(map(_mpf, sf)))
             with mp.workprec(prec):
                 vals = sorted(map(mp.mpc, roots), key=_reim)
                 for v in vals:
@@ -491,7 +435,7 @@ def _check_scale(lead, scale, degree):
 def _continue_along(family, roots, points, initial_step=None):
     """Continue roots through the listed parameter values (piecewise linear),
     in double precision."""
-    cs = [[a.to_complex() for a in c] for c in family.coeffs]
+    cs = [list(map(complex, c)) for c in family.coeffs]
     roots = [complex(y) for y in roots]
     points = _double_path(points)
     max_step = float(initial_step) if initial_step else 1 / 8

@@ -2,7 +2,7 @@ import itertools
 import random
 from math import factorial
 
-from toricfib import models
+from toricfib import acceptance, cy, models
 from toricfib.acceptance import (
     _ci_reduced_coeffs,
     _named_poly,
@@ -17,6 +17,7 @@ from toricfib.cy import (
     anticanonical_polynomial,
 )
 from toricfib.errors import NotNefPartitionError
+from toricfib.fans import mori_cone
 from toricfib.polytope import LatticePolytope
 from toricfib.sympoly import ParamScalar, SparsePoly
 
@@ -325,21 +326,21 @@ def test_batyrev_hodge_p2_times_p2():
     assert batyrev_hodge(LatticePolytope.hull(rays).polar()) == (2, 83)
 
 
-def test_gkz_degrees_matrix(ctx):
-    deg = ctx.mirror_gkz
-    order = ("a0", "a1", "a2", "b0", "b1", "b2", "b3", "b4", "b8")
-    rows = {
-        tuple(deg.columns[n][j] for n in order) for j in range(2)
-    }
-    assert rows == {(0, 0, 0, 2, 3, 0, 0, 1, -6), (1, 1, -2, 0, 0, 1, 1, -2, 0)}
-    moduli = {tuple(sorted(m.items())) for m in deg.moduli}
-    assert (
-        tuple(sorted({"b0": 2, "b1": 3, "b4": 1, "b8": -6}.items())) in moduli
-    )
-    assert (
-        tuple(sorted({"a0": 1, "a1": 1, "a2": -2, "b2": 1, "b3": 1, "b4": -2}.items()))
-        in moduli
-    )
+def test_gkz_degrees_keep_mori_generators(monkeypatch):
+    # criterion mori-gkz reads the generators gkz_degrees was built from, so
+    # a fresh context computes the mirror fan's Mori cone once
+    calls = []
+
+    def counted(fan):
+        calls.append(fan)
+        return mori_cone(fan)
+
+    for module in (cy, acceptance):
+        monkeypatch.setattr(module, "mori_cone", counted, raising=False)
+    fresh = acceptance._Ctx(acceptance.Fixtures())
+    assert acceptance.criterion_08_mori_gkz(fresh) == []
+    assert len(calls) == 1
+    assert fresh.mirror_gkz.generators == mori_cone(fresh.mirror_fan)
 
 
 def _k_for(deg, m, n):

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from toricfib import monodromy
+from toricfib import models, monodromy
 from toricfib.errors import DegenerateInputError
 from toricfib.monodromy import (
-    GaussRat,
+    GaussInt,
     Loop,
     Mat2,
     RootFamily,
@@ -23,12 +25,85 @@ from toricfib.monodromy import (
 
 # family a of the double cover in acceptance criterion 15: its three roots
 # near x = 0 are of size |x|^(11/3)
-FAMILY_A = [[0] * 11 + [-2, 0, -2], [0], [0, 0, 0, 0, Fraction(-1, 4)], [1]]
+FAMILY_A = models.DOUBLE_COVER_FAMILIES[0]
 
 
 def sqrt_family():
     # y^2 - x
     return RootFamily.build([[0, -1], [0], [1]])
+
+
+def _sylvester(coeffs):
+    """Sylvester matrix of f and df/dy for f with the given ascending
+    y-coefficients: the rows of f first, both in descending powers of y."""
+    n = len(coeffs) - 1
+    f = coeffs[::-1]
+    fp = [k * coeffs[k] for k in range(n, 0, -1)]
+    size = 2 * n - 1
+    rows = [[0] * i + f + [0] * (size - n - 1 - i) for i in range(n - 1)]
+    return rows + [[0] * i + fp + [0] * (size - n - i) for i in range(n)]
+
+
+def _leibniz(m):
+    """Sum over all permutations p of sign(p) * prod m[i][p(i)], skipping
+    the permutations through a zero entry."""
+
+    def expand(i, used, sign, prod):
+        if i == len(m):
+            return sign * prod
+        total = 0
+        for j, entry in enumerate(m[i]):
+            if j not in used and entry:
+                parity = sum(1 for k in used if k > j) % 2
+                total += expand(i + 1, used | {j}, -sign if parity else sign, prod * entry)
+        return total
+
+    return expand(0, frozenset(), 1, 1)
+
+
+def _at(p, x):
+    return sum(c * x**k for k, c in enumerate(p))
+
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@seed(1312)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_discriminant_matches_leibniz_sylvester(data):
+    n = data.draw(st.integers(1, 4))
+    coeffs = data.draw(
+        st.lists(st.lists(rationals, min_size=1, max_size=4), min_size=n + 1, max_size=n + 1)
+    )
+    assume(any(coeffs[-1]))
+    disc = RootFamily.build(coeffs).discriminant
+    for x in data.draw(st.lists(rationals, min_size=5, max_size=5)):
+        want = _leibniz(_sylvester([_at(c, x) for c in coeffs]))
+        assert _at(disc, x) == want
+
+
+def test_discriminant_takes_row_swap():
+    # y^2 + 1: Bareiss meets a zero pivot in the second column and swaps rows
+    fam = RootFamily.build([[1], [0], [1]])
+    assert fam.discriminant == (4,)
+    assert _leibniz(_sylvester([1, 0, 1])) == 4
+    assert singular_parameters(fam) == []
+
+
+def test_build_rejects_complex_coefficients():
+    for bad in (1j, complex(2, 1)):
+        with pytest.raises(TypeError):
+            RootFamily.build([[0, bad], [0], [1]])
+    assert RootFamily.build([[0, Fraction(1, 2)], [0], [1]]).coeffs[0] == (0, Fraction(1, 2))
+
+
+def test_mat2_of_gaussian_integers_only():
+    for bad in (Fraction(1, 2), 0.5j):
+        with pytest.raises(DegenerateInputError):
+            Mat2.of([[1, bad], [0, 1]])
+    assert Mat2.of([[0, 1], [-1, 0]], 1j) == Mat2.of([[0, 1j], [-1j, 0]])
+    assert Mat2.of([[2, 0], [0, 1]]).entries()[0] == GaussInt(2, 0)
 
 
 def test_singular_parameters_sqrt():
@@ -172,10 +247,7 @@ def test_loop_validation():
 
 
 def tab2_matrices():
-    m0 = Mat2.of([[0, 1], [-1, 0]], scale=complex(0, 1))
-    m1 = Mat2.of([[1, 1], [0, 1]])
-    minf = Mat2.of([[0, 1], [-1, -1]], scale=complex(0, 1))
-    return m0, m1, minf
+    return tuple(Mat2.of(rows, scale) for rows, scale in models.LOCAL_MONODROMIES)
 
 
 def test_power_monodromy_table():
@@ -192,9 +264,9 @@ def test_power_monodromy_table():
 def test_power_respects_det():
     m0, _, _ = tab2_matrices()
     # the scaled table matrices have determinant -1; powers follow exactly
-    assert m0.det() == GaussRat.of(-1)
-    assert power_monodromy(m0, 5).det() == GaussRat.of(-1)
-    assert power_monodromy(m0, 6).det() == GaussRat.of(1)
+    assert m0.det() == GaussInt.of(-1)
+    assert power_monodromy(m0, 5).det() == GaussInt.of(-1)
+    assert power_monodromy(m0, 6).det() == GaussInt.of(1)
 
 
 def test_classify_kodaira_table():
