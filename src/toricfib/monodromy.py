@@ -1,10 +1,13 @@
 """Numeric monodromy of parametrized polynomial families, exactly seeded.
 
 Roots of a univariate family f(y, x) are continued along loops in the x
-plane with a predictor/corrector scheme: the predictor is the previous root,
-the corrector is Newton iteration, and a step is accepted only when every
-root moves less than 0.4 times the minimal pairwise root distance of the
-previous step.  Floats only enter in root finding.
+plane with a predictor/corrector scheme.  The predictor moves each root along
+its tangent, y - (f_x / f_y) dx, with f_x from the x-derivatives of the
+coefficients at the previous point and f_y from the last Newton iteration
+there; the corrector is Newton iteration.  A step is accepted only when every
+corrected root lies less than 0.4 times the minimal pairwise root distance of
+the previous step from its previous value, and no two of them collapse.
+Floats only enter in root finding.
 
 The exact layer works over the smallest rings its callers need.  A family's
 coefficients are rationals (``Fraction``), and its discriminant in x is the
@@ -17,14 +20,14 @@ Precision policy: the path is tracked in IEEE double precision (Python
 relative to the root scale max |y_i|, so tiny roots are tracked as safely as
 roots of size one.  ``prec`` sets the binary precision of the base roots, of
 the Newton refinement of the endpoints, of the residual and of the matching
-of endpoints to base roots.  A root scale outside the normal double range,
-or a path the double grid cannot resolve, raises ``DegenerateInputError``.
-So tracking a loop again at a higher ``prec`` re-checks the base roots, the
-refinement and the matching at that precision, but follows the same double
-path; tracking it again with a smaller ``initial_step`` is the independent
-check on the path.
+of endpoints to base roots.  The base roots are found once per family, base
+point and precision.  A root scale outside the normal double range, or a path
+the double grid cannot resolve, raises ``DegenerateInputError``.  So tracking
+a loop again at a higher ``prec`` re-checks the base roots, the refinement
+and the matching at that precision, but follows the same double path;
+tracking it again with a smaller ``initial_step`` is the independent check on
+the path.
 """
-
 from __future__ import annotations
 
 import math
@@ -274,6 +277,11 @@ class RootFamily:
         """``singular_parameters`` per precision, filled by that function."""
         return {}
 
+    @cached_property
+    def _base_points(self):
+        """``_base_point`` per (base, precision), filled by that function."""
+        return {}
+
 
 def _mpf(q):
     """The rational q at the working precision."""
@@ -370,8 +378,8 @@ def _horner(cs, z):
 
 
 def _newton(coeffs, y, tol):
-    """Newton's method from y; None unless a step of at most tol is reached
-    within 60 iterations."""
+    """Newton's method from y: (root, df/dy of the last iteration), or None
+    unless a step of at most tol is reached within 60 iterations."""
     for _ in range(60):
         fy, dy = _horner(coeffs, y)
         if dy == 0:
@@ -379,7 +387,7 @@ def _newton(coeffs, y, tol):
         step = fy / dy
         y = y - step
         if abs(step) <= tol:
-            return y
+            return y, dy
     return None
 
 
@@ -432,61 +440,80 @@ def _check_scale(lead, scale, degree):
     raise DegenerateInputError("root scale outside the double range", scale=scale)
 
 
+def _tangents(at, roots, slopes):
+    """dy/dx = -f_x / f_y at each root, with f_x from the x-derivatives in
+    ``at`` (the (value, d/dx) pairs of the y-coefficients) and f_y given."""
+    dcoeffs = [d for _, d in at]
+    return [-_horner(dcoeffs, y)[0] / fy for y, fy in zip(roots, slopes)]
+
+
 def _continue_along(family, roots, points, initial_step=None):
     """Continue roots through the listed parameter values (piecewise linear),
-    in double precision."""
+    in double precision: each step predicts the roots along their tangents
+    and corrects them by Newton's method.  A step that follows a rejected one
+    is not doubled."""
     cs = [list(map(complex, c)) for c in family.coeffs]
     roots = [complex(y) for y in roots]
     points = _double_path(points)
     max_step = float(initial_step) if initial_step else 1 / 8
+    at = [_horner(c, points[0]) for c in cs]
+    coeffs = [c for c, _ in at]
+    scale = max(map(abs, roots))
+    _check_scale(coeffs[-1], scale, family.degree)
+    tangents = _tangents(at, roots, [_horner(coeffs, y)[1] for y in roots])
+    sep = _min_pairwise(roots)
     for a, b in zip(points, points[1:]):
-        t = 0.0
-        step = max_step
+        ab = b - a
+        t, step, grow = 0.0, max_step, True
         while t < 1:
             dt = min(step, 1 - t)
-            x = a + (t + dt) * (b - a)
-            coeffs = [_horner(c, x)[0] for c in cs]
-            scale = max(abs(y) for y in roots)
+            at = [_horner(c, a + (t + dt) * ab) for c in cs]
+            coeffs = [c for c, _ in at]
             _check_scale(coeffs[-1], scale, family.degree)
             tol = _NEWTON_TOL * scale
-            safety = 0.4 * _min_pairwise(roots)
-            new_roots = []
-            ok = True
-            for y in roots:
-                ny = _newton(coeffs, y, tol)
-                if ny is None or abs(ny - y) >= safety:
-                    ok = False
+            safety = 0.4 * sep
+            dx = dt * ab
+            new_roots, slopes = [], []
+            for y, v in zip(roots, tangents):
+                got = _newton(coeffs, y + v * dx, tol)
+                if got is None or abs(got[0] - y) >= safety:
                     break
-                new_roots.append(ny)
-            if ok and _min_pairwise(new_roots) < _COLLAPSE * scale:
-                # two tracked roots collapsed onto one value
-                ok = False
-            if ok:
-                roots = new_roots
-                t += dt
-                step = min(step * 2, max_step)
+                new_roots.append(got[0])
+                slopes.append(got[1])
             else:
-                step = step / 2
-                if step < 2.0**-48:
-                    raise DegenerateInputError(
-                        "continuation failed: roots collide along the path"
-                    )
+                new_sep = _min_pairwise(new_roots)
+                # otherwise two tracked roots collapsed onto one value
+                if new_sep >= _COLLAPSE * scale:
+                    roots, sep = new_roots, new_sep
+                    scale = max(map(abs, roots))
+                    tangents = _tangents(at, roots, slopes)
+                    t += dt
+                    if grow:
+                        step = min(step * 2, max_step)
+                    grow = True
+                    continue
+            step = step / 2
+            grow = False
+            if step < 2.0**-48:
+                raise DegenerateInputError(
+                    "continuation failed: roots collide along the path"
+                )
     return roots
 
 
-def _refine(family, x, roots, prec):
-    """Newton-refine roots of f(., x) at prec bits, with tolerances relative
-    to the root scale; raises if they do not converge or collapse."""
+def _refine(coeffs, roots, prec):
+    """Newton-refine roots of the polynomial with ascending coefficients
+    ``coeffs`` at prec bits, with tolerances relative to the root scale;
+    raises if they do not converge or collapse."""
     with mp.workprec(prec):
-        coeffs = family.y_poly_at(x)
         ys = [mp.mpc(y) for y in roots]
         scale = max(abs(y) for y in ys)
         out = []
         for y in ys:
-            ny = _newton(coeffs, y, mp.mpf(2) ** (-(prec - 8)) * scale)
-            if ny is None:
+            got = _newton(coeffs, y, mp.mpf(2) ** (-(prec - 8)) * scale)
+            if got is None:
                 raise DegenerateInputError("endpoint refinement did not converge")
-            out.append(ny)
+            out.append(got[0])
         if _min_pairwise(out) < mp.mpf(2) ** (-(prec - 12)) * scale:
             raise DegenerateInputError("refined endpoints collapse onto one root")
         return out
@@ -495,14 +522,15 @@ def _refine(family, x, roots, prec):
 def _circle_path(base, center, radius, sense, segments=24):
     """Base -> circle -> base: out along the ray from ``center`` through
     ``base``, once round the circle (sense +1 anticlockwise, -1 clockwise),
-    and back."""
+    and back.  The circle's points turn the first one about ``center`` by
+    repeated multiplication with one rotation exp(2 pi i sense / segments)."""
     w = base - center
-    start = center + radius * w / abs(w)
-    theta0 = mp.arg(start - center)
-    pts = [base, start]
-    for k in range(1, segments + 1):
-        ang = theta0 + sense * (2 * mp.pi * k / segments)
-        pts.append(center + radius * mp.mpc(mp.cos(ang), mp.sin(ang)))
+    z = radius * w / abs(w)
+    turn = mp.expjpi(mp.mpf(2 * sense) / segments)
+    pts = [base, center + z]
+    for _ in range(segments):
+        z *= turn
+        pts.append(center + z)
     pts.append(base)
     return pts
 
@@ -529,19 +557,29 @@ def _reim(z):
     return (mp.re(z), mp.im(z))
 
 
-def base_roots(family, base, prec=128):
-    """Roots at the base point in canonical (re, im) order."""
+def _base_point(family, base, prec):
+    """(y-coefficients, roots in canonical (re, im) order) of f at the base
+    point, both at prec bits; computed once per family, base and precision."""
     with mp.workprec(prec):
-        return sorted(_polyroots(family.y_poly_at(mp.mpc(base))), key=_reim)
+        key = (mp.mpc(base), prec)
+        memo = family._base_points
+        if key not in memo:
+            coeffs = tuple(family.y_poly_at(key[0]))
+            memo[key] = (coeffs, tuple(sorted(_polyroots(coeffs), key=_reim)))
+        return memo[key]
+
+
+def base_roots(family, base, prec=128):
+    """Roots at the base point in canonical (re, im) order, as a new list."""
+    return list(_base_point(family, base, prec)[1])
 
 
 def _track(family, base, points, prec, initial_step):
     """(permutation, residual) of the base roots continued along points,
     which start and end at base: the path in double, the endpoints refined
     at prec bits."""
-    start = base_roots(family, base, prec)
-    final = _refine(family, base, _continue_along(family, start, points, initial_step), prec)
-    coeffs = family.y_poly_at(base)
+    coeffs, start = _base_point(family, base, prec)
+    final = _refine(coeffs, _continue_along(family, start, points, initial_step), prec)
     residual = max(abs(_horner(coeffs, y)[0]) for y in final)
     return _match(start, final), residual
 
@@ -552,11 +590,12 @@ def track_roots(family, loop, prec=128, initial_step=None, _singulars=None):
     Returns (permutation, residual): permutation[i] = j means the i-th base
     root continues to the j-th (roots ordered by (re, im) at the base).
 
-    The path is tracked in double precision with thresholds relative to the
-    root scale; ``prec`` is the precision of the base roots, of the Newton
-    refinement of the endpoints, of the residual and of the matching.
-    ``initial_step`` is the largest step, as a fraction of a path segment
-    (default 1/8).
+    The path is tracked in double precision, each step predicting the roots
+    along their tangents and correcting them by Newton's method, with
+    thresholds relative to the root scale; ``prec`` is the precision of the
+    base roots, of the Newton refinement of the endpoints, of the residual
+    and of the matching.  ``initial_step`` is the largest step, as a fraction
+    of a path segment (default 1/8).
     """
     with mp.workprec(prec):
         singulars = _singulars or singular_parameters(family, prec)

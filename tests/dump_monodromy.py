@@ -1,13 +1,14 @@
 """Print the singular values and loop monodromies of the double cover's families.
 
-For both root families of ``bench/workloads.py`` ``FAMILIES`` it prints the
-singular values and isolation radii of ``singular_parameters`` at 128 and 256
-bits, to 60 digits.  Then, at 128 and at 256 bits, for each of the seven
-distinct singular values, three loop radii and both families, the permutation
-of ``track_roots`` and its residual to 20 digits, and last the loop at
-infinity of both families.  The last line is the md5 of the lines before it,
-so two source trees answer alike when they print the same last line.  Only
-public names are used, so older trees run it unchanged.
+For both root families of ``models.DOUBLE_COVER_FAMILIES``, named a and b,
+it prints the singular values and isolation radii of ``singular_parameters``
+at 128 and 256 bits, to 60 digits.  Then, at 128 and at 256 bits, for each of
+the seven distinct singular values, three loop radii and both families, the
+permutation of ``track_roots`` and its residual to 20 digits, and last the
+loop at infinity of both families.  The last line is the md5 of the lines
+before it, so two source trees answer alike when they print the same last
+line.  Only public names are used, so every tree that has
+``models.DOUBLE_COVER_FAMILIES`` runs it unchanged.
 
 Run from the root of a source checkout (pytest does not collect this file):
 
@@ -17,15 +18,11 @@ Run from the root of a source checkout (pytest does not collect this file):
 from __future__ import annotations
 
 import hashlib
-import sys
-from pathlib import Path
 
 import mpmath as mp
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-
-import workloads  # noqa: E402
-from toricfib.monodromy import (  # noqa: E402
+from toricfib import models
+from toricfib.monodromy import (
     Loop,
     RootFamily,
     singular_parameters,
@@ -39,7 +36,7 @@ BASE = mp.mpf(-1) / 10
 
 
 def dump_lines():
-    families = [(name, RootFamily.build(c)) for name, c in workloads.FAMILIES]
+    families = [(name, RootFamily.build(c)) for name, c in zip("ab", models.DOUBLE_COVER_FAMILIES)]
     lines = []
     with mp.workprec(256):
         for prec in PRECISIONS:

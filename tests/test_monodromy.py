@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from toricfib.monodromy import (
     group_order,
     power_monodromy,
     singular_parameters,
+    track_loop_at_infinity,
     track_roots,
 )
 
@@ -216,6 +218,88 @@ def test_radius_sweep_about_origin():
     assert cycle_type(perm) == (2, 1)
     with pytest.raises(DegenerateInputError, match="not resolved"):
         track_roots(fam, Loop(base=base, center=mp.mpc(0, 1), radius=mp.mpf("1e-14")))
+
+
+# Permutations of the loops of radius 1e-4 about the seven finite singular
+# values of the double cover's families, from base -1/10 at 128 bits, for
+# family a and family b.  They are those of a tracker whose steps are at most
+# 1/256 of a path segment; its runs at 1/32 and 1/64 agree.
+_Q = 1 / 1728
+_QI = math.sqrt(1 - _Q * _Q)
+PINNED_LOOPS = (
+    (complex(-_Q, -_QI), ((0, 2, 1), (0, 1, 2))),
+    (complex(-_Q, _QI), ((0, 2, 1), (0, 1, 2))),
+    (complex(0, -1), ((1, 0, 2), (1, 0, 2))),
+    (complex(0, 0), ((1, 2, 0), (2, 0, 1))),
+    (complex(0, 1), ((2, 1, 0), (1, 0, 2))),
+    (complex(_Q, -_QI), ((0, 1, 2), (0, 2, 1))),
+    (complex(_Q, _QI), ((0, 1, 2), (2, 1, 0))),
+)
+
+
+def test_double_cover_loops_pinned():
+    fams = [RootFamily.build(c) for c in models.DOUBLE_COVER_FAMILIES]
+    with mp.workprec(128):
+        base = mp.mpc(-1) / 10
+        allsing = singular_parameters(fams[0], 128) + singular_parameters(fams[1], 128)
+        loops = {}
+        for where, want in PINNED_LOOPS:
+            center = min((v for v, _ in allsing), key=lambda v: abs(v - where))
+            assert abs(center - where) < 1e-9
+            loops[where] = Loop(base=base, center=center, radius=mp.mpf("1e-4"))
+            got = tuple(track_roots(f, loops[where], 128, _singulars=allsing)[0] for f in fams)
+            assert got == want, where
+        # the +i cluster packs three singular values within 6e-4: an eight
+        # times smaller largest step follows the same paths
+        fine, _ = track_roots(
+            fams[0], loops[1j], 128, initial_step=mp.mpf(1) / 64, _singulars=allsing
+        )
+        assert fine == dict(PINNED_LOOPS)[1j][0]
+
+
+def test_base_point_solved_once_per_precision(monkeypatch):
+    fam = RootFamily.build(FAMILY_A)
+    base = mp.mpf(-1) / 10
+    loop = Loop(base=base, center=0, radius=mp.mpf("1e-4"))
+    for prec in (128, 256):
+        singular_parameters(fam, prec)  # memoized first: only base solves count
+    calls = []
+    solve = monodromy._polyroots
+    monkeypatch.setattr(monodromy, "_polyroots", lambda cs: calls.append(cs) or solve(cs))
+    first = track_roots(fam, loop, 128)
+    assert track_loop_at_infinity(fam, base, 4.0, 128)[0] == (1, 2, 0)
+    assert track_roots(fam, loop, 256)[0] == first[0]
+    assert len(calls) == 2
+    # base_roots reads the same memo, and mutating a result does not reach it
+    roots = base_roots(fam, base, 128)
+    want = list(roots)
+    roots.reverse()
+    roots.pop()
+    assert base_roots(fam, base, 128) == want and len(want) == 3
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("sense", (1, -1))
+@pytest.mark.parametrize("prec", (128, 256))
+def test_circle_path_by_rotation(prec, sense):
+    # the 24 rotated points lie on the circle, at the angle of the first point
+    # plus multiples of sense * 2 pi / 24, and end at it.  Points round
+    # relative to their modulus, so the centres here are no larger than the
+    # radii: about 0 as at infinity, and off 0
+    with mp.workprec(prec):
+        base = mp.mpc(-1) / 10
+        for center, r in ((mp.mpc(0), mp.mpf(4)), (mp.mpc(1, 2) / 7, mp.mpf(1) / 3)):
+            pts = monodromy._circle_path(base, center, r, sense)
+            tol = mp.mpf(2) ** -(prec - 8) * r
+            start, circle = pts[1], pts[2:-1]
+            assert pts[0] == pts[-1] == base and len(circle) == 24
+            assert abs(abs(start - center) - r) <= tol
+            theta0 = mp.arg(start - center)
+            for k, p in enumerate(circle, 1):
+                assert abs(abs(p - center) - r) <= tol
+                want = center + r * mp.expj(theta0 + sense * 2 * mp.pi * k / 24)
+                assert abs(p - want) <= tol
+            assert abs(circle[-1] - start) <= tol
 
 
 def test_root_scale_invariance():
