@@ -9,6 +9,12 @@ corrected root lies less than 0.4 times the minimal pairwise root distance of
 the previous step from its previous value, and no two of them collapse.
 Floats only enter in root finding.
 
+Each family is prepared once for double-precision evaluation: every
+y-coefficient is stored as c_k(x) = x^v h(x) with h(0) != 0, so one step
+attempt costs one Horner pass over each h, giving the coefficients and their
+x-derivatives together, and one power of x per shifted coefficient.  The
+corrector's Horner passes in y run inline in the tracker.
+
 The exact layer works over the smallest rings its callers need.  A family's
 coefficients are rationals (``Fraction``), and its discriminant in x is the
 Sylvester resultant of f and df/dy, taken by Bareiss's fraction-free
@@ -27,6 +33,16 @@ a loop again at a higher ``prec`` re-checks the base roots, the refinement
 and the matching at that precision, but follows the same double path;
 tracking it again with a smaller ``initial_step`` is the independent check on
 the path.
+
+Certificates: the loop checks (``_validate_loop``: singular values off the
+path and at most one inside it) and the resolution check of the double path
+(``_double_path``) are decided in double first.  Rounding a point to double
+moves it by at most 2^-53 of its modulus, so a comparison that clears its
+threshold by ``_CERT_SLACK`` = 2^-40 times the moduli involved has the exact
+comparison's outcome.  Only the cases no such bound settles are compared in
+mpmath, so exactly the same inputs raise ``DegenerateInputError`` as with the
+comparison in mpmath alone.  A base point at the circle's centre, or a radius
+that is not positive, is rejected before any tracking.
 """
 from __future__ import annotations
 
@@ -273,6 +289,19 @@ class RootFamily:
         return tuple(_pdet(rows))
 
     @cached_property
+    def _prepared(self):
+        """The y-coefficients prepared for ``_coeffs_at``, highest y-degree
+        first: c_k(x) = x^v h(x) with h(0) != 0, as the pair (v, coefficients
+        of h in descending powers of x, as complex); the zero coefficient is
+        (0, []).  Built on first use, once per family."""
+        out = []
+        for c in reversed(self.coeffs):
+            c = _pnorm(c)
+            v = next((i for i, a in enumerate(c) if a), 0)
+            out.append((v, [complex(a) for a in reversed(c[v:])]))
+        return tuple(out)
+
+    @cached_property
     def _singular_values(self):
         """``singular_parameters`` per precision, filled by that function."""
         return {}
@@ -340,31 +369,71 @@ class Loop:
 
 
 def _seg_distance(z, a, b):
-    """Distance from point z to the segment [a, b]."""
+    """Distance from point z to the segment [a, b], in mpmath or in double."""
     ab = b - a
     denom = abs(ab) ** 2
     if denom == 0:
         return abs(z - a)
-    t = ((z - a) * mp.conj(ab)).real / denom
+    t = ((z - a) * ab.conjugate()).real / denom
     t = max(0, min(1, t))
     return abs(z - (a + t * ab))
 
 
-def _validate_loop(loop, singulars):
+# Relative slack of the double-precision certificates of ``_validate_loop``
+# and ``_double_path``.  Rounding a point to double moves it by at most 2^-53
+# of its modulus, and each decision rounds a few times more; 2^-40 covers that
+# 2^13 times over, and mpmath's own rounding at 48 bits or more.  Parts that
+# round to subnormal doubles add at most 2^-1074 each.
+_CERT_SLACK = 2.0**-40
+_CERT_TINY = 2.0**-1000
+
+
+def _slack():
+    """``_CERT_SLACK``, or more when the working precision is below 48 bits."""
+    return max(_CERT_SLACK, 2.0 ** (8 - mp.mp.prec))
+
+
+def _validate_loop(loop, singulars, start):
+    """Raise unless the loop's circle encircles no singular value but one at
+    its centre, and every other one keeps guard = (1 + margin) r away from the
+    circle and from the entry segment [base, start].
+
+    Each singular value is decided in double first.  Every double here is
+    within 2^-53 of its modulus of its exact value, and the distances to a
+    point and to a segment move by at most as much as their ends, so a
+    decision that clears its threshold by ``_slack()`` times the moduli
+    involved is the exact one.  Only the values no certificate settles reach
+    ``_check_singular``, the comparison in mpmath."""
     base = mp.mpc(loop.base)
     center = mp.mpc(loop.center)
     r = mp.mpf(loop.radius)
     guard = r * (1 + loop.margin)
-    start = center + r * (base - center) / abs(base - center)
+    b, c, st = complex(base), complex(center), complex(start)
+    rd, gd = float(r), float(guard)
+    eta = _slack()
+    scale = abs(b) + abs(c) + abs(st) + rd + gd
+    inner = min(rd, 2.0**-20 * max(1.0, abs(c)))
     for s, _ in singulars:
-        if abs(s - center) <= r:
-            if abs(s - center) <= mp.mpf(2) ** -20 * max(1, abs(center)):
-                continue  # the encircled singular value itself
-            raise DegenerateInputError("loop encircles more than one singular value")
-        if _seg_distance(s, base, start) < guard or abs(abs(s - center) - r) < guard:
-            raise DegenerateInputError(
-                "singular value too close to the loop path"
-            )
+        z = complex(s)
+        err = eta * (abs(z) + scale) + _CERT_TINY
+        d = abs(z - c)
+        if d + err <= inner:
+            continue  # the encircled singular value itself
+        if d - err > rd + gd and _seg_distance(z, b, st) - err >= gd:
+            continue
+        _check_singular(s, base, center, r, guard, start)
+
+
+def _check_singular(s, base, center, r, guard, start):
+    """``_validate_loop``'s test of one singular value s, in mpmath."""
+    if abs(s - center) <= r:
+        if abs(s - center) <= mp.mpf(2) ** -20 * max(1, abs(center)):
+            return  # the encircled singular value itself
+        raise DegenerateInputError("loop encircles more than one singular value")
+    if _seg_distance(s, base, start) < guard or abs(abs(s - center) - r) < guard:
+        raise DegenerateInputError(
+            "singular value too close to the loop path"
+        )
 
 
 def _horner(cs, z):
@@ -420,15 +489,29 @@ _PATH_TOL = 2.0**-6
 
 def _double_path(points):
     """The path as Python complex values; raises when rounding to double
-    moves a segment by more than ``_PATH_TOL`` of its length."""
+    moves a segment by more than ``_PATH_TOL`` of its length.
+
+    Rounding moves a segment by at most 2^-52 of its ends' moduli, so a
+    segment longer than (1 + 1 / ``_PATH_TOL``) ``_slack()`` times the sum of
+    those moduli is resolved; only the others reach ``_check_segment``, the
+    comparison in mpmath."""
     out = [complex(p) for p in points]
+    eta = _slack()
     for k in range(len(points) - 1):
-        exact = points[k + 1] - points[k]
-        if abs((out[k + 1] - out[k]) - exact) > _PATH_TOL * abs(exact):
-            raise DegenerateInputError(
-                "the path is not resolved in double precision", segment=float(abs(exact))
-            )
+        a, b = out[k], out[k + 1]
+        err = eta * (abs(a) + abs(b)) + _CERT_TINY
+        if not _PATH_TOL * (abs(b - a) - err) >= err:
+            _check_segment(points[k], points[k + 1], a, b)
     return out
+
+
+def _check_segment(p, q, a, b):
+    """``_double_path``'s test of the segment [p, q] rounded to [a, b], in mpmath."""
+    exact = q - p
+    if abs((b - a) - exact) > _PATH_TOL * abs(exact):
+        raise DegenerateInputError(
+            "the path is not resolved in double precision", segment=float(abs(exact))
+        )
 
 
 def _check_scale(lead, scale, degree):
@@ -440,53 +523,100 @@ def _check_scale(lead, scale, degree):
     raise DegenerateInputError("root scale outside the double range", scale=scale)
 
 
-def _tangents(at, roots, slopes):
-    """dy/dx = -f_x / f_y at each root, with f_x from the x-derivatives in
-    ``at`` (the (value, d/dx) pairs of the y-coefficients) and f_y given."""
-    dcoeffs = [d for _, d in at]
-    return [-_horner(dcoeffs, y)[0] / fy for y, fy in zip(roots, slopes)]
+def _coeffs_at(prepared, x):
+    """(values, x-derivatives) at the complex x of the y-coefficients that
+    ``RootFamily._prepared`` holds, both highest y-degree first.  One Horner
+    pass over each h gives h(x) and h'(x); then c = x^v h and
+    c' = x^(v-1) (v h + x h'), so the x^v factor costs one power, not v
+    Horner terms."""
+    vals, ders = [], []
+    for v, h in prepared:
+        f = df = 0j
+        for c in h:
+            df = df * x + f
+            f = f * x + c
+        if v:
+            p = x ** (v - 1)
+            vals.append(p * x * f)
+            ders.append(p * (v * f + x * df))
+        else:
+            vals.append(f)
+            ders.append(df)
+    return vals, ders
 
 
 def _continue_along(family, roots, points, initial_step=None):
     """Continue roots through the listed parameter values (piecewise linear),
     in double precision: each step predicts the roots along their tangents
     and corrects them by Newton's method.  A step that follows a rejected one
-    is not doubled."""
-    cs = [list(map(complex, c)) for c in family.coeffs]
+    is not doubled.
+
+    Each attempt evaluates the y-coefficients and their x-derivatives once,
+    by ``_coeffs_at`` from ``RootFamily._prepared``; the corrector is
+    ``_newton``'s iteration, inlined, and the tangents -f_x / f_y at accepted
+    roots take f_y from its last iteration."""
+    prepared = family._prepared
+    degree = family.degree
     roots = [complex(y) for y in roots]
     points = _double_path(points)
     max_step = float(initial_step) if initial_step else 1 / 8
-    at = [_horner(c, points[0]) for c in cs]
-    coeffs = [c for c, _ in at]
+    desc, ddesc = _coeffs_at(prepared, points[0])
     scale = max(map(abs, roots))
-    _check_scale(coeffs[-1], scale, family.degree)
-    tangents = _tangents(at, roots, [_horner(coeffs, y)[1] for y in roots])
+    _check_scale(desc[0], scale, degree)
+    slopes = []
+    for y in roots:
+        f = df = 0
+        for c in desc:
+            df = df * y + f
+            f = f * y + c
+        slopes.append(df)
     sep = _min_pairwise(roots)
+    tangents = None
     for a, b in zip(points, points[1:]):
         ab = b - a
         t, step, grow = 0.0, max_step, True
         while t < 1:
+            if tangents is None:
+                # dy/dx = -f_x / f_y at the roots last accepted
+                tangents = []
+                for y, fy in zip(roots, slopes):
+                    fx = 0
+                    for c in ddesc:
+                        fx = fx * y + c
+                    tangents.append(-fx / fy)
             dt = min(step, 1 - t)
-            at = [_horner(c, a + (t + dt) * ab) for c in cs]
-            coeffs = [c for c, _ in at]
-            _check_scale(coeffs[-1], scale, family.degree)
+            desc, dnext = _coeffs_at(prepared, a + (t + dt) * ab)
+            _check_scale(desc[0], scale, degree)
             tol = _NEWTON_TOL * scale
             safety = 0.4 * sep
             dx = dt * ab
-            new_roots, slopes = [], []
+            new_roots, new_slopes = [], []
             for y, v in zip(roots, tangents):
-                got = _newton(coeffs, y + v * dx, tol)
-                if got is None or abs(got[0] - y) >= safety:
+                z = y + v * dx
+                for _ in range(60):
+                    f = df = 0
+                    for c in desc:
+                        df = df * z + f
+                        f = f * z + c
+                    if df == 0:
+                        break
+                    s = f / df
+                    z = z - s
+                    if abs(s) <= tol:
+                        break
+                else:
+                    break  # no convergence within 60 iterations
+                if df == 0 or abs(z - y) >= safety:
                     break
-                new_roots.append(got[0])
-                slopes.append(got[1])
+                new_roots.append(z)
+                new_slopes.append(df)
             else:
                 new_sep = _min_pairwise(new_roots)
                 # otherwise two tracked roots collapsed onto one value
                 if new_sep >= _COLLAPSE * scale:
-                    roots, sep = new_roots, new_sep
+                    roots, sep, slopes, ddesc = new_roots, new_sep, new_slopes, dnext
                     scale = max(map(abs, roots))
-                    tangents = _tangents(at, roots, slopes)
+                    tangents = None
                     t += dt
                     if grow:
                         step = min(step * 2, max_step)
@@ -523,8 +653,15 @@ def _circle_path(base, center, radius, sense, segments=24):
     """Base -> circle -> base: out along the ray from ``center`` through
     ``base``, once round the circle (sense +1 anticlockwise, -1 clockwise),
     and back.  The circle's points turn the first one about ``center`` by
-    repeated multiplication with one rotation exp(2 pi i sense / segments)."""
+    repeated multiplication with one rotation exp(2 pi i sense / segments).
+    Raises unless the radius is positive and the base is not the centre."""
+    if not radius > 0:
+        raise DegenerateInputError("loop radius must be positive", radius=str(radius))
     w = base - center
+    if w == 0:
+        raise DegenerateInputError(
+            "the base point is the centre of the loop's circle", base=str(base)
+        )
     z = radius * w / abs(w)
     turn = mp.expjpi(mp.mpf(2 * sense) / segments)
     pts = [base, center + z]
@@ -595,26 +732,30 @@ def track_roots(family, loop, prec=128, initial_step=None, _singulars=None):
     thresholds relative to the root scale; ``prec`` is the precision of the
     base roots, of the Newton refinement of the endpoints, of the residual
     and of the matching.  ``initial_step`` is the largest step, as a fraction
-    of a path segment (default 1/8).
+    of a path segment (default 1/8).  A radius that is not positive, or a
+    base point at the centre, raises ``DegenerateInputError`` before any
+    tracking, as does a loop that ``_validate_loop`` rejects.
     """
     with mp.workprec(prec):
         singulars = _singulars or singular_parameters(family, prec)
-        _validate_loop(loop, singulars)
         base = mp.mpc(loop.base)
         pts = _circle_path(base, mp.mpc(loop.center), mp.mpf(loop.radius), 1)
+        _validate_loop(loop, singulars, pts[1])
         return _track(family, base, pts, prec, initial_step)
 
 
 def track_loop_at_infinity(family, base, radius, prec=128, initial_step=None, _singulars=None):
-    """Anticlockwise loop about infinity: a clockwise circle exceeding all
-    finite singular values.  Precision as in ``track_roots``."""
+    """Anticlockwise loop about infinity: a clockwise circle about 0 exceeding
+    all finite singular values.  Precision, and the checks of radius and base
+    point, as in ``track_roots``."""
     with mp.workprec(prec):
         singulars = _singulars or singular_parameters(family, prec)
+        b = mp.mpc(base)
+        pts = _circle_path(b, mp.mpc(0), radius, -1)
         for s, _ in singulars:
             if abs(s) >= radius / 2:
                 raise DegenerateInputError("radius does not dominate singular values")
-        b = mp.mpc(base)
-        return _track(family, b, _circle_path(b, mp.mpc(0), radius, -1), prec, initial_step)
+        return _track(family, b, pts, prec, initial_step)
 
 
 def _match(start, final):

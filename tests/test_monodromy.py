@@ -423,3 +423,200 @@ def test_compose_and_group_order():
     b = (0, 2, 1)
     assert compose(a, a) == (0, 1, 2)
     assert group_order([a, b]) == 6
+
+
+def test_base_point_at_centre_rejected():
+    fam = sqrt_family()
+    with pytest.raises(DegenerateInputError, match="base point") as err:
+        track_roots(fam, Loop(base=0.5, center=0.5, radius=0.1))
+    assert "base" in err.value.context
+    with pytest.raises(DegenerateInputError, match="base point") as err:
+        track_loop_at_infinity(fam, 0, 4.0)
+    assert "base" in err.value.context
+
+
+def test_nonpositive_radius_rejected_before_tracking(monkeypatch):
+    monkeypatch.setattr(monodromy, "_continue_along", None)  # tracking would raise TypeError
+    fam = sqrt_family()
+    cubic = RootFamily.build([[-1], [0], [0], [1]])  # y^3 - 1: no singular values
+    for radius in (0, -0.5, mp.mpf(-1) / 4):
+        with pytest.raises(DegenerateInputError, match="radius must be positive"):
+            track_roots(fam, Loop(base=mp.mpc(2), center=mp.mpc(0), radius=radius))
+        with pytest.raises(DegenerateInputError, match="radius must be positive"):
+            track_loop_at_infinity(cubic, 1, radius)
+
+
+# -- the prepared evaluator ----------------------------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+shifted = st.tuples(st.integers(0, 13), st.lists(small_rationals, max_size=4)).map(
+    lambda t: [0] * t[0] + t[1]
+)
+points = st.one_of(
+    st.just(0j),
+    st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)),
+    st.builds(
+        lambda r, th: r * complex(math.cos(th), math.sin(th)),
+        st.floats(1e-3, 2.0),
+        st.floats(0, 2 * math.pi),
+    ),
+)
+
+
+@seed(1745)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(shifted, min_size=1, max_size=3), points)
+def test_prepared_evaluator_matches_horner(lower, x):
+    # the shifted form x^v h(x) agrees with Horner on the full coefficient
+    # lists to 2^-45 of the sum of the terms' moduli, for values and for
+    # x-derivatives; zero polynomials, constants and shifts up to 13 included
+    fam = RootFamily.build(lower + [[1]])
+    vals, ders = monodromy._coeffs_at(fam._prepared, x)
+    assert len(vals) == len(ders) == len(fam.coeffs)
+    for c, val, der in zip(reversed(fam.coeffs), vals, ders):
+        full = [complex(a) for a in c]
+        want, dwant = monodromy._horner(full, x)
+        size = sum(abs(a) * abs(x) ** i for i, a in enumerate(full))
+        dsize = sum(i * abs(a) * abs(x) ** (i - 1) for i, a in enumerate(full) if i)
+        assert abs(val - want) <= 2.0**-45 * size
+        assert abs(der - dwant) <= 2.0**-45 * dsize
+
+
+def test_prepared_evaluator_is_lazy():
+    fam = RootFamily.build(FAMILY_A)
+    singular_parameters(fam)
+    assert "_prepared" not in fam.__dict__
+    # y^0 coefficient -2x^11 - 2x^13 is x^11 (-2 - 2x^2): three Horner terms
+    assert fam._prepared == ((0, [1]), (4, [-0.25]), (0, []), (11, [-2, 0, -2]))
+
+
+# -- double-precision certificates ---------------------------------------------
+
+
+def _double_path_exact(points):
+    """``monodromy._double_path`` with every segment compared in mpmath."""
+    out = [complex(p) for p in points]
+    for k in range(len(points) - 1):
+        exact = points[k + 1] - points[k]
+        if abs((out[k + 1] - out[k]) - exact) > monodromy._PATH_TOL * abs(exact):
+            raise DegenerateInputError(
+                "the path is not resolved in double precision", segment=float(abs(exact))
+            )
+    return out
+
+
+def _validate_loop_exact(loop, singulars):
+    """``monodromy._validate_loop`` with every singular value compared in mpmath."""
+    base = mp.mpc(loop.base)
+    center = mp.mpc(loop.center)
+    r = mp.mpf(loop.radius)
+    guard = r * (1 + loop.margin)
+    start = center + r * (base - center) / abs(base - center)
+    for s, _ in singulars:
+        if abs(s - center) <= r:
+            if abs(s - center) <= mp.mpf(2) ** -20 * max(1, abs(center)):
+                continue
+            raise DegenerateInputError("loop encircles more than one singular value")
+        if monodromy._seg_distance(s, base, start) < guard or abs(abs(s - center) - r) < guard:
+            raise DegenerateInputError("singular value too close to the loop path")
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except DegenerateInputError as err:
+        return ("raised", err.message)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    check = getattr(monodromy, name)
+    monkeypatch.setattr(monodromy, name, lambda *a: calls.append(a) or check(*a))
+    return calls
+
+
+def _sample_loops(rng):
+    """Loops with random singular values, and with singular values placed at
+    guard * (1 +- 1e-12) from the circle and from the entry segment, and at
+    the encircled-value threshold 2^-20 max(1, |centre|) * (1 +- 1e-12)."""
+    near = (1 - mp.mpf("1e-12"), 1 + mp.mpf("1e-12"))
+    for _ in range(40):
+        center = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        base = center + mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        r = mp.mpf(10) ** rng.uniform(-15, 0)
+        loop = Loop(base=base, center=center, radius=r, margin=0.5)
+        start = monodromy._circle_path(base, center, r, 1)[1]
+        guard = r * (1 + loop.margin)
+        unit = (start - base) / abs(start - base)
+        sings = [center]
+        sings += [mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(4)]
+        for f in near:
+            turn = mp.expj(rng.uniform(0, 2 * math.pi))
+            sings.append(center + (r + guard * f) * turn)
+            sings.append(base + rng.uniform(0, 0.5) * (start - base) + guard * f * 1j * unit)
+            sings.append(center + mp.mpf(2) ** -20 * max(1, abs(center)) * f * turn)
+        yield loop, start, sings
+
+
+def test_validate_loop_certificates_match_exact(monkeypatch):
+    calls = _counting(monkeypatch, "_check_singular")
+    rng = random.Random(1733)
+    outcomes, decided = set(), 0
+    # below 48 bits mpmath's own rounding widens the certificates' slack
+    for prec in (32, 53, 128, 256):
+        with mp.workprec(prec):
+            for loop, start, sings in _sample_loops(rng):
+                for s in sings:
+                    before = len(calls)
+                    got = _outcome(monodromy._validate_loop, loop, [(s, 0)], start)
+                    assert got == _outcome(_validate_loop_exact, loop, [(s, 0)])
+                    outcomes.add(got)
+                    decided += len(calls) == before
+    # both answers occur, and both the certificates and mpmath decide some
+    assert {o[0] for o in outcomes} == {"ok", "raised"}
+    assert decided and calls
+
+
+def test_double_path_certificates_match_exact(monkeypatch):
+    calls = _counting(monkeypatch, "_check_segment")
+    rng = random.Random(1734)
+    outcomes, segments = set(), 0
+    with mp.workprec(128):
+        base = mp.mpc(-1) / 10
+        paths = [
+            monodromy._circle_path(base, mp.mpc(0, 1), mp.mpf(r), 1)
+            for r in ("1e-4", "1e-13", "1e-14")
+        ]
+        for _ in range(60):
+            center = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            r = mp.mpf(10) ** rng.uniform(-16, -10) * abs(center)
+            paths.append(monodromy._circle_path(base, center, r, rng.choice((1, -1))))
+        for path in paths:
+            got = _outcome(monodromy._double_path, path)
+            assert got == _outcome(_double_path_exact, path)
+            outcomes.add(got[0])
+            segments += len(path) - 1
+    assert outcomes == {"ok", "raised"}
+    assert 0 < len(calls) < segments
+
+
+def test_criterion_loops_certified_in_double(monkeypatch):
+    # the loops of acceptance criterion 15 send at most the encircled
+    # singular value to mpmath, and no path segment
+    fams = [RootFamily.build(c) for c in models.DOUBLE_COVER_FAMILIES]
+    singular_calls = _counting(monkeypatch, "_check_singular")
+    segment_calls = _counting(monkeypatch, "_check_segment")
+    for prec in (128, 256):
+        with mp.workprec(prec):
+            base = mp.mpc(-1) / 10
+            allsing = singular_parameters(fams[0], prec) + singular_parameters(fams[1], prec)
+            for center, _ in allsing:
+                loop = Loop(base=base, center=center, radius=mp.mpf("1e-4"), margin=0.5)
+                for fam in fams:
+                    singular_calls.clear()
+                    track_roots(fam, loop, prec, _singulars=allsing)
+                    assert len(singular_calls) <= 1
+                    assert all(s == center for s, *_ in singular_calls)
+            for fam in fams:
+                track_loop_at_infinity(fam, base, 4.0, prec)
+    assert segment_calls == []
