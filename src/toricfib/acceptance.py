@@ -68,7 +68,7 @@ from .monodromy import (
     track_roots,
 )
 from .polytope import LatticePolytope
-from .sympoly import ParamField, ParamScalar, SparsePoly, pseudo_divide, pullback
+from .sympoly import ParamScalar, SparsePoly, pseudo_divide, pullback
 
 
 @dataclass
@@ -241,7 +241,7 @@ class _Ctx:
 # -- small helpers --------------------------------------------------------
 
 
-def _named_poly(ring, terms, field=None):
+def _named_poly(ring, terms):
     out = {}
     for coeff, mono in terms:
         exps = [0] * len(ring)
@@ -249,12 +249,10 @@ def _named_poly(ring, terms, field=None):
             exps[ring.index(name)] = e
         key = tuple(exps)
         out[key] = coeff
-    return SparsePoly(ring, out, field=field)
+    return SparsePoly(ring, out)
 
 
-def _ci_reduced_coeffs(xi0=None, xi1=None, field=None):
-    xi0 = ParamScalar.var("xi0", field=field) if xi0 is None else xi0
-    xi1 = ParamScalar.var("xi1", field=field) if xi1 is None else xi1
+def _ci_reduced_coeffs(xi0="xi0", xi1="xi1"):
     c0 = {pt: 1 for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("a")}
     c1 = {pt: 1 for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("b")}
     c1[models.CI_COEFF_POINTS["b3"]] = xi0
@@ -745,11 +743,7 @@ def criterion_13_singular_locus(ctx):
 
 def _transition_rings(ctx):
     """Chart ring, equations with hypersurface parameters, and the pullback maps."""
-    field = ParamField(radicals={"s12": 12})
-    B = ParamScalar.var("B", field=field)
-    psi0 = ParamScalar.var("psi0", field=field)
-    psi1 = ParamScalar.var("psi1", field=field)
-    s12 = ParamScalar.var("s12", field=field)
+    B, psi0, psi1 = (ParamScalar.var(n) for n in ("B", "psi0", "psi1"))
     phi = ctx.transition
     chart_ring = tuple(models.CI_RAY_NAMES[r] for r in phi.domain.rays)
 
@@ -760,46 +754,46 @@ def _transition_rings(ctx):
         ctx.hyp_fan_12,
         coefficients={
             P["a0"]: B / 24,
-            P["a1"]: ParamScalar.rational(1, 12, field=field),
-            P["a2"]: ParamScalar.rational(1, 3, field=field),
-            P["a3"]: ParamScalar.rational(1, 2, field=field),
+            P["a1"]: Fraction(1, 12),
+            P["a2"]: Fraction(1, 3),
+            P["a3"]: Fraction(1, 2),
             P["a4"]: B / 24,
             P["a5"]: B / 12,
             P["a6"]: -psi1 / 6,
             P["a10"]: -psi0,
         },
         ray_names=models.HYP_RAY_NAMES,
-        field=field,
     )
     # chart equations with the matched moduli
-    xi0, xi1 = match_parameters(B, psi0, psi1, field=field)
+    xi0, xi1 = match_parameters(B, psi0, psi1)
     g0f, g1f = nef_ci_polynomials(
         ctx.nef_partition,
         ctx.chart_rays,
         monomials="vertices+origin",
-        coefficients=_ci_reduced_coeffs(xi0=xi0, xi1=xi1, field=field),
+        coefficients=_ci_reduced_coeffs(xi0=xi0, xi1=xi1),
         ray_names=models.CI_RAY_NAMES,
-        field=field,
     )
-    one = SparsePoly.constant(g0f.ring, 1, field=field)
+    one = SparsePoly.constant(g0f.ring, 1)
     g0 = g0f.substitute({"y0": one, "y1": one}).project(chart_ring)
     g1 = g1f.substitute({"y0": one, "y1": one}).project(chart_ring)
 
     mm = homogeneous_map(phi)
-    dnames = [models.CI_RAY_NAMES[r] for r in phi.domain.rays]
     plain_map = {}
     for j, ray in enumerate(phi.codomain.rays):
         zname = models.HYP_RAY_NAMES[ray]
-        mono = {dnames[i]: e for i, e in mm.entries[j]}
-        plain_map[zname] = (ParamScalar(1, field=field), mono)
+        plain_map[zname] = (1, {chart_ring[i]: e for i, e in mm.entries[j]})
+    # the paper's scaling composed with the chart torus element 12^w
+    # (see criterion_14_pullback_identity)
     scalings = {
-        "y6": 1 / (psi0 * s12),
-        "y8": ParamScalar.rational(1, 2, field=field),
-        "y9": -1 / s12,
-        "y752": ParamScalar.rational(1, 2, field=field),
+        "y6": 1 / psi0,
+        "y8": Fraction(1, 2),
+        "y9": -1,
+        "y752": Fraction(1, 2),
+        "y630": 12**3,
+        "y667": 12**4,
     }
+    scalings.update(dict.fromkeys(("y469", "y109", "y32", "y745"), Fraction(1, 12)))
     return {
-        "field": field,
         "chart_ring": chart_ring,
         "h2": h2,
         "g0": g0,
@@ -812,11 +806,28 @@ def _transition_rings(ctx):
 
 
 def criterion_14_pullback_identity(ctx):
-    """pullback of the squared part, the scaled pullback identity, and charts"""
+    """pullback of the squared part, the scaled pullback identity, and charts
+
+    The paper states 48*S(phi^*h2) = y3^2*y745*g1 modulo g0 for the scaling
+    S: y6 -> y6/(psi0*sqrt(12)), y9 -> -y9/sqrt(12), y8 -> y8/2,
+    y752 -> y752/2.  Let T be the chart torus element 12^w, y -> 12^w(y)*y,
+    with w = 1/2 on y6 and y9, 3 on y630, 4 on y667, -1 on y469, y109, y32
+    and y745, and 0 elsewhere.  The composite S' of S and T is rational:
+    y6 -> y6/psi0, y9 -> -y9, y8 and y752 halved, y630 times 12^3, y667
+    times 12^4, and y469, y109, y32, y745 over 12.  Under the integer weight
+    2w, g0 is homogeneous of degree -2 and g1 of degree 10, so T(g0) = g0/12
+    and T(y3^2*y745*g1) = 12^4*y3^2*y745*g1 (y3^2*y745 has degree -2).  T is
+    a ring automorphism, so applying it to the paper's identity
+    48*S(phi^*h2) - y3^2*y745*g1 = q*g0 gives
+    48*S'(phi^*h2) - 12^4*y3^2*y745*g1 = T(q)*g0/12, and T^-1 takes it back.
+    T fixes the leading coefficient y5^12 of g0 in y109 and keeps degrees in
+    y109, so one pseudo-remainder vanishes exactly when the other does.  The
+    criterion checks the rational identity and the two weights, which
+    together give the paper's identity over Q(sqrt(12)).
+    """
     fails = []
     data = _transition_rings(ctx)
     h2, g0, g1 = data["h2"], data["g0"], data["g1"]
-    field = data["field"]
     chart_ring = data["chart_ring"]
     zring = h2.ring
     i334 = zring.index("z334")
@@ -826,24 +837,31 @@ def criterion_14_pullback_identity(ctx):
         for e, c in h2.terms.items()
         if e[i334] > 0
     }
-    r2 = SparsePoly(zring, r2_terms, field=field)
-    q2 = SparsePoly(zring, q2_terms, field=field)
+    r2 = SparsePoly(zring, r2_terms)
+    q2 = SparsePoly(zring, q2_terms)
     _check(len(r2.terms) == 3, "squared part has three monomials", fails)
     _check(len(q2.terms) == 5, "cofactor part has five monomials", fails)
-    pkr2 = pullback(r2, data["plain_map"], chart_ring, field=field)
+    pkr2 = pullback(r2, data["plain_map"], chart_ring)
     B = data["B"]
-    y = {n: SparsePoly.variable(chart_ring, n, field=field) for n in chart_ring}
+    y = {n: SparsePoly.variable(chart_ring, n) for n in chart_ring}
     inner = y["y5"] ** 12 * y["y109"] + y["y4"] ** 12 * y["y32"]
     expected = inner * inner * (y["y6"] ** 12) * (B / 24)
     _check(pkr2 == expected, "pullback of the squared part", fails)
 
     # scaled pullback: apply the coordinate scalings after the monomial map
-    psih2 = pullback(h2, data["plain_map"], chart_ring, field=field).scale_vars(
-        data["scalings"]
-    )
-    lhs = psih2 * 48 - y["y3"] ** 2 * y["y745"] * g1
+    psih2 = pullback(h2, data["plain_map"], chart_ring).scale_vars(data["scalings"])
+    lhs = psih2 * 48 - y["y3"] ** 2 * y["y745"] * g1 * 12**4
     _, rem, _ = pseudo_divide(lhs, g0, "y109")
     _check(rem.is_zero(), "scaled pullback identity modulo the first equation", fails)
+    weight = {"y6": 1, "y9": 1, "y630": 6, "y667": 8}
+    weight.update(dict.fromkeys(("y469", "y109", "y32", "y745"), -2))
+    w = [weight.get(n, 0) for n in chart_ring]
+    for g, deg, label in ((g0, -2, "first"), (g1, 10, "second")):
+        _check(
+            all(sum(a * b for a, b in zip(w, e)) == deg for e in g.terms),
+            f"{label} equation has degree {deg} under the torus weight 2w",
+            fails,
+        )
 
     fan = data["phi"].domain
     def never_together(a, b):

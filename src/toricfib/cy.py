@@ -2,7 +2,10 @@
 
 The equation builders homogenize lattice points of the relevant polytopes
 against the rays of a crepant fan; coefficients are keyed by the lattice
-point of their monomial, never by any enumeration order.
+point of their monomial, never by any enumeration order.  The equations are
+``sympoly.SparsePoly``s over the one parameter field: a given coefficient may
+be anything ``ParamScalar.of`` accepts, and a missing one is the parameter
+named in ``coeff_names`` (``c_<point>`` by default).
 """
 
 from __future__ import annotations
@@ -161,18 +164,13 @@ def _ring_for(fan, names):
     return tuple(names.get(r, f"z{i}") for i, r in enumerate(fan.rays))
 
 
-def _coeff(coefficients, coeff_names, point, field):
+def _coeff(coefficients, coeff_names, point):
     if coefficients and point in coefficients:
-        c = coefficients[point]
-        if isinstance(c, ParamScalar):
-            return c
-        if isinstance(c, Fraction):
-            return ParamScalar.rational(c, field=field)
-        return ParamScalar(c, field=field)
+        return ParamScalar.of(coefficients[point])
     name = (coeff_names or {}).get(point)
     if name is None:
         name = "c_" + "_".join(str(x).replace("-", "m") for x in point)
-    return ParamScalar.var(name, field=field)
+    return ParamScalar.var(name)
 
 
 def anticanonical_polynomial(
@@ -182,7 +180,6 @@ def anticanonical_polynomial(
     coefficients=None,
     ray_names=None,
     coeff_names=None,
-    field=None,
 ):
     """Anticanonical section: one term per chosen lattice point m of delta,
     with exponent <m, ray> + 1 on every ray coordinate.
@@ -210,8 +207,8 @@ def anticanonical_polynomial(
                     "negative exponent: ray is not crepant", ray=list(r)
                 )
             exps.append(e)
-        terms[tuple(exps)] = _coeff(coefficients, coeff_names, m, field)
-    return SparsePoly(ring, terms, field=field)
+        terms[tuple(exps)] = _coeff(coefficients, coeff_names, m)
+    return SparsePoly(ring, terms)
 
 
 def nef_ci_polynomials(
@@ -221,7 +218,6 @@ def nef_ci_polynomials(
     coefficients=None,
     ray_names=None,
     coeff_names=None,
-    field=None,
 ):
     """The complete-intersection equations of a nef-partition on a crepant fan.
 
@@ -259,8 +255,8 @@ def nef_ci_polynomials(
                 if e < 0:
                     raise DegenerateInputError("negative exponent", ray=list(r))
                 exps.append(e)
-            terms[tuple(exps)] = _coeff(coeffs_i, names_i, m, field)
-        out.append(SparsePoly(ring, terms, field=field))
+            terms[tuple(exps)] = _coeff(coeffs_i, names_i, m)
+        out.append(SparsePoly(ring, terms))
     return out
 
 

@@ -1,8 +1,9 @@
 """Modular parameters of lattice-polarized K3 fibres and their degenerations.
 
 Everything is exact: parameters live in the fraction field of integer
-polynomials, and the two j-invariants of a fibre are the roots of
-j^2 - sigma*j + pi.
+polynomials over Q (``sympoly.ParamScalar``; every argument may be anything
+``ParamScalar.of`` accepts), and the two j-invariants of a fibre are the
+roots of j^2 - sigma*j + pi.
 """
 
 from __future__ import annotations
@@ -16,16 +17,6 @@ from .errors import DegenerateInputError
 from .sympoly import ParamScalar
 
 _SCALE = 12**6  # the j-invariant normalization constant
-
-
-def _lift(x, field=None):
-    if isinstance(x, ParamScalar):
-        return x
-    if isinstance(x, str):
-        return ParamScalar.var(x, field=field)
-    if isinstance(x, Fraction):
-        return ParamScalar.rational(x, field=field)
-    return ParamScalar(x, field=field)
 
 
 @dataclass(frozen=True)
@@ -45,14 +36,14 @@ class ModuliPoint:
     sigma: ParamScalar
 
 
-def normal_form_from_lambda(lams, field=None):
+def normal_form_from_lambda(lams):
     """Normal form of an anticanonical K3 in the (1,1,4,6)-polar space.
 
     ``lams`` are the six coefficients (by index) of the hypersurface
     x0^12, x1^12, x2^2, x3^3, x0^6 x1^6, x0 x1 x2 x3.  Returns the two
     intermediate invariants and the normal form with d = 1.
     """
-    l = [_lift(x, field) for x in lams]
+    l = [ParamScalar.of(x) for x in lams]
     if len(l) != 6:
         raise ValueError("six coefficients required")
     for check, name in (
@@ -68,7 +59,7 @@ def normal_form_from_lambda(lams, field=None):
     if big0.is_zero() or big1.is_zero():
         raise DegenerateInputError("vanishing invariant monomial")
     denom = big0**2 * big1 * _SCALE
-    one = ParamScalar(1, field=field)
+    one = ParamScalar(1)
     a3 = one / denom
     b2 = (big0 * (6 * 12**2) - 1) ** 2 / denom
     return big0, big1, K3NormalForm(a3=a3, b2=b2, d=one)
@@ -81,27 +72,27 @@ def pi_sigma(nf):
     return ModuliPoint(pi=nf.a3 / nf.d, sigma=(nf.a3 - nf.b2 + nf.d) / nf.d)
 
 
-def fibre_params_Y(u, v, xi0, xi1, field=None):
+def fibre_params_Y(u, v, xi0, xi1):
     """Fibre moduli of the complete-intersection model over its base [u : v]."""
-    u, v, xi0, xi1 = (_lift(x, field) for x in (u, v, xi0, xi1))
+    u, v, xi0, xi1 = map(ParamScalar.of, (u, v, xi0, xi1))
     base = u * v / ((u + v) ** 2)
     pi = base / (xi0 * _SCALE)
     sigma = 1 + (xi1 - 3 * 12**2 * xi1**2) / (xi0 * 12**3) * base
     return ModuliPoint(pi=pi, sigma=sigma)
 
 
-def fibre_params_Z(s, t, B, psi0, psi1, psi_s, field=None):
+def fibre_params_Z(s, t, B, psi0, psi1, psi_s):
     """Fibre moduli of the hypersurface model over its base [s : t]."""
-    s, t, B, psi0, psi1, psi_s = (_lift(x, field) for x in (s, t, B, psi0, psi1, psi_s))
+    s, t, B, psi0, psi1, psi_s = map(ParamScalar.of, (s, t, B, psi0, psi1, psi_s))
     denom = B * s**2 - 2 * psi_s * s * t + B * t**2
     pi = psi0**12 / 2 * (s * t / denom)
     sigma = 1 - 2 * (psi0**6 * psi1 + psi1**2) * (s * t / denom)
     return ModuliPoint(pi=pi, sigma=sigma)
 
 
-def match_parameters(B, psi0, psi1, field=None):
+def match_parameters(B, psi0, psi1):
     """The hypersurface-to-CI parameter dictionary (xi0, xi1)."""
-    B, psi0, psi1 = (_lift(x, field) for x in (B, psi0, psi1))
+    B, psi0, psi1 = map(ParamScalar.of, (B, psi0, psi1))
     if psi0.is_zero():
         raise DegenerateInputError("psi0 must be invertible")
     xi0 = 2 * B / ((12 * psi0**2) ** 6)
@@ -130,7 +121,7 @@ def j_invariants(mp):
         num, den = const.numerator, const.denominator
         rn, rd = _isqrt_exact(num), _isqrt_exact(den)
         if rn is not None and rd is not None:
-            r = ParamScalar.rational(Fraction(rn, rd), field=sigma.field)
+            r = ParamScalar.rational(rn, rd)
             return QuadraticRoots(
                 ((sigma - r) / 2, (sigma + r) / 2), sigma, pi, disc
             )

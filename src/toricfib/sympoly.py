@@ -1,10 +1,9 @@
 """Sparse multivariate polynomials over an exact parameter field.
 
-Coefficients are fractions of integer-coefficient polynomials in named
-parameters, optionally extended by formal square roots (a radical symbol r
-rewrites r^2 to its radicand, eagerly).  Fractions are reduced by integer and
-monomial content only; equality is decided by cross multiplication, so the
-representation need not be fully reduced.
+Coefficients lie in one field: fractions of integer-coefficient polynomials
+in named parameters, over Q.  Fractions are reduced by integer and monomial
+content only; equality is decided by cross multiplication, so the
+representation need not be fully reduced, and scalars are unhashable.
 """
 
 from __future__ import annotations
@@ -48,50 +47,23 @@ def pp_neg(a):
     return {m: -c for m, c in a.items()}
 
 
-def _mono_mul(m1, m2, radicals):
-    """Merge monomials; returns (monomial, carry ppoly) after radical rewriting."""
-    exps = {}
-    for n, e in m1:
-        exps[n] = exps.get(n, 0) + e
+def _mono_mul(m1, m2):
+    exps = dict(m1)
     for n, e in m2:
         exps[n] = exps.get(n, 0) + e
-    carry = pp_const(1)
-    if radicals:
-        for n in list(exps):
-            if n in radicals and exps[n] >= 2:
-                k, rem = divmod(exps[n], 2)
-                if rem:
-                    exps[n] = 1
-                else:
-                    del exps[n]
-                for _ in range(k):
-                    carry = pp_mul(carry, radicals[n], radicals)
-    mono = tuple(sorted((n, e) for n, e in exps.items() if e))
-    return mono, carry
+    return tuple(sorted((n, e) for n, e in exps.items() if e))
 
 
-def pp_mul(a, b, radicals=None):
+def pp_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mono, carry = _mono_mul(m1, m2, radicals)
-            c = c1 * c2
-            if carry == {(): 1}:
-                s = out.get(mono, 0) + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+            mono = _mono_mul(m1, m2)
+            s = out.get(mono, 0) + c1 * c2
+            if s:
+                out[mono] = s
             else:
-                for m3, c3 in carry.items():
-                    mono2, carry2 = _mono_mul(mono, m3, radicals)
-                    # radicands are radical-free, so no second carry appears
-                    assert carry2 == {(): 1}
-                    s = out.get(mono2, 0) + c * c3
-                    if s:
-                        out[mono2] = s
-                    else:
-                        out.pop(mono2, None)
+                out.pop(mono, None)
     return out
 
 
@@ -170,188 +142,133 @@ def pp_render(a):
     return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-class ParamField:
-    """Declares the formal square roots available to scalars of this field."""
+def _normalize(num, den):
+    """Divide out the integer and monomial content; make den's leading
+    coefficient positive."""
+    if pp_is_zero(num):
+        return {}, pp_const(1)
+    g = gcd(pp_content(num), pp_content(den))
+    if g > 1:
+        num = {m: c // g for m, c in num.items()}
+        den = {m: c // g for m, c in den.items()}
+    mc_num = pp_mono_content(num)
+    mc_den = pp_mono_content(den)
+    common = {}
+    for n in mc_num:
+        if n in mc_den:
+            common[n] = min(mc_num[n], mc_den[n])
+    if common:
+        num = pp_divide_mono(num, common)
+        den = pp_divide_mono(den, common)
+    _, lead = pp_leading(den)
+    if lead < 0:
+        num = pp_neg(num)
+        den = pp_neg(den)
+    return num, den
 
-    def __init__(self, radicals=None):
-        # radicals: name -> radicand (int, or ppoly over radical-free params)
-        rads = {}
-        for name, radicand in (radicals or {}).items():
-            if isinstance(radicand, int):
-                radicand = pp_const(radicand)
-            elif isinstance(radicand, str):
-                radicand = pp_var(radicand)
-            if any(n in (radicals or {}) for m in radicand for n, _ in m):
-                raise ValueError("nested radicals are not supported")
-            rads[name] = radicand
-        self.radicals = rads
 
-    def __repr__(self):
-        return f"ParamField(radicals={sorted(self.radicals)})"
+def _scalar_op(op):
+    """Lift the other operand with ParamScalar.of; defer when it is no scalar."""
 
+    def lifted(self, other):
+        try:
+            other = ParamScalar.of(other)
+        except TypeError:
+            return NotImplemented
+        return op(self, other)
 
-_RATIONAL_FIELD = ParamField()
-
-
-def _coerce_field(a, b):
-    fa = a.field if isinstance(a, ParamScalar) else None
-    fb = b.field if isinstance(b, ParamScalar) else None
-    if fa is None or fa is _RATIONAL_FIELD:
-        return fb or fa or _RATIONAL_FIELD
-    if fb is None or fb is _RATIONAL_FIELD or fa is fb:
-        return fa
-    raise ValueError("cannot mix scalars from different parameter fields")
+    return lifted
 
 
 class ParamScalar:
-    """Fraction of integer parameter polynomials, with formal square roots."""
+    """Fraction of integer parameter polynomials.
 
-    __slots__ = ("num", "den", "field")
+    Equality is by cross multiplication and the fraction is not fully
+    reduced, so no hash agrees with equality: scalars are unhashable.
+    """
 
-    def __init__(self, num, den=None, field=None):
-        if isinstance(num, ParamScalar):
-            field = field or num.field
-            den2 = num.den
-            num = num.num
-        else:
-            num = self._to_pp(num)
-            den2 = pp_const(1)
+    __slots__ = ("num", "den")
+    __hash__ = None
+
+    def __init__(self, num, den=None):
+        """num/den for parameter polynomials (dicts monomial -> int); without
+        a denominator, num may be anything ``ParamScalar.of`` accepts."""
+        if not isinstance(num, dict):
+            if den is not None:
+                raise TypeError("a denominator needs a polynomial numerator")
+            x = ParamScalar.of(num)
+            self.num, self.den = x.num, x.den
+            return
         if den is None:
-            den = den2
-        elif isinstance(den, ParamScalar):
-            raise TypeError("denominator must be a polynomial")
-        else:
-            den = self._to_pp(den)
+            den = pp_const(1)
         if pp_is_zero(den):
             raise ZeroDivisionError("zero denominator")
-        self.field = field or _RATIONAL_FIELD
-        self.num, self.den = self._normalize(num, den)
-
-    @staticmethod
-    def _to_pp(x):
-        if isinstance(x, dict):
-            return dict(x)
-        if isinstance(x, int):
-            return pp_const(x)
-        if isinstance(x, str):
-            return pp_var(x)
-        if isinstance(x, Fraction):
-            raise TypeError("use ParamScalar(p, q) for rationals")
-        raise TypeError(f"cannot build scalar from {x!r}")
-
-    def _normalize(self, num, den):
-        if pp_is_zero(num):
-            return {}, pp_const(1)
-        # clear radicals out of single-monomial denominators
-        rads = self.field.radicals
-        if rads and len(den) == 1:
-            (mono, c), = den.items()
-            odd = [n for n, e in mono if n in rads and e % 2 == 1]
-            for n in odd:
-                r = pp_var(n)
-                num = pp_mul(num, r, rads)
-                den = pp_mul(den, r, rads)
-        g = gcd(pp_content(num), pp_content(den))
-        if g > 1:
-            num = {m: c // g for m, c in num.items()}
-            den = {m: c // g for m, c in den.items()}
-        mc_num = pp_mono_content(num)
-        mc_den = pp_mono_content(den)
-        common = {}
-        for n in mc_num:
-            if n in mc_den:
-                common[n] = min(mc_num[n], mc_den[n])
-        if common:
-            num = pp_divide_mono(num, common)
-            den = pp_divide_mono(den, common)
-        _, lead = pp_leading(den)
-        if lead < 0:
-            num = pp_neg(num)
-            den = pp_neg(den)
-        return num, den
+        self.num, self.den = _normalize(num, den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def rational(cls, p, q=1, field=None):
-        fr = Fraction(p, q)
-        return cls(pp_const(fr.numerator), pp_const(fr.denominator), field=field)
+    def of(cls, x):
+        """x as a scalar: a ParamScalar as is, an int or a Fraction as a
+        constant, a str as the parameter of that name."""
+        if isinstance(x, ParamScalar):
+            return x
+        if isinstance(x, int):
+            return cls(pp_const(x))
+        if isinstance(x, Fraction):
+            return cls(pp_const(x.numerator), pp_const(x.denominator))
+        if isinstance(x, str):
+            return cls.var(x)
+        raise TypeError(f"cannot build scalar from {x!r}")
 
     @classmethod
-    def var(cls, name, field=None):
-        return cls(pp_var(name), field=field)
+    def rational(cls, p, q=1):
+        fr = Fraction(p, q)
+        return cls(pp_const(fr.numerator), pp_const(fr.denominator))
+
+    @classmethod
+    def var(cls, name):
+        return cls(pp_var(name))
 
     # -- ring/field operations ----------------------------------------------
 
-    def _lift(self, other):
-        if isinstance(other, ParamScalar):
-            return other
-        if isinstance(other, int):
-            return ParamScalar(pp_const(other), field=self.field)
-        if isinstance(other, Fraction):
-            return ParamScalar.rational(other, field=self.field)
-        if isinstance(other, str):
-            return ParamScalar.var(other, field=self.field)
-        return NotImplemented
-
+    @_scalar_op
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        field = _coerce_field(self, other)
-        rads = field.radicals
-        num = pp_add(pp_mul(self.num, other.den, rads), pp_mul(other.num, self.den, rads))
-        return ParamScalar(num, pp_mul(self.den, other.den, rads), field=field)
+        num = pp_add(pp_mul(self.num, other.den), pp_mul(other.num, self.den))
+        return ParamScalar(num, pp_mul(self.den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamScalar(pp_neg(self.num), self.den, field=self.field)
+        return ParamScalar(pp_neg(self.num), self.den)
 
+    @_scalar_op
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_scalar_op
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        field = _coerce_field(self, other)
-        rads = field.radicals
-        return ParamScalar(
-            pp_mul(self.num, other.num, rads),
-            pp_mul(self.den, other.den, rads),
-            field=field,
-        )
+        return ParamScalar(pp_mul(self.num, other.num), pp_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
+    @_scalar_op
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        field = _coerce_field(self, other)
-        rads = field.radicals
-        return ParamScalar(
-            pp_mul(self.num, other.den, rads),
-            pp_mul(self.den, other.num, rads),
-            field=field,
-        )
+        return ParamScalar(pp_mul(self.num, other.den), pp_mul(self.den, other.num))
 
+    @_scalar_op
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        return other / self
 
     def __pow__(self, k):
         if k < 0:
-            return ParamScalar(1, field=self.field) / (self ** (-k))
-        out = ParamScalar(1, field=self.field)
+            return ParamScalar(1) / (self ** (-k))
+        out = ParamScalar(1)
         for _ in range(k):
             out = out * self
         return out
@@ -359,20 +276,9 @@ class ParamScalar:
     def is_zero(self):
         return pp_is_zero(self.num)
 
+    @_scalar_op
     def __eq__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        field = _coerce_field(self, other)
-        rads = field.radicals
-        lhs = pp_mul(self.num, other.den, rads)
-        rhs = pp_mul(other.num, self.den, rads)
-        return lhs == rhs
-
-    def __hash__(self):
-        return hash(
-            (tuple(sorted(self.num.items())), tuple(sorted(self.den.items())))
-        )
+        return pp_mul(self.num, other.den) == pp_mul(other.num, self.den)
 
     def evaluate(self, env):
         return pp_eval(self.num, env) / pp_eval(self.den, env)
@@ -408,11 +314,10 @@ class ParamScalar:
 class SparsePoly:
     """Polynomial in named variables with ParamScalar coefficients."""
 
-    __slots__ = ("ring", "terms", "field")
+    __slots__ = ("ring", "terms")
 
-    def __init__(self, ring, terms=None, field=None):
+    def __init__(self, ring, terms=None):
         self.ring = tuple(ring)
-        self.field = field or _RATIONAL_FIELD
         clean = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -420,8 +325,7 @@ class SparsePoly:
                 raise ValueError("exponent tuple does not match ring")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            if not isinstance(coeff, ParamScalar):
-                coeff = ParamScalar(coeff, field=self.field)
+            coeff = ParamScalar.of(coeff)
             if coeff.is_zero():
                 continue
             clean[exps] = coeff
@@ -429,27 +333,20 @@ class SparsePoly:
 
     # -- helpers -------------------------------------------------------------
 
-    def _scalar(self, x):
-        if isinstance(x, ParamScalar):
-            return x
-        if isinstance(x, Fraction):
-            return ParamScalar.rational(x, field=self.field)
-        return ParamScalar(x, field=self.field)
+    @classmethod
+    def zero(cls, ring):
+        return cls(ring, {})
 
     @classmethod
-    def zero(cls, ring, field=None):
-        return cls(ring, {}, field=field)
-
-    @classmethod
-    def variable(cls, ring, name, field=None):
+    def variable(cls, ring, name):
         exps = tuple(1 if v == name else 0 for v in ring)
         if sum(exps) != 1:
             raise KeyError(name)
-        return cls(ring, {exps: 1}, field=field)
+        return cls(ring, {exps: 1})
 
     @classmethod
-    def constant(cls, ring, c, field=None):
-        return cls(ring, {tuple(0 for _ in ring): c}, field=field)
+    def constant(cls, ring, c):
+        return cls(ring, {tuple(0 for _ in ring): c})
 
     def monomial(self, **exps):
         e = [0] * len(self.ring)
@@ -464,7 +361,7 @@ class SparsePoly:
         if not isinstance(other, SparsePoly) or self.ring != other.ring:
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
-        zero = ParamScalar(0, field=self.field)
+        zero = ParamScalar(0)
         return all(
             self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys
         )
@@ -476,41 +373,37 @@ class SparsePoly:
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self.ring, self._scalar(other), self.field)
+            other = SparsePoly.constant(self.ring, other)
         if self.ring != other.ring:
             raise ValueError("mixed rings")
         terms = dict(self.terms)
-        zero = ParamScalar(0, field=self.field)
+        zero = ParamScalar(0)
         for e, c in other.terms.items():
             s = terms.get(e, zero) + c
             if s.is_zero():
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        return SparsePoly(self.ring, terms, field=self.field)
+        return SparsePoly(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(
-            self.ring, {e: -c for e, c in self.terms.items()}, field=self.field
-        )
+        return SparsePoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self.ring, self._scalar(other), self.field)
+            other = SparsePoly.constant(self.ring, other)
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            c = self._scalar(other)
-            return SparsePoly(
-                self.ring, {e: k * c for e, k in self.terms.items()}, field=self.field
-            )
+            c = ParamScalar.of(other)
+            return SparsePoly(self.ring, {e: k * c for e, k in self.terms.items()})
         if self.ring != other.ring:
             raise ValueError("mixed rings")
         terms = {}
-        zero = ParamScalar(0, field=self.field)
+        zero = ParamScalar(0)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -519,12 +412,12 @@ class SparsePoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        return SparsePoly(self.ring, terms, field=self.field)
+        return SparsePoly(self.ring, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        out = SparsePoly.constant(self.ring, 1, self.field)
+        out = SparsePoly.constant(self.ring, 1)
         for _ in range(k):
             out = out * self
         return out
@@ -536,7 +429,7 @@ class SparsePoly:
         return max((e[i] for e in self.terms), default=-1)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), ParamScalar(0, field=self.field))
+        return self.terms.get(tuple(exps), ParamScalar(0))
 
     def monomial_coefficient(self, **exps):
         return self.coefficient(self.monomial(**exps))
@@ -580,12 +473,12 @@ class SparsePoly:
             if name not in self.ring:
                 raise KeyError(f"unknown variable {name!r}")
             if not isinstance(val, SparsePoly):
-                val = SparsePoly.constant(self.ring, self._scalar(val), self.field)
+                val = SparsePoly.constant(self.ring, val)
             polys[name] = val
-        out = SparsePoly.zero(self.ring, self.field)
-        powers = {name: {0: SparsePoly.constant(self.ring, 1, self.field)} for name in polys}
+        out = SparsePoly.zero(self.ring)
+        powers = {name: {0: SparsePoly.constant(self.ring, 1)} for name in polys}
         for exps, coeff in self.terms.items():
-            term = SparsePoly.constant(self.ring, coeff, self.field)
+            term = SparsePoly.constant(self.ring, coeff)
             rest = [0] * len(self.ring)
             for i, e in enumerate(exps):
                 name = self.ring[i]
@@ -600,7 +493,7 @@ class SparsePoly:
                     term = term * cache[e]
                 else:
                     rest[i] = e
-            term = term * SparsePoly(self.ring, {tuple(rest): 1}, field=self.field)
+            term = term * SparsePoly(self.ring, {tuple(rest): 1})
             out = out + term
         return out
 
@@ -610,9 +503,7 @@ class SparsePoly:
         for name, c in scalings.items():
             if name not in self.ring:
                 raise KeyError(name)
-            if not isinstance(c, ParamScalar):
-                c = ParamScalar(c, field=self.field)
-            factors[self.ring.index(name)] = c
+            factors[self.ring.index(name)] = ParamScalar.of(c)
         terms = {}
         for exps, coeff in self.terms.items():
             c = coeff
@@ -620,7 +511,7 @@ class SparsePoly:
                 if exps[i]:
                     c = c * s ** exps[i]
             terms[exps] = c
-        return SparsePoly(self.ring, terms, field=self.field)
+        return SparsePoly(self.ring, terms)
 
     def project(self, ring):
         """Restrict to a smaller ring; dropped variables must not occur."""
@@ -635,7 +526,7 @@ class SparsePoly:
                     raise ValueError(f"variable {name!r} still occurs")
                 e[idx[name]] = k
             terms[tuple(e)] = coeff
-        return SparsePoly(ring, terms, field=self.field)
+        return SparsePoly(ring, terms)
 
     def render(self):
         """Terms by descending degree; within a degree by descending sorted
@@ -687,15 +578,14 @@ def _needs_parens(s):
     return (" + " in s) or (" - " in s)
 
 
-def pullback(poly, monomial_map, domain_ring, field=None):
+def pullback(poly, monomial_map, domain_ring):
     """Substitute each variable of ``poly`` by a scaled monomial of another ring.
 
     ``monomial_map`` sends a variable name of poly's ring to a pair
     (scalar, {domain variable -> exponent}).
     """
-    field = field or poly.field
     out_terms = {}
-    zero = ParamScalar(0, field=field)
+    zero = ParamScalar(0)
     for exps, coeff in poly.terms.items():
         scalar = coeff
         e_out = [0] * len(domain_ring)
@@ -705,9 +595,7 @@ def pullback(poly, monomial_map, domain_ring, field=None):
             if name not in monomial_map:
                 raise KeyError(f"unmapped variable {name!r}")
             factor, mono = monomial_map[name]
-            if not isinstance(factor, ParamScalar):
-                factor = ParamScalar(factor, field=field)
-            scalar = scalar * factor**e
+            scalar = scalar * ParamScalar.of(factor) ** e
             for dname, de in mono.items():
                 e_out[domain_ring.index(dname)] += de * e
         key = tuple(e_out)
@@ -716,7 +604,7 @@ def pullback(poly, monomial_map, domain_ring, field=None):
             out_terms.pop(key, None)
         else:
             out_terms[key] = s
-    return SparsePoly(domain_ring, out_terms, field=field)
+    return SparsePoly(domain_ring, out_terms)
 
 
 def pseudo_divide(f, g, var):
@@ -732,8 +620,8 @@ def pseudo_divide(f, g, var):
         for exps, c in g.terms.items()
         if exps[i] == d
     }
-    lc = SparsePoly(f.ring, lc_terms, field=f.field)
-    q = SparsePoly.zero(f.ring, f.field)
+    lc = SparsePoly(f.ring, lc_terms)
+    q = SparsePoly.zero(f.ring)
     r = f
     power = 0
     while not r.is_zero() and r.degree(var) >= d:
@@ -743,7 +631,7 @@ def pseudo_divide(f, g, var):
             for exps, c in r.terms.items()
             if exps[i] == k
         }
-        lead = SparsePoly(f.ring, lead_terms, field=f.field)
+        lead = SparsePoly(f.ring, lead_terms)
         q = lc * q + lead
         r = lc * r - lead * g
         power += 1

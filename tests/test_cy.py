@@ -1,6 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 from math import factorial
+
+import mpmath as mp
 
 from toricfib import acceptance, cy, models
 from toricfib.acceptance import (
@@ -19,7 +22,7 @@ from toricfib.cy import (
 from toricfib.errors import NotNefPartitionError
 from toricfib.fans import mori_cone
 from toricfib.polytope import LatticePolytope
-from toricfib.sympoly import ParamScalar, SparsePoly
+from toricfib.sympoly import ParamScalar, SparsePoly, pullback
 
 
 def test_nef_partition_data(ctx):
@@ -397,3 +400,53 @@ def test_gkz_single_part_projective_plane():
     assert deg.columns["a1"] == (1,)
     assert deg.columns["a0"] == (-3,)
     assert deg.moduli == ({"a1": 1, "a2": 1, "a3": 1, "a0": -3},)
+
+
+def _mp_terms(poly, var_env, param_env):
+    """The terms of poly at mpf variable values and rational parameters."""
+    out = []
+    for exps, coeff in poly.terms.items():
+        c = coeff.evaluate(param_env)
+        t = mp.mpf(c.numerator) / c.denominator
+        for name, e in zip(poly.ring, exps):
+            t *= var_env[name] ** e
+        out.append(t)
+    return out
+
+
+def test_pullback_identity_with_sqrt12(ctx):
+    """The paper's form of criterion pullback-identity, with the scaling
+    y6 -> y6/(psi0*sqrt(12)), y9 -> -y9/sqrt(12), y8 and y752 halved, in
+    256-bit arithmetic: 48*S(phi^*h2) = y3^2*y745*g1 at seeded rational
+    points of g0 = 0, to 2^-200 of the largest term."""
+    data = acceptance._transition_rings(ctx)
+    ring, g0, g1 = data["chart_ring"], data["g0"], data["g1"]
+    pulled = pullback(data["h2"], data["plain_map"], ring)
+    rng = random.Random(1812)
+
+    def draw():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 11))
+
+    with mp.workprec(256):
+        r12 = mp.sqrt(12)
+        for _ in range(6):
+            params = {n: draw() for n in ("B", "psi0", "psi1")}
+            pt = {n: draw() for n in ring}
+            # g0 is linear in y109: g0 = a*y109 + b
+            b = g0.evaluate(dict(pt, y109=0), params)
+            a = g0.evaluate(dict(pt, y109=1), params) - b
+            pt["y109"] = -b / a
+            assert g0.evaluate(pt, params) == 0
+            y = {n: mp.mpf(v.numerator) / v.denominator for n, v in pt.items()}
+            psi0 = mp.mpf(params["psi0"].numerator) / params["psi0"].denominator
+            scaled = dict(
+                y,
+                y6=y["y6"] / (psi0 * r12),
+                y9=-y["y9"] / r12,
+                y8=y["y8"] / 2,
+                y752=y["y752"] / 2,
+            )
+            lhs = [48 * t for t in _mp_terms(pulled, scaled, params)]
+            rhs = [y["y3"] ** 2 * y["y745"] * t for t in _mp_terms(g1, y, params)]
+            big = max(abs(t) for t in lhs + rhs)
+            assert abs(mp.fsum(lhs) - mp.fsum(rhs)) <= big * mp.mpf(2) ** -200

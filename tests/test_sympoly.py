@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfib.sympoly import (
-    ParamField,
     ParamScalar,
     SparsePoly,
     pseudo_divide,
@@ -38,24 +37,48 @@ def test_scalar_render():
     assert ParamScalar.rational(1, 12).render() == "1/12"
 
 
-def test_radical_rewrite():
-    field = ParamField(radicals={"s12": 12})
-    r = ParamScalar.var("s12", field=field)
-    assert (r * r).as_fraction() == 12
-    assert (r**4).as_fraction() == 144
-    x = ParamScalar.var("psi0", field=field)
-    inv = 1 / (x * r)
-    # the radical is cleared out of the denominator
-    assert (inv * x * r) == ParamScalar(1, field=field)
-    assert "s12" not in str(sorted(inv.den))
+def test_scalar_of():
+    a = ParamScalar.var("a")
+    assert ParamScalar.of(a) is a
+    assert ParamScalar.of(3) == ParamScalar.rational(3)
+    assert ParamScalar.of(Fraction(-1, 2)) == ParamScalar.rational(-1, 2)
+    assert ParamScalar.of("a") == a
+    for bad in (0.5, None, [1], SparsePoly.constant(("x",), 1)):
+        with pytest.raises(TypeError):
+            ParamScalar.of(bad)
 
 
-def test_radical_of_param():
-    field = ParamField(radicals={"sq_xi0": "xi0"})
-    r = ParamScalar.var("sq_xi0", field=field)
-    xi0 = ParamScalar.var("xi0", field=field)
-    assert r * r == xi0
-    assert (r * r - xi0).is_zero()
+def test_fractions_are_accepted_wherever_ints_are():
+    half = ParamScalar.rational(1, 2)
+    assert ParamScalar(Fraction(1, 2)) == half
+    ring = ("x", "y")
+    p = SparsePoly(ring, {(1, 0): Fraction(1, 2)})
+    assert p.coefficient((1, 0)) == half
+    x = SparsePoly.variable(ring, "x")
+    assert x.scale_vars({"x": Fraction(1, 2)}) == p
+    out = pullback(x, {"x": (Fraction(1, 2), {"y": 2})}, ring)
+    assert out == SparsePoly(ring, {(0, 2): half})
+    assert x * Fraction(1, 2) == p
+
+
+def test_scalar_is_unhashable():
+    a = ParamScalar.var("a")
+    x, y = (a * a - 1) / (a - 1), a + 1
+    assert x == y
+    with pytest.raises(TypeError):
+        hash(x)
+    with pytest.raises(TypeError):
+        {x, y}
+
+
+def test_scalar_defers_to_polynomials():
+    ring = ("x",)
+    p = SparsePoly.variable(ring, "x")
+    c = ParamScalar.var("c")
+    assert c * p == p * c
+    assert c + p == p + c
+    assert (c == p) is False
+    assert (c == None) is False  # noqa: E711
 
 
 def test_scalar_eval():
@@ -240,10 +263,3 @@ def test_pseudo_divide_certificate(tf, tg):
     )
     assert (lc**power) * f == q * g + r
     assert r.is_zero() or r.degree("x") < g.degree("x")
-
-
-def test_radical_square_normalizes_to_zero():
-    field = ParamField(radicals={"r": "x"})
-    r = ParamScalar.var("r", field=field)
-    x = ParamScalar.var("x", field=field)
-    assert (r * r - x).is_zero()
