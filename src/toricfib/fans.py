@@ -4,7 +4,9 @@ Fans store primitive rays plus maximal cones as ray-index tuples; faces are
 derived on demand, each cone's from its cached ray-facet incidence.
 Morphisms carry per-cone compatibility certificates (the smallest codomain
 cone containing each image); fibration verdicts, kernel fans, monomial
-coordinate forms, and wall-relation Mori cones build on that.
+coordinate forms, and wall-relation Mori cones build on that.  Certificates
+are monotone along faces and every proper face lies in a facet, so fibration
+verdicts read minimality off the face poset, not off any cone's facets.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ class ConeGeom:
     """A pointed cone spanned by the given rays, held as an H-representation.
 
     Invariant: v lies in the cone iff <v, e> == 0 for every e in
-    ``equations`` and <v, a> >= 0 for every a in ``ambient_ineqs``.  The
-    equations cut out the saturated span of the rays, so this also decides
-    integer membership; every query below reads these two tuples.  Facet
-    normals are computed in ambient coordinates and lie in the span of the
-    rays.  A simplicial cone skips the double description: its normals come
+    ``equations`` and <v, a> >= 0 for every a in ``ambient_ineqs``, that is
+    iff <v, a> >= 0 for every a in ``inequalities``.  The equations cut out
+    the saturated span of the rays, so this also decides integer membership;
+    every query below reads these tuples.  Facet normals are computed in
+    ambient coordinates and lie in the span of the rays.  A simplicial cone skips the double description: its normals come
     from one elimination on the Gram matrix of its rays
     (``dd.simplicial_facets``).  For any other cone the span's equations
     enter the double description as pairs of opposite inequalities.  Faces
@@ -65,6 +67,12 @@ class ConeGeom:
         return extreme_rays(self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank)
 
     @cached_property
+    def inequalities(self):
+        """The cone as inequalities alone: the facet normals, then each
+        equation and its negation."""
+        return self.ambient_ineqs + tuple(x for e in self.equations for x in (e, la.neg(e)))
+
+    @cached_property
     def _ray_facets(self):
         """Per ray, the frozenset of facet indices (into ambient_ineqs) it lies on."""
         return [
@@ -74,9 +82,7 @@ class ConeGeom:
 
     def contains(self, v):
         v = la.vec(v)
-        return all(la.dot(v, e) == 0 for e in self.equations) and all(
-            la.dot(v, a) >= 0 for a in self.ambient_ineqs
-        )
+        return all(la.dot(v, a) >= 0 for a in self.inequalities)
 
     def facet_ray_sets(self):
         """Ray-index subsets (into self.rays) tight on each facet."""
@@ -113,7 +119,7 @@ class Fan:
             raise DegenerateInputError("duplicate rays in fan")
         cones = sorted({tuple(sorted(c)) for c in max_cones})
         self.max_cones = tuple(cones)
-        self._cache = {}
+        self._geoms = {}  # sorted ray-index tuple -> ConeGeom
 
     def __repr__(self):
         return f"Fan(rank={self.rank}, nrays={len(self.rays)}, ncones={len(self.max_cones)})"
@@ -126,24 +132,21 @@ class Fan:
 
     def cone_geom(self, idxset):
         key = tuple(sorted(idxset))
-        store = self._cache.setdefault("geoms", {})
-        if key not in store:
-            store[key] = ConeGeom(tuple(self.rays[i] for i in key), self.rank)
-        return store[key]
+        if key not in self._geoms:
+            self._geoms[key] = ConeGeom(tuple(self.rays[i] for i in key), self.rank)
+        return self._geoms[key]
 
     def all_cones(self):
         """Every cone of the fan as a frozenset of ray indices (origin included)."""
-        if "all_cones" not in self._cache:
-            out = set()
-            for c in self.max_cones:
-                geom = self.cone_geom(c)
-                for fs in geom.all_face_ray_sets():
-                    out.add(frozenset(c[i] for i in fs))
-            out.add(frozenset())
-            self._cache["all_cones"] = tuple(
-                sorted(out, key=lambda s: (len(s), sorted(s)))
-            )
-        return self._cache["all_cones"]
+        return self._all_cones
+
+    @cached_property
+    def _all_cones(self):
+        out = {frozenset()}
+        for c in self.max_cones:
+            for fs in self.cone_geom(c).all_face_ray_sets():
+                out.add(frozenset(c[i] for i in fs))
+        return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
     def support_contains(self, v):
         return any(self.cone_geom(c).contains(v) for c in self.max_cones)
@@ -156,22 +159,21 @@ class Fan:
 
     def is_complete(self):
         """Every maximal cone full-dimensional and every wall shared by two."""
-        if "complete" in self._cache:
-            return self._cache["complete"]
-        ok = bool(self.max_cones)
+        return self._complete
+
+    @cached_property
+    def _complete(self):
+        if not self.max_cones:
+            return False
         counts = {}
         for c in self.max_cones:
             geom = self.cone_geom(c)
             if geom.dim != self.rank:
-                ok = False
-                break
+                return False
             for fs in geom.facet_ray_sets():
                 wall = frozenset(c[i] for i in fs)
                 counts[wall] = counts.get(wall, 0) + 1
-        if ok:
-            ok = all(v == 2 for v in counts.values())
-        self._cache["complete"] = ok
-        return ok
+        return all(v == 2 for v in counts.values())
 
     def subfan(self, cones):
         """Fan on the maximal elements of the given ray-index sets.
@@ -266,12 +268,11 @@ class FanMorphism:
         cone = frozenset(cone)
         if cone in self.certificates:
             return self.certificates[cone]
-        images = [self.image(self.domain.rays[i]) for i in cone]
-        c = _smallest_containing_cone(self.codomain, images)
+        rays = [self.domain.rays[i] for i in sorted(cone)]
+        c = _smallest_containing_cone(self.codomain, [self.image(r) for r in rays])
         if c is None:
             raise IncompatibleMorphismError(
-                "cone image not contained in a single codomain cone",
-                cone=sorted(cone),
+                "no codomain cone contains the image", cone=[list(r) for r in rays]
             )
         self.certificates[cone] = c
         return c
@@ -304,18 +305,10 @@ def check_compatibility(matrix, domain, codomain):
     This is not checked; the certificate of a domain cone is the smallest
     face of the first maximal codomain cone that contains its image.
     """
-    matrix = la.mat(matrix)
-    certs = {}
+    phi = FanMorphism(matrix=la.mat(matrix), domain=domain, codomain=codomain, certificates={})
     for c in domain.max_cones:
-        images = [la.vecmat(domain.rays[i], matrix) for i in c]
-        target = _smallest_containing_cone(codomain, images)
-        if target is None:
-            raise IncompatibleMorphismError(
-                "no codomain cone contains the image",
-                cone=[list(domain.rays[i]) for i in c],
-            )
-        certs[frozenset(c)] = target
-    return FanMorphism(matrix=matrix, domain=domain, codomain=codomain, certificates=certs)
+        phi.cert(c)
+    return phi
 
 
 def subdivide_domain(matrix, domain, codomain):
@@ -333,24 +326,17 @@ def subdivide_domain(matrix, domain, codomain):
         pass
     n = domain.rank
     codomain_complete = codomain.is_complete()
+    back = la.transpose(matrix)
+    preimages = [
+        tuple(la.vecmat(f, back) for f in codomain.cone_geom(t).inequalities)
+        for t in codomain.max_cones
+    ]
     pieces_all = []
     for c in domain.max_cones:
         geom = domain.cone_geom(c)
-        sigma_cons = list(geom.ambient_ineqs)
-        for e in geom.equations:
-            sigma_cons.append(e)
-            sigma_cons.append(la.neg(e))
         pieces = []
-        for t in codomain.max_cones:
-            tg = codomain.cone_geom(t)
-            cons = list(sigma_cons)
-            for f in tg.ambient_ineqs:
-                cons.append(la.vecmat(f, la.transpose(matrix)))
-            for e in tg.equations:
-                pe = la.vecmat(e, la.transpose(matrix))
-                cons.append(pe)
-                cons.append(la.neg(pe))
-            rays = extreme_rays(cons, n)
+        for preimage in preimages:
+            rays = extreme_rays(geom.inequalities + preimage, n)
             if rays and la.rank(rays) == geom.dim:
                 pieces.append(rays)
         # drop pieces contained in other pieces of the same cone
@@ -400,38 +386,33 @@ def _check_coverage(geom, pieces):
 
 
 def is_fibration(phi):
-    """Surjective lattice map with equidimensional minimal cones over each target cone."""
-    matrix = phi.matrix
+    """Surjective lattice map with equidimensional minimal cones over each target cone.
+
+    A domain cone c is minimal over its certificate when no other cone with
+    that certificate has a proper subset of its rays.  Such a cone is a face
+    of c and lies in a facet of c, which has the same certificate because
+    certificates are monotone along faces; so this is the facet test.
+    Dimensions are ranks of rays, read without any cone's geometry.
+    """
     k = phi.codomain.rank
     if k == 0:
         return True
     # surjective exactly when the k x k minors have gcd 1 (0: rank below k)
-    if la.maximal_minor_gcd(la.transpose(matrix)) != 1:
+    if la.maximal_minor_gcd(la.transpose(phi.matrix)) != 1:
         return False
-    domain_cones = phi.domain.all_cones()
     by_cert = {}
-    for c in domain_cones:
+    for c in phi.domain.all_cones():
         by_cert.setdefault(phi.cert(c), []).append(c)
     for target in phi.codomain.all_cones():
         group = by_cert.get(target)
         if not group:
             return False
-        tdim = phi.codomain.cone_geom(target).dim
-        inset = set(group)
+        tdim = la.rank([phi.codomain.rays[i] for i in target])
         for c in group:
-            geom = phi.domain.cone_geom(c)
-            facets = [
-                frozenset(tuple(sorted(c))[i] for i in fs)
-                for fs in geom.facet_ray_sets()
-            ]
-            if geom.dim > 0 and not facets:
-                facets = [frozenset()]
-            if any(f in inset for f in facets):
+            if any(g < c for g in group):
                 continue  # not minimal
-            if geom.dim != tdim:
-                return False
-            images = [phi.image(phi.domain.rays[i]) for i in c]
-            if la.rank(images) != tdim:
+            rays = [phi.domain.rays[i] for i in c]
+            if la.rank(rays) != tdim or la.rank([phi.image(r) for r in rays]) != tdim:
                 return False
     return True
 

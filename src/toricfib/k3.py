@@ -117,20 +117,20 @@ def j_invariants(mp):
         half = sigma / 2
         return QuadraticRoots((half, half), sigma, pi, disc)
     const = disc.as_fraction()
-    if const is not None and const > 0:
-        num, den = const.numerator, const.denominator
-        rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-        if rn is not None and rd is not None:
-            r = ParamScalar.rational(rn, rd)
-            return QuadraticRoots(
-                ((sigma - r) / 2, (sigma + r) / 2), sigma, pi, disc
-            )
+    r = None if const is None else _exact_sqrt(const)
+    if r is not None:
+        return QuadraticRoots(((sigma - r) / 2, (sigma + r) / 2), sigma, pi, disc)
     return QuadraticRoots(None, sigma, pi, disc)
 
 
-def _isqrt_exact(n):
-    r = isqrt(n)
-    return r if r * r == n else None
+def _exact_sqrt(q):
+    """The nonnegative rational square root of q, or None when q has none."""
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
+        return None
+    return Fraction(rn, rd)
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,9 @@ def singular_fibre_locus(xi0):
     q = _SCALE * xi0
     disc = 1 - q
     pair = None
-    num, den = disc.numerator, disc.denominator
-    if disc >= 0:
-        rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-        if rn is not None and rd is not None:
-            r = Fraction(rn, rd)
-            pair = ((2 - q + 2 * r) / q, (2 - q - 2 * r) / q)
+    r = _exact_sqrt(disc)
+    if r is not None:
+        pair = ((2 - q + 2 * r) / q, (2 - q - 2 * r) / q)
     return SingularFibreLocus(
         fixed=(Fraction(0), Fraction(-1), "inf"),
         pair=pair,

@@ -303,7 +303,7 @@ class ParamScalar:
                 return f"{sign}({abs(c)}/{d})*{pp_render({mono: 1})}"
         if len(self.num) > 1:
             n = f"({n})"
-        if len(self.den) > 1:
+        if len(self.den) > 1 or "*" in d:  # a sum, or a product of factors
             d = f"({d})"
         return f"{n}/{d}"
 

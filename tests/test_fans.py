@@ -31,12 +31,12 @@ def p2_fan():
     return Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
 
 
-def p1xp1_fan():
-    return Fan(
-        2,
-        ((1, 0), (-1, 0), (0, 1), (0, -1)),
-        ((0, 2), (0, 3), (1, 2), (1, 3)),
+def cube_fan(n):
+    """The fan of (P^1)^n: rays e_0, -e_0, e_1, -e_1, ..., one cone per orthant."""
+    rays = tuple(
+        tuple(s * (j == i) for j in range(n)) for i in range(n) for s in (1, -1)
     )
+    return Fan(n, rays, itertools.product(*((2 * i, 2 * i + 1) for i in range(n))))
 
 
 @pytest.mark.parametrize("name", ["k3_simplex", "k3_polar", "hyp_simplex", "cube4", "ci_polar"])
@@ -221,12 +221,117 @@ def test_beta_fibration_6ray(ctx):
 
 
 def test_beta_not_fibration_without_midpoint(ctx):
+    # without the edge midpoint the face fan does not even map cone-wise
     fan = face_fan(ctx.hyp_simplex.polar())
-    try:
-        phi = check_compatibility(ctx.fx.matrix("fibre_direction"), fan, ctx.line_fan)
-    except IncompatibleMorphismError:
-        return
+    with pytest.raises(IncompatibleMorphismError, match="no codomain cone contains the image"):
+        check_compatibility(ctx.fx.matrix("fibre_direction"), fan, ctx.line_fan)
+
+
+def _is_fibration_by_facets(phi):
+    """Reference verdict: a cone is minimal over its certificate when none of
+    its facets shares that certificate, read off each cone's own geometry."""
+    k = phi.codomain.rank
+    if k == 0:
+        return True
+    if la.maximal_minor_gcd(la.transpose(phi.matrix)) != 1:
+        return False
+    by_cert = {}
+    for c in phi.domain.all_cones():
+        by_cert.setdefault(phi.cert(c), []).append(c)
+    for target in phi.codomain.all_cones():
+        group = by_cert.get(target)
+        if not group:
+            return False
+        tdim = phi.codomain.cone_geom(target).dim
+        inset = set(group)
+        for c in group:
+            geom = phi.domain.cone_geom(c)
+            facets = [
+                frozenset(tuple(sorted(c))[i] for i in fs)
+                for fs in geom.facet_ray_sets()
+            ]
+            if geom.dim > 0 and not facets:
+                facets = [frozenset()]
+            if any(f in inset for f in facets):
+                continue
+            if geom.dim != tdim:
+                return False
+            images = [phi.image(phi.domain.rays[i]) for i in c]
+            if la.rank(images) != tdim:
+                return False
+    return True
+
+
+def blowup_onto_plane():
+    # the ray (1, 1) is minimal over the quadrant and has dimension 1
+    blowup = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 2), (1, 2)))
+    plane = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+    return check_compatibility(la.identity(2), blowup, plane)
+
+
+def doubling_onto_p1():
+    # x -> 2x has index 2, so the map is not surjective
+    return check_compatibility(((2,), (0,)), cube_fan(2), cube_fan(1))
+
+
+def line_into_p1():
+    # the cone (-1) of P^1 has no preimage
+    return check_compatibility(la.identity(1), Fan(1, ((1,),), ((0,),)), cube_fan(1))
+
+
+@pytest.mark.parametrize("build", [blowup_onto_plane, doubling_onto_p1, line_into_p1])
+def test_not_fibration(build):
+    phi = build()
     assert not is_fibration(phi)
+    assert not _is_fibration_by_facets(phi)
+
+
+def test_fibration_verdicts_match_facet_reference(ctx):
+    phis = [
+        check_compatibility(ctx.fx.matrix("proj_first_two"), ctx.ci_fan, ctx.base_fan),
+        check_compatibility(ctx.fx.matrix("fibre_direction"), ctx.hyp_fan_6, ctx.line_fan),
+        ctx.beta12,
+        ctx.transition,
+    ]
+    for phi in phis:
+        assert is_fibration(phi) and _is_fibration_by_facets(phi)
+
+
+def _random_morphisms(rng, draws):
+    """Compatible maps from star subdivisions of (P^1)^n, n = 2 or 3, at up to
+    four primitive rays in [-2, 2]^n, onto (P^1)^k by a coordinate projection
+    or a {-1, 0, 1} matrix."""
+    for _ in range(draws):
+        n = rng.choice((2, 3))
+        fan = cube_fan(n)
+        for _ in range(rng.randint(0, 4)):
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(v):
+                fan = star_subdivide(fan, la.primitive(v))
+        k = rng.randint(1, n)
+        if rng.random() < 0.5:
+            coords = rng.sample(range(n), k)
+            matrix = tuple(tuple(int(i == j) for j in coords) for i in range(n))
+        else:
+            matrix = tuple(tuple(rng.randint(-1, 1) for _ in range(k)) for _ in range(n))
+        try:
+            yield check_compatibility(matrix, fan, cube_fan(k))
+        except IncompatibleMorphismError:
+            continue
+
+
+def test_fibration_verdicts_match_facet_reference_on_random_morphisms():
+    kinds = {"fibration": 0, "not surjective": 0, "not equidimensional": 0}
+    for phi in _random_morphisms(random.Random(5), 150):
+        verdict = is_fibration(phi)
+        assert verdict == _is_fibration_by_facets(phi), (phi.matrix, phi.domain.rays)
+        if verdict:
+            kinds["fibration"] += 1
+        elif la.maximal_minor_gcd(la.transpose(phi.matrix)) != 1:
+            kinds["not surjective"] += 1
+        else:
+            kinds["not equidimensional"] += 1
+    assert all(kinds.values()), kinds
 
 
 def test_simplicial_facets_match_double_description_on_model_fans(ctx):
@@ -389,7 +494,7 @@ def test_mori_p2():
 
 
 def test_mori_p1xp1():
-    gens = set(mori_cone(p1xp1_fan()))
+    gens = set(mori_cone(cube_fan(2)))
     assert gens == {(1, 1, 0, 0, -2), (0, 0, 1, 1, -2)}
 
 

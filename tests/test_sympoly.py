@@ -35,6 +35,13 @@ def test_scalar_render():
     assert (-a / 12).render() == "-(1/12)*c"
     assert ((a + 1) / 6).render() == "(c + 1)/6"
     assert ParamScalar.rational(1, 12).render() == "1/12"
+    # a one-monomial denominator with more than one factor keeps its parentheses
+    b, psi0, psi1 = ParamScalar.var("B"), ParamScalar.var("psi0"), ParamScalar.var("psi1")
+    assert (b / (1492992 * psi0**12)).render() == "B/(1492992*psi0^12)"
+    assert (-psi1 / (432 * psi0**6)).render() == "-psi1/(432*psi0^6)"
+    assert (1 / (2 * psi0)).render() == "1/(2*psi0)"
+    assert (b / (psi0 * psi1)).render() == "B/(psi0*psi1)"
+    assert (b / psi0**12).render() == "B/psi0^12"
 
 
 def test_scalar_of():
