@@ -151,8 +151,8 @@ def make_nef_partition(delta, assignment):
 
 
 def _check_crepant(fan, polar):
-    _, boundary = polar.lattice_points()
-    bad = [r for r in fan.rays if r not in set(boundary)]
+    boundary = set(polar.lattice_points()[1])
+    bad = [r for r in fan.rays if r not in boundary]
     if bad:
         raise DegenerateInputError(
             "fan has non-crepant rays", rays=[list(r) for r in bad]
@@ -173,6 +173,18 @@ def _coeff(coefficients, coeff_names, point):
     return ParamScalar.var(name)
 
 
+def _section(fan, ring, chosen, support, coefficients, coeff_names):
+    """One term per chosen lattice point m, with exponent <m, r> minus the
+    minimum of <., r> over ``support`` on each ray coordinate r.  Every
+    chosen point lies in the hull of the support, so no exponent is negative."""
+    mins = [min(la.dot(s, r) for s in support) for r in fan.rays]
+    terms = {}
+    for m in chosen:
+        exps = tuple(la.dot(m, r) - mn for r, mn in zip(fan.rays, mins))
+        terms[exps] = _coeff(coefficients, coeff_names, m)
+    return SparsePoly(ring, terms)
+
+
 def anticanonical_polynomial(
     delta,
     fan,
@@ -184,6 +196,8 @@ def anticanonical_polynomial(
     """Anticanonical section: one term per chosen lattice point m of delta,
     with exponent <m, ray> + 1 on every ray coordinate.
 
+    That is <m, ray> minus the minimum of <., ray> over delta's vertices: a
+    crepant ray lies on a facet of the polar, so the minimum is -1.
     ``monomials`` is "all" or "no-facet-interior"; the latter drops points
     interior to facets, which never move a generic hypersurface.
     """
@@ -197,18 +211,7 @@ def anticanonical_polynomial(
     else:
         raise ValueError(f"unknown monomial mode {monomials!r}")
     ring = _ring_for(fan, ray_names)
-    terms = {}
-    for m in chosen:
-        exps = []
-        for r in fan.rays:
-            e = la.dot(m, r) + 1
-            if e < 0:
-                raise DegenerateInputError(
-                    "negative exponent: ray is not crepant", ray=list(r)
-                )
-            exps.append(e)
-        terms[tuple(exps)] = _coeff(coefficients, coeff_names, m)
-    return SparsePoly(ring, terms)
+    return _section(fan, ring, chosen, delta.vertices, coefficients, coeff_names)
 
 
 def nef_ci_polynomials(
@@ -223,40 +226,25 @@ def nef_ci_polynomials(
 
     The exponent of a ray coordinate in the term of a point m of the i-th
     dual part polytope is <m, ray> minus the minimum of <., ray> over that
-    polytope (on the original rays this is the part-indicator rule).
+    polytope's vertices and the origin (on the original rays this is the
+    part-indicator rule).  ``coefficients`` and ``coeff_names`` hold one
+    mapping per part, or are None.
     """
     _check_crepant(fan, np.polar_base)
     ring = _ring_for(fan, ray_names)
     origin = (0,) * np.base.rank
     out = []
-
-    def per_part(data, i):
-        if isinstance(data, (list, tuple)):
-            return data[i]
-        return data
-
     for i, (verts, pts) in enumerate(np.part_polytopes):
-        coeffs_i = per_part(coefficients, i)
-        names_i = per_part(coeff_names, i)
+        support = sorted(set(verts) | {origin})
         if monomials == "all":
-            chosen = list(pts)
+            chosen = pts
         elif monomials == "vertices+origin":
-            chosen = sorted(set(verts) | {origin})
+            chosen = support
         else:
             raise ValueError(f"unknown monomial mode {monomials!r}")
-        mins = []
-        for r in fan.rays:
-            mins.append(min(la.dot(m, r) for m in set(verts) | {origin}))
-        terms = {}
-        for m in chosen:
-            exps = []
-            for r, mn in zip(fan.rays, mins):
-                e = la.dot(m, r) - mn
-                if e < 0:
-                    raise DegenerateInputError("negative exponent", ray=list(r))
-                exps.append(e)
-            terms[tuple(exps)] = _coeff(coeffs_i, names_i, m)
-        out.append(SparsePoly(ring, terms))
+        coeffs = coefficients[i] if coefficients else None
+        names = coeff_names[i] if coeff_names else None
+        out.append(_section(fan, ring, chosen, support, coeffs, names))
     return out
 
 

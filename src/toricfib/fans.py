@@ -7,6 +7,22 @@ cone containing each image); fibration verdicts, kernel fans, monomial
 coordinate forms, and wall-relation Mori cones build on that.  Certificates
 are monotone along faces and every proper face lies in a facet, so fibration
 verdicts read minimality off the face poset, not off any cone's facets.
+
+Two facts about a lattice map phi into a fan (any two of its cones meet in a
+common face) spare ``subdivide_domain`` and ``is_fibration`` some work.
+
+Lemma A (pieces do not nest).  Let c be a domain cone and s1, s2 codomain
+cones whose pieces Pi = {x in c : phi(x) in si} satisfy P1 <= P2, with P1
+full-dimensional in c.  Then phi(span c) lies in span r for the common face
+r = s1 & s2, because P1 spans span c and lies in both preimages, so maps into
+r.  Since si & span r = r, both pieces equal {x in c : phi(x) in r}.  So two
+full-dimensional pieces of c are equal or neither contains the other.
+
+Lemma B (minimal cones embed).  If c is minimal over t (cert(c) = t and no
+proper face of c has certificate t), then ker phi & span c = 0.  Otherwise a
+nonzero kernel direction through a relative-interior point of c reaches a
+proper face G of c (c is pointed) whose image meets the relative interior of
+t, so cert(G) = t.  Hence c's rays and their images have equal rank.
 """
 
 from __future__ import annotations
@@ -210,28 +226,29 @@ def normal_fan(p):
 def star_subdivide(fan, ray):
     """Insert a primitive ray by star subdivision of every cone containing it.
 
-    Inserting a ray the fan already has is a no-op.
+    Inserting a ray the fan already has is a no-op; a ray that no cone
+    contains raises ``SupportError``.
     """
     ray = la.vec(ray)
     if ray != la.primitive(ray):
         raise DegenerateInputError("subdivision ray must be primitive")
     if ray in fan.rays:
         return fan
-    if not fan.support_contains(ray):
-        raise SupportError("ray lies outside the fan support", ray=list(ray))
-    rays = fan.rays + (ray,)
     new_idx = len(fan.rays)
-    cones = []
+    cones, split = [], False
     for c in fan.max_cones:
         geom = fan.cone_geom(c)
         if not geom.contains(ray):
             cones.append(c)
             continue
+        split = True
         for fs, f in zip(geom.facet_ray_sets(), geom.ambient_ineqs):
             if la.dot(ray, f) == 0:
                 continue  # the facet contains the ray
             cones.append(tuple(sorted([c[i] for i in fs] + [new_idx])))
-    return Fan(fan.rank, rays, cones)
+    if not split:
+        raise SupportError("ray lies outside the fan support", ray=list(ray))
+    return Fan(fan.rank, fan.rays + (ray,), cones)
 
 
 def classify(fan, delta=None):
@@ -315,7 +332,10 @@ def subdivide_domain(matrix, domain, codomain):
     """Coarsest refinement of the domain mapping each cone into a codomain cone.
 
     Every domain cone is intersected with the preimages of the codomain
-    cones; new rays are the primitive generators of the resulting edges.
+    cones, and its distinct full-dimensional pieces are kept: none lies in
+    another (Lemma A).  New rays are the primitive generators of the pieces'
+    edges.  A complete codomain's preimages cover every cone; otherwise each
+    cone's pieces must cover it, or ``SupportError`` is raised.
     Already-compatible input comes back unchanged.
     """
     matrix = la.mat(matrix)
@@ -325,64 +345,47 @@ def subdivide_domain(matrix, domain, codomain):
     except IncompatibleMorphismError:
         pass
     n = domain.rank
-    codomain_complete = codomain.is_complete()
     back = la.transpose(matrix)
     preimages = [
         tuple(la.vecmat(f, back) for f in codomain.cone_geom(t).inequalities)
         for t in codomain.max_cones
     ]
-    pieces_all = []
+    pieces_all = set()
     for c in domain.max_cones:
         geom = domain.cone_geom(c)
-        pieces = []
+        pieces = set()
         for preimage in preimages:
             rays = extreme_rays(geom.inequalities + preimage, n)
             if rays and la.rank(rays) == geom.dim:
-                pieces.append(rays)
-        # drop pieces contained in other pieces of the same cone
-        geoms = [ConeGeom(r, n) for r in pieces]
-        kept = [
-            g
-            for g in geoms
-            if not any(
-                o.rays != g.rays and all(o.contains(x) for x in g.rays) for o in geoms
-            )
-        ]
-        if not codomain_complete:
-            _check_coverage(geom, kept)
-        pieces_all.extend(g.rays for g in kept)
+                pieces.add(rays)
+        if not codomain.is_complete():
+            _check_coverage(geom, pieces)
+        pieces_all |= pieces
     # assemble: original rays keep their order, new rays appended in lex order
-    seen = dict()
-    for i, r in enumerate(domain.rays):
-        seen[r] = i
-    new_rays = sorted(
-        {r for piece in pieces_all for r in piece if r not in seen}
-    )
+    new_rays = sorted({r for piece in pieces_all for r in piece} - set(domain.rays))
     rays = domain.rays + tuple(new_rays)
-    for i, r in enumerate(new_rays):
-        seen[r] = len(domain.rays) + i
-    cones = {tuple(sorted(seen[r] for r in piece)) for piece in pieces_all}
-    fan = Fan(n, rays, sorted(cones))
+    index = {r: i for i, r in enumerate(rays)}
+    fan = Fan(n, rays, [[index[r] for r in piece] for piece in pieces_all])
     return fan.subfan(fan.max_cones)
 
 
 def _check_coverage(geom, pieces):
-    """Wall-parity check that the piece cones cover the cone (incomplete codomain)."""
+    """Raise unless the pieces (ray tuples) cover the cone: there is at least
+    one, and every wall of a piece is a wall of two pieces or lies on the cone's boundary."""
     counts = {}
-    for g in pieces:
+    for rays in pieces:
+        g = ConeGeom(rays, geom.ambient_rank)
         for fs in g.facet_ray_sets():
             wall = tuple(sorted(g.rays[i] for i in fs))
             counts[wall] = counts.get(wall, 0) + 1
-    for wall, cnt in counts.items():
-        if cnt == 2:
-            continue
-        on_boundary = any(
-            all(la.dot(r, f) == 0 for r in wall) for f in geom.ambient_ineqs
-        )
-        if not on_boundary:
-            raise SupportError(
-                "domain support does not map into the codomain support"
-            )
+    inner = [
+        wall
+        for wall, cnt in counts.items()
+        if cnt != 2
+        and not any(all(la.dot(r, f) == 0 for r in wall) for f in geom.ambient_ineqs)
+    ]
+    if not pieces or inner:
+        raise SupportError("domain support does not map into the codomain support")
 
 
 def is_fibration(phi):
@@ -392,7 +395,8 @@ def is_fibration(phi):
     that certificate has a proper subset of its rays.  Such a cone is a face
     of c and lies in a facet of c, which has the same certificate because
     certificates are monotone along faces; so this is the facet test.
-    Dimensions are ranks of rays, read without any cone's geometry.
+    A minimal cone's dimension is the rank of its rays, which is also the
+    rank of their images (Lemma B), so one rank test decides it.
     """
     k = phi.codomain.rank
     if k == 0:
@@ -411,8 +415,7 @@ def is_fibration(phi):
         for c in group:
             if any(g < c for g in group):
                 continue  # not minimal
-            rays = [phi.domain.rays[i] for i in c]
-            if la.rank(rays) != tdim or la.rank([phi.image(r) for r in rays]) != tdim:
+            if la.rank([phi.domain.rays[i] for i in c]) != tdim:
                 return False
     return True
 

@@ -478,8 +478,10 @@ _COLLAPSE = 2.0**-41
 # terms near its roots: its roundoff 2^-53 * size stays a normal double, and
 # the size stays 2^53 below overflow.
 _SIZE_LOG2 = (-1022 + 53, 1024 - 53)
+# Segments of a loop's circle in ``_circle_path``.
+_SEGMENTS = 24
 # Each segment of the path in double precision must match the exact segment
-# to this fraction of its length.  On a loop's circle (24 segments) that keeps
+# to this fraction of its length.  On a loop's circle of 24 segments that keeps
 # every vertex within 0.5 % of the radius of the exact one, far inside the
 # singular-value margin ``_validate_loop`` enforces, so the double path winds
 # round the same singular values; it fails for radii below a few times 1e-14
@@ -649,11 +651,11 @@ def _refine(coeffs, roots, prec):
         return out
 
 
-def _circle_path(base, center, radius, sense, segments=24):
+def _circle_path(base, center, radius, sense):
     """Base -> circle -> base: out along the ray from ``center`` through
     ``base``, once round the circle (sense +1 anticlockwise, -1 clockwise),
     and back.  The circle's points turn the first one about ``center`` by
-    repeated multiplication with one rotation exp(2 pi i sense / segments).
+    repeated multiplication with one rotation exp(2 pi i sense / _SEGMENTS).
     Raises unless the radius is positive and the base is not the centre."""
     if not radius > 0:
         raise DegenerateInputError("loop radius must be positive", radius=str(radius))
@@ -663,9 +665,9 @@ def _circle_path(base, center, radius, sense, segments=24):
             "the base point is the centre of the loop's circle", base=str(base)
         )
     z = radius * w / abs(w)
-    turn = mp.expjpi(mp.mpf(2 * sense) / segments)
+    turn = mp.expjpi(mp.mpf(2 * sense) / _SEGMENTS)
     pts = [base, center + z]
-    for _ in range(segments):
+    for _ in range(_SEGMENTS):
         z *= turn
         pts.append(center + z)
     pts.append(base)

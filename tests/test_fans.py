@@ -7,7 +7,7 @@ import pytest
 from toricfib import exactlinalg as la
 from toricfib import models
 from toricfib.dd import extreme_generators, extreme_rays, simplicial_facets
-from toricfib.errors import DegenerateInputError, IncompatibleMorphismError
+from toricfib.errors import DegenerateInputError, IncompatibleMorphismError, SupportError
 from toricfib.fans import (
     ConeGeom,
     Fan,
@@ -332,6 +332,59 @@ def test_fibration_verdicts_match_facet_reference_on_random_morphisms():
         else:
             kinds["not equidimensional"] += 1
     assert all(kinds.values()), kinds
+
+
+def test_minimal_cones_embed_on_random_morphisms():
+    # Lemma B of the fans module: over each certificate, a minimal cone's
+    # rays and their images have equal rank
+    checked = 0
+    for phi in _random_morphisms(random.Random(5), 150):
+        by_cert = {}
+        for c in phi.domain.all_cones():
+            by_cert.setdefault(phi.cert(c), []).append(c)
+        for group in by_cert.values():
+            for c in group:
+                if any(g < c for g in group):
+                    continue
+                rays = [phi.domain.rays[i] for i in c]
+                assert la.rank(rays) == la.rank([phi.image(r) for r in rays])
+                checked += 1
+    assert checked > 0
+
+
+def quadrant():
+    return Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+
+
+def split_quadrant():
+    """The first quadrant split by (1, 1): an incomplete fan of two cones."""
+    return Fan(2, ((1, 0), (1, 1), (0, 1)), ((0, 1), (1, 2)))
+
+
+def test_star_subdivide_outside_support():
+    with pytest.raises(SupportError, match="outside the fan support"):
+        star_subdivide(quadrant(), (-1, -1))
+
+
+def test_subdivide_domain_onto_split_quadrant():
+    out = subdivide_domain(la.identity(2), quadrant(), split_quadrant())
+    assert out.rays == ((1, 0), (0, 1), (1, 1))
+    assert out.max_cones == ((0, 2), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        # cone((1,0),(-1,1)) is covered only in part
+        Fan(2, ((1, 0), (-1, 1)), ((0, 1),)),
+        # two cones of P^2 map to no full-dimensional piece at all
+        p2_fan(),
+    ],
+    ids=["partly_covered", "uncovered"],
+)
+def test_subdivide_domain_outside_codomain_support(domain):
+    with pytest.raises(SupportError, match="does not map into the codomain support"):
+        subdivide_domain(la.identity(2), domain, split_quadrant())
 
 
 def test_simplicial_facets_match_double_description_on_model_fans(ctx):
