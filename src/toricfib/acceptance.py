@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from math import factorial
-from types import SimpleNamespace
 
 import mpmath as mp
 
@@ -225,17 +224,28 @@ class _Ctx:
         return nef_ci_polynomials(
             self.nef_partition,
             self.ci_face_fan,
-            monomials="all",
-            ray_names=models.CI_RAY_NAMES,
-            coeff_names=tuple({pt: n for n, pt in names if n[0] == c} for c in "ab"),
+            tuple({pt: n for n, pt in names if n[0] == c} for c in "ab"),
+            models.CI_RAY_NAMES,
         )
 
-    @cached_property
-    def chart_rays(self):
-        """Ray container for the equations of the resolved partial ambient:
-        the two dropped quadric rays plus the rays of the transition domain."""
-        quadric = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0))
-        return SimpleNamespace(rays=quadric + self.transition.domain.rays)
+    def chart_equations(self, xi0="xi0", xi1="xi1"):
+        """The reduced CI equations in the resolved partial chart, built on
+        the rays of the transition domain.
+
+        Lemma D (restriction to a chart).  The exponent on a ray depends only
+        on the monomial's point and on that ray.  So the equation on a subset
+        R' of the rays is the equation on all rays with the other coordinates
+        set to 1, as long as distinct points keep distinct exponent vectors,
+        and they do when R' spans N_Q: <m, r> = <m', r> for every r in R'
+        forces m = m'.  The transition domain's rays span N_Q, and they are
+        the chart's rays: every ray but the two quadric rays y0 and y1.
+        """
+        return nef_ci_polynomials(
+            self.nef_partition,
+            self.transition.domain,
+            _ci_reduced_coeffs(xi0, xi1),
+            models.CI_RAY_NAMES,
+        )
 
 
 # -- small helpers --------------------------------------------------------
@@ -253,11 +263,29 @@ def _named_poly(ring, terms):
 
 
 def _ci_reduced_coeffs(xi0="xi0", xi1="xi1"):
-    c0 = {pt: 1 for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("a")}
-    c1 = {pt: 1 for n, pt in models.CI_COEFF_POINTS.items() if n.startswith("b")}
-    c1[models.CI_COEFF_POINTS["b3"]] = xi0
-    c1[models.CI_COEFF_POINTS["b4"]] = xi1
+    """The reduced CI family: a0, a1, a2 and b0, b1, b2, b8 set to 1,
+    b3 = xi0 and b4 = xi1."""
+    P = models.CI_COEFF_POINTS
+    c0 = {P[n]: 1 for n in ("a0", "a1", "a2")}
+    c1 = {P[n]: 1 for n in ("b0", "b1", "b2", "b8")}
+    c1[P["b3"]] = xi0
+    c1[P["b4"]] = xi1
     return (c0, c1)
+
+
+def _hyp_gauge(B, psi_s, psi0, psi1):
+    """The paper's gauge of the hypersurface coefficients, by point."""
+    P = models.HYP_COEFF_POINTS
+    return {
+        P["a0"]: B / 24,
+        P["a1"]: ParamScalar.rational(1, 12),
+        P["a2"]: ParamScalar.rational(1, 3),
+        P["a3"]: ParamScalar.rational(1, 2),
+        P["a4"]: B / 24,
+        P["a5"]: -psi_s / 12,
+        P["a6"]: -psi1 / 6,
+        P["a10"]: -psi0,
+    }
 
 
 def _check(condition, label, failures):
@@ -435,27 +463,14 @@ def criterion_06_cy_equations(ctx):
         fails,
     )
     g0r, g1r = nef_ci_polynomials(
-        np_,
-        fan,
-        monomials="vertices+origin",
-        coefficients=_ci_reduced_coeffs(),
-        ray_names=models.CI_RAY_NAMES,
+        np_, fan, _ci_reduced_coeffs(), models.CI_RAY_NAMES
     )
     _check(g0r.render() == GOLDEN_G0_REDUCED, "reduced first equation rendering", fails)
     _check(g1r.render() == GOLDEN_G1_REDUCED, "reduced second equation rendering", fails)
 
     # equations in the resolved partial chart
-    g0c, g1c = nef_ci_polynomials(
-        np_,
-        ctx.chart_rays,
-        monomials="vertices+origin",
-        coefficients=_ci_reduced_coeffs(),
-        ray_names=models.CI_RAY_NAMES,
-    )
-    one = SparsePoly.constant(g0c.ring, 1)
-    chart_ring = tuple(n for n in g0c.ring if n not in ("y0", "y1"))
-    g0c = g0c.substitute({"y0": one, "y1": one}).project(chart_ring)
-    g1c = g1c.substitute({"y0": one, "y1": one}).project(chart_ring)
+    g0c, g1c = ctx.chart_equations()
+    chart_ring = g0c.ring
     _check(
         g0c
         == _named_poly(
@@ -488,7 +503,7 @@ def criterion_06_cy_equations(ctx):
     # anticanonical hypersurface on the 6-ray fan
     names = {pt: n for n, pt in models.HYP_COEFF_POINTS.items()}
     h = anticanonical_polynomial(
-        ctx.hyp_simplex, ctx.hyp_fan_6, ray_names=models.HYP_RAY_NAMES, coeff_names=names
+        ctx.hyp_simplex, ctx.hyp_fan_6, names, models.HYP_RAY_NAMES
     )
     _check(len(h.terms) == 8, "hypersurface has 8 terms", fails)
     _check(
@@ -496,22 +511,12 @@ def criterion_06_cy_equations(ctx):
         "leading hypersurface monomial",
         fails,
     )
-    P = models.HYP_COEFF_POINTS
     B, psi_s, psi1, psi0 = (ParamScalar.var(n) for n in ("B", "psi_s", "psi1", "psi0"))
     gauged = anticanonical_polynomial(
         ctx.hyp_simplex,
         ctx.hyp_fan_6,
-        coefficients={
-            P["a0"]: B / 24,
-            P["a1"]: ParamScalar.rational(1, 12),
-            P["a2"]: ParamScalar.rational(1, 3),
-            P["a3"]: ParamScalar.rational(1, 2),
-            P["a4"]: B / 24,
-            P["a5"]: -psi_s / 12,
-            P["a6"]: -psi1 / 6,
-            P["a10"]: -psi0,
-        },
-        ray_names=models.HYP_RAY_NAMES,
+        _hyp_gauge(B, psi_s, psi0, psi1),
+        models.HYP_RAY_NAMES,
     )
     _check(gauged.render() == GOLDEN_H_GAUGED, "gauged hypersurface rendering", fails)
     _check(
@@ -745,37 +750,17 @@ def _transition_rings(ctx):
     """Chart ring, equations with hypersurface parameters, and the pullback maps."""
     B, psi0, psi1 = (ParamScalar.var(n) for n in ("B", "psi0", "psi1"))
     phi = ctx.transition
-    chart_ring = tuple(models.CI_RAY_NAMES[r] for r in phi.domain.rays)
 
     # hypersurface equation with the symmetric parameter specialized
-    P = models.HYP_COEFF_POINTS
     h2 = anticanonical_polynomial(
         ctx.hyp_simplex,
         ctx.hyp_fan_12,
-        coefficients={
-            P["a0"]: B / 24,
-            P["a1"]: Fraction(1, 12),
-            P["a2"]: Fraction(1, 3),
-            P["a3"]: Fraction(1, 2),
-            P["a4"]: B / 24,
-            P["a5"]: B / 12,
-            P["a6"]: -psi1 / 6,
-            P["a10"]: -psi0,
-        },
-        ray_names=models.HYP_RAY_NAMES,
+        _hyp_gauge(B, -B, psi0, psi1),
+        models.HYP_RAY_NAMES,
     )
     # chart equations with the matched moduli
-    xi0, xi1 = match_parameters(B, psi0, psi1)
-    g0f, g1f = nef_ci_polynomials(
-        ctx.nef_partition,
-        ctx.chart_rays,
-        monomials="vertices+origin",
-        coefficients=_ci_reduced_coeffs(xi0=xi0, xi1=xi1),
-        ray_names=models.CI_RAY_NAMES,
-    )
-    one = SparsePoly.constant(g0f.ring, 1)
-    g0 = g0f.substitute({"y0": one, "y1": one}).project(chart_ring)
-    g1 = g1f.substitute({"y0": one, "y1": one}).project(chart_ring)
+    g0, g1 = ctx.chart_equations(*match_parameters(B, psi0, psi1))
+    chart_ring = g0.ring
 
     mm = homogeneous_map(phi)
     plain_map = {}

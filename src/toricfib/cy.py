@@ -1,11 +1,12 @@
 """Nef-partitions, Calabi-Yau equations, Hodge numbers and GKZ series data.
 
 The equation builders homogenize lattice points of the relevant polytopes
-against the rays of a crepant fan; coefficients are keyed by the lattice
-point of their monomial, never by any enumeration order.  The equations are
-``sympoly.SparsePoly``s over the one parameter field: a given coefficient may
-be anything ``ParamScalar.of`` accepts, and a missing one is the parameter
-named in ``coeff_names`` (``c_<point>`` by default).
+against the rays of a crepant fan.  The keys of ``coefficients`` are the
+monomials: one term per key, a lattice point of the polytope, never an
+enumeration index.  The equations are ``sympoly.SparsePoly``s over the one
+parameter field; a value may be anything ``ParamScalar.of`` accepts, so a
+``str`` names a parameter, and ``coefficients=None`` takes every lattice
+point with the parameter ``c_<point>``.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ class NefPartition:
     nabla_parts: tuple  # per part: vertices of Conv(V_i u {0})
     nabla: LatticePolytope
     part_polytopes: tuple  # per part: (vertices, lattice points) of Delta_i
-
-    @property
-    def npart(self):
-        return len(self.parts)
 
     def dual(self):
         """Swap the roles of the two polytope families; an involution."""
@@ -164,87 +161,61 @@ def _ring_for(fan, names):
     return tuple(names.get(r, f"z{i}") for i, r in enumerate(fan.rays))
 
 
-def _coeff(coefficients, coeff_names, point):
-    if coefficients and point in coefficients:
-        return ParamScalar.of(coefficients[point])
-    name = (coeff_names or {}).get(point)
-    if name is None:
-        name = "c_" + "_".join(str(x).replace("-", "m") for x in point)
-    return ParamScalar.var(name)
-
-
-def _section(fan, ring, chosen, support, coefficients, coeff_names):
-    """One term per chosen lattice point m, with exponent <m, r> minus the
-    minimum of <., r> over ``support`` on each ray coordinate r.  Every
-    chosen point lies in the hull of the support, so no exponent is negative."""
+def _section(fan, ring, coefficients, points, support):
+    """One term per key m of ``coefficients`` (every point of ``points`` when
+    None), with exponent <m, r> minus the minimum of <., r> over ``support``
+    on each ray coordinate r.  Every key must be one of ``points``, which lie
+    in the hull of the support, so no exponent is negative."""
+    if coefficients is None:
+        coefficients = {
+            m: "c_" + "_".join(str(x).replace("-", "m") for x in m)
+            for m in sorted(points)
+        }
+    outside = [m for m in coefficients if m not in points]
+    if outside:
+        raise DegenerateInputError(
+            "coefficient keys are not lattice points of the polytope",
+            points=[list(m) for m in outside],
+        )
     mins = [min(la.dot(s, r) for s in support) for r in fan.rays]
     terms = {}
-    for m in chosen:
+    for m, c in coefficients.items():
         exps = tuple(la.dot(m, r) - mn for r, mn in zip(fan.rays, mins))
-        terms[exps] = _coeff(coefficients, coeff_names, m)
+        terms[exps] = ParamScalar.of(c)
     return SparsePoly(ring, terms)
 
 
-def anticanonical_polynomial(
-    delta,
-    fan,
-    monomials="no-facet-interior",
-    coefficients=None,
-    ray_names=None,
-    coeff_names=None,
-):
-    """Anticanonical section: one term per chosen lattice point m of delta,
-    with exponent <m, ray> + 1 on every ray coordinate.
+def anticanonical_polynomial(delta, fan, coefficients=None, ray_names=None):
+    """Anticanonical section: one term per key m of ``coefficients``, a
+    lattice point of delta, with exponent <m, ray> + 1 on every ray coordinate.
 
     That is <m, ray> minus the minimum of <., ray> over delta's vertices: a
     crepant ray lies on a facet of the polar, so the minimum is -1.
-    ``monomials`` is "all" or "no-facet-interior"; the latter drops points
-    interior to facets, which never move a generic hypersurface.
     """
     _check_crepant(fan, delta.polar())
-    interior, boundary, masks = delta._points_data
-    allpts = sorted(interior + boundary)
-    if monomials == "all":
-        chosen = allpts
-    elif monomials == "no-facet-interior":
-        chosen = [p for p in allpts if len(masks[p]) != 1]
-    else:
-        raise ValueError(f"unknown monomial mode {monomials!r}")
+    interior, boundary = delta.lattice_points()
     ring = _ring_for(fan, ray_names)
-    return _section(fan, ring, chosen, delta.vertices, coefficients, coeff_names)
+    points = set(interior) | set(boundary)
+    return _section(fan, ring, coefficients, points, delta.vertices)
 
 
-def nef_ci_polynomials(
-    np,
-    fan,
-    monomials="all",
-    coefficients=None,
-    ray_names=None,
-    coeff_names=None,
-):
+def nef_ci_polynomials(np, fan, coefficients=None, ray_names=None):
     """The complete-intersection equations of a nef-partition on a crepant fan.
 
-    The exponent of a ray coordinate in the term of a point m of the i-th
-    dual part polytope is <m, ray> minus the minimum of <., ray> over that
-    polytope's vertices and the origin (on the original rays this is the
-    part-indicator rule).  ``coefficients`` and ``coeff_names`` hold one
-    mapping per part, or are None.
+    ``coefficients`` holds one mapping per part, keyed by lattice points of
+    that part's dual polytope, or is None.  The exponent of a ray coordinate
+    in the term of a point m of the i-th dual part polytope is <m, ray> minus
+    the minimum of <., ray> over that polytope's vertices and the origin (on
+    the original rays this is the part-indicator rule).
     """
     _check_crepant(fan, np.polar_base)
     ring = _ring_for(fan, ray_names)
     origin = (0,) * np.base.rank
     out = []
     for i, (verts, pts) in enumerate(np.part_polytopes):
-        support = sorted(set(verts) | {origin})
-        if monomials == "all":
-            chosen = pts
-        elif monomials == "vertices+origin":
-            chosen = support
-        else:
-            raise ValueError(f"unknown monomial mode {monomials!r}")
         coeffs = coefficients[i] if coefficients else None
-        names = coeff_names[i] if coeff_names else None
-        out.append(_section(fan, ring, chosen, support, coeffs, names))
+        support = set(verts) | {origin}
+        out.append(_section(fan, ring, coeffs, set(pts), support))
     return out
 
 

@@ -164,9 +164,6 @@ class Fan:
                 out.add(frozenset(c[i] for i in fs))
         return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
-    def support_contains(self, v):
-        return any(self.cone_geom(c).contains(v) for c in self.max_cones)
-
     def is_simplicial(self):
         return all(self.cone_geom(c).is_simplicial() for c in self.max_cones)
 
@@ -249,24 +246,6 @@ def star_subdivide(fan, ray):
     if not split:
         raise SupportError("ray lies outside the fan support", ray=list(ray))
     return Fan(fan.rank, fan.rays + (ray,), cones)
-
-
-def classify(fan, delta=None):
-    """Simplicial/smooth/complete flags, plus crepancy against a reflexive polytope.
-
-    With ``delta`` given, ``crepant`` reports whether every ray of the fan is
-    a boundary lattice point of the polar of ``delta``.
-    """
-    out = {
-        "simplicial": fan.is_simplicial(),
-        "smooth": fan.is_smooth(),
-        "complete": fan.is_complete(),
-    }
-    if delta is not None:
-        _, boundary = delta.polar().lattice_points()
-        bset = set(boundary)
-        out["crepant"] = all(r in bset for r in fan.rays)
-    return out
 
 
 @dataclass(frozen=True)

@@ -513,21 +513,6 @@ class SparsePoly:
             terms[exps] = c
         return SparsePoly(self.ring, terms)
 
-    def project(self, ring):
-        """Restrict to a smaller ring; dropped variables must not occur."""
-        idx = {name: i for i, name in enumerate(ring)}
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = [0] * len(ring)
-            for name, k in zip(self.ring, exps):
-                if k == 0:
-                    continue
-                if name not in idx:
-                    raise ValueError(f"variable {name!r} still occurs")
-                e[idx[name]] = k
-            terms[tuple(e)] = coeff
-        return SparsePoly(ring, terms)
-
     def render(self):
         """Terms by descending degree; within a degree by descending sorted
         exponents, then display-order lex (z0^24*z16^12 before z0^12*z3^12*z16^12,

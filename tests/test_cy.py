@@ -4,8 +4,10 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
+import pytest
 
 from toricfib import acceptance, cy, models
+from toricfib import exactlinalg as la
 from toricfib.acceptance import (
     _ci_reduced_coeffs,
     _named_poly,
@@ -19,15 +21,16 @@ from toricfib.cy import (
     nef_ci_polynomials,
     anticanonical_polynomial,
 )
-from toricfib.errors import NotNefPartitionError
-from toricfib.fans import mori_cone
+from toricfib.errors import DegenerateInputError, NotNefPartitionError
+from toricfib.fans import Fan, mori_cone
+from toricfib.k3 import match_parameters
 from toricfib.polytope import LatticePolytope
-from toricfib.sympoly import ParamScalar, SparsePoly, pullback
+from toricfib.sympoly import ParamScalar, pullback
 
 
 def test_nef_partition_data(ctx):
     np_ = ctx.nef_partition
-    assert np_.npart == 2
+    assert len(np_.parts) == 2
     # three monomials for the first part, nine for the second
     assert len(np_.part_polytopes[0][1]) == 3
     assert len(np_.part_polytopes[1][1]) == 9
@@ -136,11 +139,7 @@ def test_nef_ci_equations_full(ctx):
 
 def test_nef_ci_equations_reduced(ctx):
     g0, g1 = nef_ci_polynomials(
-        ctx.nef_partition,
-        ctx.ci_face_fan,
-        monomials="vertices+origin",
-        coefficients=_ci_reduced_coeffs(),
-        ray_names=models.CI_RAY_NAMES,
+        ctx.nef_partition, ctx.ci_face_fan, _ci_reduced_coeffs(), models.CI_RAY_NAMES
     )
     ring = g0.ring
     v = ParamScalar.var
@@ -168,19 +167,8 @@ def test_nef_ci_equations_reduced(ctx):
 
 
 def test_nef_ci_equations_resolved_chart(ctx):
-    g0, g1 = nef_ci_polynomials(
-        ctx.nef_partition,
-        ctx.chart_rays,
-        monomials="vertices+origin",
-        coefficients=_ci_reduced_coeffs(),
-        ray_names=models.CI_RAY_NAMES,
-    )
-    # set the two dropped coordinates to one and project onto the chart ring
-    ring = g0.ring
-    one = SparsePoly.constant(ring, 1)
-    chart_ring = tuple(n for n in ring if n not in ("y0", "y1"))
-    g0c = g0.substitute({"y0": one, "y1": one}).project(chart_ring)
-    g1c = g1.substitute({"y0": one, "y1": one}).project(chart_ring)
+    g0c, g1c = ctx.chart_equations()
+    chart_ring = g0c.ring
     v = ParamScalar.var
     assert g0c == _named_poly(
         chart_ring,
@@ -247,13 +235,43 @@ def test_nef_ci_equations_resolved_chart(ctx):
     assert g1c == expected_g1
 
 
+def test_chart_equations_restrict_all_rays(ctx):
+    """Lemma D of ``_Ctx.chart_equations``: on the transition domain's rays
+    plus the two quadric rays, dropping the y0 and y1 exponents gives the
+    chart equations term by term, for symbolic and for matched moduli."""
+    domain_rays = ctx.transition.domain.rays
+    assert la.rank(domain_rays) == 5
+    quadric = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0))
+    full = Fan(5, quadric + domain_rays, ())
+    B, psi0, psi1 = (ParamScalar.var(n) for n in ("B", "psi0", "psi1"))
+    for xi in (("xi0", "xi1"), match_parameters(B, psi0, psi1)):
+        chart = ctx.chart_equations(*xi)
+        polys = nef_ci_polynomials(
+            ctx.nef_partition, full, _ci_reduced_coeffs(*xi), models.CI_RAY_NAMES
+        )
+        for g, want in zip(polys, chart):
+            assert g.ring == ("y0", "y1") + want.ring
+            dropped = {e[2:]: c for e, c in g.terms.items()}
+            assert len(dropped) == len(g.terms)
+            assert dropped == want.terms
+
+
+def test_coefficient_keys_outside_polytope_raise(ctx):
+    # (2, 0, 0, 0) is no lattice point of the 4d simplex
+    with pytest.raises(DegenerateInputError):
+        anticanonical_polynomial(ctx.hyp_simplex, ctx.hyp_fan_6, {(2, 0, 0, 0): 1})
+    # b3's point lies in the second dual part polytope, not in the first
+    c0, c1 = _ci_reduced_coeffs()
+    c0[models.CI_COEFF_POINTS["b3"]] = 1
+    with pytest.raises(DegenerateInputError):
+        nef_ci_polynomials(ctx.nef_partition, ctx.ci_face_fan, (c0, c1))
+
+
 def test_anticanonical_hypersurface_6ray(ctx):
     fan = ctx.hyp_fan_6
     delta = ctx.hyp_simplex
     names = {pt: n for n, pt in models.HYP_COEFF_POINTS.items()}
-    h = anticanonical_polynomial(
-        delta, fan, ray_names=models.HYP_RAY_NAMES, coeff_names=names
-    )
+    h = anticanonical_polynomial(delta, fan, names, models.HYP_RAY_NAMES)
     assert len(h.terms) == 8
     ring = h.ring
     v = ParamScalar.var
@@ -271,34 +289,20 @@ def test_anticanonical_hypersurface_6ray(ctx):
         ],
     )
     assert h == expected
-    # "all" mode picks up the three facet-interior monomials as well
-    h_all = anticanonical_polynomial(
-        delta, fan, monomials="all", ray_names=models.HYP_RAY_NAMES, coeff_names=names
-    )
+    # every lattice point adds the three facet-interior monomials
+    h_all = anticanonical_polynomial(delta, fan, ray_names=models.HYP_RAY_NAMES)
     assert len(h_all.terms) == 11
 
 
 def test_anticanonical_gauged_rendering(ctx):
     fan = ctx.hyp_fan_6
     delta = ctx.hyp_simplex
-    P = models.HYP_COEFF_POINTS
     B = ParamScalar.var("B")
     psi_s = ParamScalar.var("psi_s")
     psi1 = ParamScalar.var("psi1")
     psi0 = ParamScalar.var("psi0")
-    coeffs = {
-        P["a0"]: B / 24,
-        P["a1"]: ParamScalar.rational(1, 12),
-        P["a2"]: ParamScalar.rational(1, 3),
-        P["a3"]: ParamScalar.rational(1, 2),
-        P["a4"]: B / 24,
-        P["a5"]: -psi_s / 12,
-        P["a6"]: -psi1 / 6,
-        P["a10"]: -psi0,
-    }
-    h = anticanonical_polynomial(
-        delta, fan, coefficients=coeffs, ray_names=models.HYP_RAY_NAMES
-    )
+    coeffs = acceptance._hyp_gauge(B, psi_s, psi0, psi1)
+    h = anticanonical_polynomial(delta, fan, coeffs, models.HYP_RAY_NAMES)
     out = h.render()
     assert out.endswith("+ 1/3*z1^3 + 1/2*z4^2")
     assert h.monomial_coefficient(z2=12) == ParamScalar.rational(1, 12)
@@ -307,10 +311,8 @@ def test_anticanonical_gauged_rendering(ctx):
 
 def test_anticanonical_smallest_case():
     seg = LatticePolytope.hull([(-1,), (1,)])
-    from toricfib.fans import Fan
-
     fan = Fan(1, ((1,), (-1,)), ((0,), (1,)))
-    h = anticanonical_polynomial(seg, fan, monomials="all")
+    h = anticanonical_polynomial(seg, fan)
     assert len(h.terms) == 3
     degs = sorted(h.terms)
     assert degs == [(0, 2), (1, 1), (2, 0)]
@@ -393,8 +395,6 @@ def test_gkz_nonnegative_integral(ctx):
 
 
 def test_gkz_single_part_projective_plane():
-    from toricfib.fans import Fan
-
     fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
     deg = gkz_degrees(fan, [(0, 1, 2)], {0: "a1", 1: "a2", 2: "a3"}, ("a0",))
     assert deg.columns["a1"] == (1,)

@@ -14,7 +14,6 @@ from toricfib.fans import (
     _extreme_generators,
     _smallest_containing_cone,
     check_compatibility,
-    classify,
     face_fan,
     homogeneous_map,
     is_fibration,
@@ -156,7 +155,9 @@ def test_smallest_containing_cone_matches_scan(ctx, name):
         assert _smallest_containing_cone(fan, vectors) == want, vectors
         if want is None:
             seen["none"] += 1
-            seen["outside"] += not all(fan.support_contains(v) for v in vectors)
+            seen["outside"] += not all(
+                any(fan.cone_geom(c).contains(v) for c in fan.max_cones) for v in vectors
+            )
         else:
             seen["maximal" if want in maximal else "face"] += 1
     assert seen["face"] and seen["maximal"] and seen["none"], seen
@@ -531,15 +532,15 @@ def test_star_subdivide_smooth_split():
     assert out.is_smooth()
 
 
-def test_classify_p2():
-    flags = classify(p2_fan())
-    assert flags == {"simplicial": True, "smooth": True, "complete": True}
+def test_p2_fan_flags():
+    fan = p2_fan()
+    assert fan.is_simplicial() and fan.is_smooth() and fan.is_complete()
 
 
-def test_classify_crepant(ctx):
-    fan = ctx.ci_fan
-    flags = classify(fan, delta=ctx.ci_base)
-    assert flags["crepant"] is True
+def test_ci_fan_crepant(ctx):
+    # every ray is a boundary lattice point of the 5d polar
+    _, boundary = ctx.ci_polar.lattice_points()
+    assert set(ctx.ci_fan.rays) <= set(boundary)
 
 
 def test_mori_p2():
@@ -628,7 +629,7 @@ def test_transition_morphism_resolved(ctx):
     # every domain ray is a boundary point of the 5d polar (crepant openness)
     _, boundary = ctx.ci_polar.lattice_points()
     assert set(phi.domain.rays) <= set(boundary)
-    assert classify(phi.domain)["simplicial"] is True
+    assert phi.domain.is_simplicial()
     kfan, sub = kernel_fan(phi)
     assert [sub.from_coords(r) for r in kfan.rays] == [(-1, -1, 0, 0, 0)]
     assert sub.basis == ((1, 1, 0, 0, 0),)
