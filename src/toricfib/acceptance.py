@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from math import factorial
+from math import factorial, prod
 
 import mpmath as mp
 
@@ -278,9 +278,9 @@ def _hyp_gauge(B, psi_s, psi0, psi1):
     P = models.HYP_COEFF_POINTS
     return {
         P["a0"]: B / 24,
-        P["a1"]: ParamScalar.rational(1, 12),
-        P["a2"]: ParamScalar.rational(1, 3),
-        P["a3"]: ParamScalar.rational(1, 2),
+        P["a1"]: Fraction(1, 12),
+        P["a2"]: Fraction(1, 3),
+        P["a3"]: Fraction(1, 2),
         P["a4"]: B / 24,
         P["a5"]: -psi_s / 12,
         P["a6"]: -psi1 / 6,
@@ -428,7 +428,7 @@ def criterion_06_cy_equations(ctx):
     g0, g1 = ctx.ci_equations
     _check(len(g0.terms) == 3, "first equation has 3 terms", fails)
     _check(len(g1.terms) == 9, "second equation has 9 terms", fails)
-    v = ParamScalar.var
+    v = ParamScalar.of
     ring = g0.ring
     _check(
         g0
@@ -507,11 +507,11 @@ def criterion_06_cy_equations(ctx):
     )
     _check(len(h.terms) == 8, "hypersurface has 8 terms", fails)
     _check(
-        h.monomial_coefficient(z0=24, z16=12) == ParamScalar.var("a0"),
+        h.monomial_coefficient(z0=24, z16=12) == ParamScalar.of("a0"),
         "leading hypersurface monomial",
         fails,
     )
-    B, psi_s, psi1, psi0 = (ParamScalar.var(n) for n in ("B", "psi_s", "psi1", "psi0"))
+    B, psi_s, psi1, psi0 = (ParamScalar.of(n) for n in ("B", "psi_s", "psi1", "psi0"))
     gauged = anticanonical_polynomial(
         ctx.hyp_simplex,
         ctx.hyp_fan_6,
@@ -536,9 +536,9 @@ def criterion_07_chart_elimination(ctx):
     chart = g1.substitute({"y4": one, "y5": one, "y6": one, "y7": one})
     y8 = SparsePoly.variable(ring, "y8")
     y9 = SparsePoly.variable(ring, "y9")
-    c = SparsePoly.constant(ring, ParamScalar.var("c"))
-    d = SparsePoly.constant(ring, ParamScalar.var("d"))
-    e = SparsePoly.constant(ring, ParamScalar.var("e"))
+    c = SparsePoly.constant(ring, ParamScalar.of("c"))
+    d = SparsePoly.constant(ring, ParamScalar.of("d"))
+    e = SparsePoly.constant(ring, ParamScalar.of("e"))
     shifted = chart.substitute({"y8": y8 + c, "y9": y9 + d + e * y8})
     _check(
         shifted.support_names()
@@ -546,8 +546,8 @@ def criterion_07_chart_elimination(ctx):
         "monomial support after the shift",
         fails,
     )
-    cc, dd, ee = (ParamScalar.var(n) for n in ("c", "d", "e"))
-    b = {n: ParamScalar.var(n) for n in ("b0", "b1", "b5", "b6", "b7", "b8")}
+    cc, dd, ee = (ParamScalar.of(n) for n in ("c", "d", "e"))
+    b = {n: ParamScalar.of(n) for n in ("b0", "b1", "b5", "b6", "b7", "b8")}
     _check(
         shifted.monomial_coefficient(y8=2)
         == ee**2 * b["b1"] + 3 * cc * b["b0"] + ee * b["b8"] + b["b6"],
@@ -699,7 +699,7 @@ def criterion_11_skeleton_ade(ctx):
 def criterion_12_k3_matching(ctx):
     """fibre parameter matching, symbolically and at random rational points"""
     fails = []
-    s, t, B, psi0, psi1 = (ParamScalar.var(n) for n in ("s", "t", "B", "psi0", "psi1"))
+    s, t, B, psi0, psi1 = (ParamScalar.of(n) for n in ("s", "t", "B", "psi0", "psi1"))
     xi0, xi1 = match_parameters(B, psi0, psi1)
     z = fibre_params_Z(s, t, B, psi0, psi1, -B)
     y = fibre_params_Y(s, t, xi0, xi1)
@@ -722,9 +722,9 @@ def criterion_12_k3_matching(ctx):
         _check(yn.pi.as_fraction() == zn.pi.as_fraction(), "pi at a random point", fails)
         _check(yn.sigma.as_fraction() == zn.sigma.as_fraction(), "sigma at a random point", fails)
         count += 1
-    u, v_, xi0s = (ParamScalar.var(n) for n in ("u", "v", "xi0"))
+    u, v_, xi0s = (ParamScalar.of(n) for n in ("u", "v", "xi0"))
     special = fibre_params_Y(u, v_, xi0s, 0)
-    _check(special.sigma == ParamScalar(1), "sigma is 1 on the special subfamily", fails)
+    _check(special.sigma == ParamScalar.of(1), "sigma is 1 on the special subfamily", fails)
     return fails
 
 
@@ -748,7 +748,7 @@ def criterion_13_singular_locus(ctx):
 
 def _transition_rings(ctx):
     """Chart ring, equations with hypersurface parameters, and the pullback maps."""
-    B, psi0, psi1 = (ParamScalar.var(n) for n in ("B", "psi0", "psi1"))
+    B, psi0, psi1 = (ParamScalar.of(n) for n in ("B", "psi0", "psi1"))
     phi = ctx.transition
 
     # hypersurface equation with the symmetric parameter specialized
@@ -768,7 +768,8 @@ def _transition_rings(ctx):
         zname = models.HYP_RAY_NAMES[ray]
         plain_map[zname] = (1, {chart_ring[i]: e for i, e in mm.entries[j]})
     # the paper's scaling composed with the chart torus element 12^w
-    # (see criterion_14_pullback_identity)
+    # (see criterion_14_pullback_identity), per chart coordinate; the
+    # scalar of z is the product of c_y^e over z's monomial
     scalings = {
         "y6": 1 / psi0,
         "y8": Fraction(1, 2),
@@ -778,13 +779,17 @@ def _transition_rings(ctx):
         "y667": 12**4,
     }
     scalings.update(dict.fromkeys(("y469", "y109", "y32", "y745"), Fraction(1, 12)))
+    scaled_map = {
+        z: (prod(scalings.get(y, 1) ** e for y, e in mono.items()), mono)
+        for z, (_, mono) in plain_map.items()
+    }
     return {
         "chart_ring": chart_ring,
         "h2": h2,
         "g0": g0,
         "g1": g1,
         "plain_map": plain_map,
-        "scalings": scalings,
+        "scaled_map": scaled_map,
         "B": B,
         "phi": phi,
     }
@@ -814,18 +819,14 @@ def criterion_14_pullback_identity(ctx):
     data = _transition_rings(ctx)
     h2, g0, g1 = data["h2"], data["g0"], data["g1"]
     chart_ring = data["chart_ring"]
-    zring = h2.ring
-    i334 = zring.index("z334")
-    r2_terms = {e: c for e, c in h2.terms.items() if e[i334] == 0}
-    q2_terms = {
-        tuple(x - 1 if j == i334 else x for j, x in enumerate(e)): c
-        for e, c in h2.terms.items()
-        if e[i334] > 0
-    }
-    r2 = SparsePoly(zring, r2_terms)
-    q2 = SparsePoly(zring, q2_terms)
+    parts = h2.collect("z334")
+    r2 = parts[0]
     _check(len(r2.terms) == 3, "squared part has three monomials", fails)
-    _check(len(q2.terms) == 5, "cofactor part has five monomials", fails)
+    _check(
+        sum(len(p.terms) for k, p in parts.items() if k > 0) == 5,
+        "cofactor part has five monomials",
+        fails,
+    )
     pkr2 = pullback(r2, data["plain_map"], chart_ring)
     B = data["B"]
     y = {n: SparsePoly.variable(chart_ring, n) for n in chart_ring}
@@ -833,8 +834,8 @@ def criterion_14_pullback_identity(ctx):
     expected = inner * inner * (y["y6"] ** 12) * (B / 24)
     _check(pkr2 == expected, "pullback of the squared part", fails)
 
-    # scaled pullback: apply the coordinate scalings after the monomial map
-    psih2 = pullback(h2, data["plain_map"], chart_ring).scale_vars(data["scalings"])
+    # S'(phi^*h2): the scalars of scaled_map are S' after the monomial map
+    psih2 = pullback(h2, data["scaled_map"], chart_ring)
     lhs = psih2 * 48 - y["y3"] ** 2 * y["y745"] * g1 * 12**4
     _, rem, _ = pseudo_divide(lhs, g0, "y109")
     _check(rem.is_zero(), "scaled pullback identity modulo the first equation", fails)
@@ -1049,16 +1050,7 @@ def criterion_17_property_suites(ctx):
         if g.degree("x") <= 0:
             continue
         q, r, power = pseudo_divide(f, g, "x")
-        i = ring.index("x")
-        dmax = g.degree("x")
-        lc = SparsePoly(
-            ring,
-            {
-                tuple(0 if j == i else e for j, e in enumerate(exps)): c
-                for exps, c in g.terms.items()
-                if exps[i] == dmax
-            },
-        )
+        lc = g.collect("x")[g.degree("x")]
         _check((lc**power) * f == q * g + r, "pseudo-division certificate", fails)
 
     # GKZ integrality and nonnegativity

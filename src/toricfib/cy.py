@@ -161,11 +161,13 @@ def _ring_for(fan, names):
     return tuple(names.get(r, f"z{i}") for i, r in enumerate(fan.rays))
 
 
-def _section(fan, ring, coefficients, points, support):
+def _section(fan, ring, coefficients, points):
     """One term per key m of ``coefficients`` (every point of ``points`` when
-    None), with exponent <m, r> minus the minimum of <., r> over ``support``
-    on each ray coordinate r.  Every key must be one of ``points``, which lie
-    in the hull of the support, so no exponent is negative."""
+    None), with exponent <m, r> minus the minimum of <., r> over ``points``
+    on each ray coordinate r.  Every key must be one of ``points``, so no
+    exponent is negative.  When ``points`` are the lattice points of a
+    lattice polytope, each minimum is the one over its vertices: a linear
+    form attains its minimum over a polytope at a vertex."""
     if coefficients is None:
         coefficients = {
             m: "c_" + "_".join(str(x).replace("-", "m") for x in m)
@@ -177,7 +179,7 @@ def _section(fan, ring, coefficients, points, support):
             "coefficient keys are not lattice points of the polytope",
             points=[list(m) for m in outside],
         )
-    mins = [min(la.dot(s, r) for s in support) for r in fan.rays]
+    mins = [min(la.dot(p, r) for p in points) for r in fan.rays]
     terms = {}
     for m, c in coefficients.items():
         exps = tuple(la.dot(m, r) - mn for r, mn in zip(fan.rays, mins))
@@ -189,14 +191,15 @@ def anticanonical_polynomial(delta, fan, coefficients=None, ray_names=None):
     """Anticanonical section: one term per key m of ``coefficients``, a
     lattice point of delta, with exponent <m, ray> + 1 on every ray coordinate.
 
-    That is <m, ray> minus the minimum of <., ray> over delta's vertices: a
-    crepant ray lies on a facet of the polar, so the minimum is -1.
+    That is <m, ray> minus the minimum of <., ray> over delta's lattice
+    points, attained at a vertex: a crepant ray lies on a facet of the polar,
+    so the minimum is -1.
     """
     _check_crepant(fan, delta.polar())
     interior, boundary = delta.lattice_points()
     ring = _ring_for(fan, ray_names)
     points = set(interior) | set(boundary)
-    return _section(fan, ring, coefficients, points, delta.vertices)
+    return _section(fan, ring, coefficients, points)
 
 
 def nef_ci_polynomials(np, fan, coefficients=None, ray_names=None):
@@ -204,18 +207,18 @@ def nef_ci_polynomials(np, fan, coefficients=None, ray_names=None):
 
     ``coefficients`` holds one mapping per part, keyed by lattice points of
     that part's dual polytope, or is None.  The exponent of a ray coordinate
-    in the term of a point m of the i-th dual part polytope is <m, ray> minus
-    the minimum of <., ray> over that polytope's vertices and the origin (on
-    the original rays this is the part-indicator rule).
+    in the term of a point m of the i-th dual part polytope Delta_i is
+    <m, ray> minus the minimum of <., ray> over the lattice points of
+    Delta_i, attained at a vertex.  Delta_i contains the origin, so the
+    minimum is at most 0 (on the original rays this is the part-indicator
+    rule).
     """
     _check_crepant(fan, np.polar_base)
     ring = _ring_for(fan, ray_names)
-    origin = (0,) * np.base.rank
     out = []
-    for i, (verts, pts) in enumerate(np.part_polytopes):
+    for i, (_, pts) in enumerate(np.part_polytopes):
         coeffs = coefficients[i] if coefficients else None
-        support = set(verts) | {origin}
-        out.append(_section(fan, ring, coeffs, set(pts), support))
+        out.append(_section(fan, ring, coeffs, set(pts)))
     return out
 
 

@@ -66,10 +66,6 @@ def neg(v):
     return tuple(-a for a in v)
 
 
-def scale(c, v):
-    return tuple(c * a for a in v)
-
-
 def transpose(m):
     return tuple(zip(*m)) if m else ()
 
@@ -359,9 +355,6 @@ class Sublattice:
     def coords(self, v):
         """Coordinates of v in the basis, or None if v is outside the sublattice."""
         return solve_exact(self.basis, v)
-
-    def contains(self, v):
-        return self.coords(v) is not None
 
     def from_coords(self, c):
         return vecmat(vec(c), self.basis)

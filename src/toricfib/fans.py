@@ -421,8 +421,6 @@ def kernel_fan(phi):
 class MonomialMap:
     """Pullback form of a fibration: each codomain coordinate as a monomial."""
 
-    domain_nrays: int
-    codomain_nrays: int
     entries: tuple  # per codomain ray: tuple of (domain ray index, exponent)
 
 
@@ -443,11 +441,7 @@ def homogeneous_map(phi):
             )
         c = next(w[t] // p[t] for t in range(len(p)) if p[t] != 0)
         entries[ray_index[p]].append((i, c))
-    return MonomialMap(
-        domain_nrays=len(phi.domain.rays),
-        codomain_nrays=len(phi.codomain.rays),
-        entries=tuple(tuple(sorted(e)) for e in entries),
-    )
+    return MonomialMap(entries=tuple(tuple(sorted(e)) for e in entries))
 
 
 def _pull_triangulate(geom):

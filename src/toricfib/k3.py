@@ -59,7 +59,7 @@ def normal_form_from_lambda(lams):
     if big0.is_zero() or big1.is_zero():
         raise DegenerateInputError("vanishing invariant monomial")
     denom = big0**2 * big1 * _SCALE
-    one = ParamScalar(1)
+    one = ParamScalar.of(1)
     a3 = one / denom
     b2 = (big0 * (6 * 12**2) - 1) ** 2 / denom
     return big0, big1, K3NormalForm(a3=a3, b2=b2, d=one)

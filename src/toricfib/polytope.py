@@ -199,9 +199,6 @@ class LatticePolytope:
     def __repr__(self):
         return f"LatticePolytope(rank={self.rank}, nvertices={len(self.vertices)})"
 
-    def contains(self, point):
-        return all(la.dot(point, n) >= -c for n, c in self.facets)
-
     def origin_is_interior(self):
         return all(c > 0 for _, c in self.facets)
 

@@ -4,6 +4,14 @@ Coefficients lie in one field: fractions of integer-coefficient polynomials
 in named parameters, over Q.  Fractions are reduced by integer and monomial
 content only; equality is decided by cross multiplication, so the
 representation need not be fully reduced, and scalars are unhashable.
+
+Each job has one way in:
+- a number or a parameter name becomes a scalar through ``ParamScalar.of``;
+  ``ParamScalar(num, den)`` takes parameter polynomials only;
+- variables are rescaled by the scalars of a ``pullback`` map, a monomial
+  map with one scalar per variable;
+- the coefficients of a polynomial in one variable come from
+  ``SparsePoly.collect``.
 """
 
 from __future__ import annotations
@@ -26,10 +34,6 @@ def pp_const(c=1):
 
 def pp_var(name, exp=1):
     return {((name, exp),): 1}
-
-
-def pp_is_zero(p):
-    return not p
 
 
 def pp_add(a, b):
@@ -145,7 +149,7 @@ def pp_render(a):
 def _normalize(num, den):
     """Divide out the integer and monomial content; make den's leading
     coefficient positive."""
-    if pp_is_zero(num):
+    if not num:
         return {}, pp_const(1)
     g = gcd(pp_content(num), pp_content(den))
     if g > 1:
@@ -191,17 +195,15 @@ class ParamScalar:
     __hash__ = None
 
     def __init__(self, num, den=None):
-        """num/den for parameter polynomials (dicts monomial -> int); without
-        a denominator, num may be anything ``ParamScalar.of`` accepts."""
-        if not isinstance(num, dict):
-            if den is not None:
-                raise TypeError("a denominator needs a polynomial numerator")
-            x = ParamScalar.of(num)
-            self.num, self.den = x.num, x.den
-            return
+        """num/den for parameter polynomials (dicts monomial -> int)."""
+        if not isinstance(num, dict) or not isinstance(den, (dict, type(None))):
+            raise TypeError(
+                "ParamScalar takes parameter polynomials; "
+                "lift numbers and names with ParamScalar.of"
+            )
         if den is None:
             den = pp_const(1)
-        if pp_is_zero(den):
+        if not den:
             raise ZeroDivisionError("zero denominator")
         self.num, self.den = _normalize(num, den)
 
@@ -218,17 +220,8 @@ class ParamScalar:
         if isinstance(x, Fraction):
             return cls(pp_const(x.numerator), pp_const(x.denominator))
         if isinstance(x, str):
-            return cls.var(x)
+            return cls(pp_var(x))
         raise TypeError(f"cannot build scalar from {x!r}")
-
-    @classmethod
-    def rational(cls, p, q=1):
-        fr = Fraction(p, q)
-        return cls(pp_const(fr.numerator), pp_const(fr.denominator))
-
-    @classmethod
-    def var(cls, name):
-        return cls(pp_var(name))
 
     # -- ring/field operations ----------------------------------------------
 
@@ -267,14 +260,14 @@ class ParamScalar:
 
     def __pow__(self, k):
         if k < 0:
-            return ParamScalar(1) / (self ** (-k))
-        out = ParamScalar(1)
+            return ParamScalar.of(1) / (self ** (-k))
+        out = ParamScalar.of(1)
         for _ in range(k):
             out = out * self
         return out
 
     def is_zero(self):
-        return pp_is_zero(self.num)
+        return not self.num
 
     @_scalar_op
     def __eq__(self, other):
@@ -361,7 +354,7 @@ class SparsePoly:
         if not isinstance(other, SparsePoly) or self.ring != other.ring:
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
-        zero = ParamScalar(0)
+        zero = ParamScalar.of(0)
         return all(
             self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys
         )
@@ -377,7 +370,7 @@ class SparsePoly:
         if self.ring != other.ring:
             raise ValueError("mixed rings")
         terms = dict(self.terms)
-        zero = ParamScalar(0)
+        zero = ParamScalar.of(0)
         for e, c in other.terms.items():
             s = terms.get(e, zero) + c
             if s.is_zero():
@@ -403,7 +396,7 @@ class SparsePoly:
         if self.ring != other.ring:
             raise ValueError("mixed rings")
         terms = {}
-        zero = ParamScalar(0)
+        zero = ParamScalar.of(0)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -428,11 +421,16 @@ class SparsePoly:
         i = self.ring.index(var)
         return max((e[i] for e in self.terms), default=-1)
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), ParamScalar(0))
-
     def monomial_coefficient(self, **exps):
-        return self.coefficient(self.monomial(**exps))
+        return self.terms.get(self.monomial(**exps), ParamScalar.of(0))
+
+    def collect(self, var):
+        """{k: the coefficient of var^k}, each a polynomial of this ring free of var."""
+        i = self.ring.index(var)
+        parts = {}
+        for exps, c in self.terms.items():
+            parts.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1 :]] = c
+        return {k: SparsePoly(self.ring, t) for k, t in parts.items()}
 
     def _display_perm(self):
         """Variable indices in natural name order (y2 before y10)."""
@@ -497,22 +495,6 @@ class SparsePoly:
             out = out + term
         return out
 
-    def scale_vars(self, scalings):
-        """Substitute y -> c*y for the given variables (c a scalar)."""
-        factors = {}
-        for name, c in scalings.items():
-            if name not in self.ring:
-                raise KeyError(name)
-            factors[self.ring.index(name)] = ParamScalar.of(c)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            c = coeff
-            for i, s in factors.items():
-                if exps[i]:
-                    c = c * s ** exps[i]
-            terms[exps] = c
-        return SparsePoly(self.ring, terms)
-
     def render(self):
         """Terms by descending degree; within a degree by descending sorted
         exponents, then display-order lex (z0^24*z16^12 before z0^12*z3^12*z16^12,
@@ -570,7 +552,7 @@ def pullback(poly, monomial_map, domain_ring):
     (scalar, {domain variable -> exponent}).
     """
     out_terms = {}
-    zero = ParamScalar(0)
+    zero = ParamScalar.of(0)
     for exps, coeff in poly.terms.items():
         scalar = coeff
         e_out = [0] * len(domain_ring)
@@ -599,24 +581,14 @@ def pseudo_divide(f, g, var):
     d = g.degree(var)
     if d <= 0:
         raise ValueError("divisor must have positive degree in the chosen variable")
-    i = f.ring.index(var)
-    lc_terms = {
-        tuple(0 if j == i else e for j, e in enumerate(exps)): c
-        for exps, c in g.terms.items()
-        if exps[i] == d
-    }
-    lc = SparsePoly(f.ring, lc_terms)
+    lc = g.collect(var)[d]
+    x = SparsePoly.variable(f.ring, var)
     q = SparsePoly.zero(f.ring)
     r = f
     power = 0
     while not r.is_zero() and r.degree(var) >= d:
         k = r.degree(var)
-        lead_terms = {
-            tuple(e - d if j == i else e for j, e in enumerate(exps)): c
-            for exps, c in r.terms.items()
-            if exps[i] == k
-        }
-        lead = SparsePoly(f.ring, lead_terms)
+        lead = r.collect(var)[k] * x ** (k - d)
         q = lc * q + lead
         r = lc * r - lead * g
         power += 1

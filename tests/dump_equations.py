@@ -34,7 +34,7 @@ from toricfib.sympoly import ParamScalar, SparsePoly, pullback
 
 def dump_lines():
     ctx = acceptance._Ctx(acceptance.Fixtures())
-    var = ParamScalar.var
+    var = ParamScalar.of
     lines = []
     for i, g in enumerate(ctx.ci_equations):
         lines.append(f"ci_equations {i}: {g.render()}")

@@ -110,7 +110,7 @@ def test_invalid_split_errors_somewhere():
 def test_nef_ci_equations_full(ctx):
     g0, g1 = ctx.ci_equations
     ring = g0.ring
-    v = ParamScalar.var
+    v = ParamScalar.of
     expected_g0 = _named_poly(
         ring,
         [
@@ -142,7 +142,7 @@ def test_nef_ci_equations_reduced(ctx):
         ctx.nef_partition, ctx.ci_face_fan, _ci_reduced_coeffs(), models.CI_RAY_NAMES
     )
     ring = g0.ring
-    v = ParamScalar.var
+    v = ParamScalar.of
     assert g0 == _named_poly(
         ring,
         [
@@ -169,7 +169,7 @@ def test_nef_ci_equations_reduced(ctx):
 def test_nef_ci_equations_resolved_chart(ctx):
     g0c, g1c = ctx.chart_equations()
     chart_ring = g0c.ring
-    v = ParamScalar.var
+    v = ParamScalar.of
     assert g0c == _named_poly(
         chart_ring,
         [
@@ -243,7 +243,7 @@ def test_chart_equations_restrict_all_rays(ctx):
     assert la.rank(domain_rays) == 5
     quadric = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0))
     full = Fan(5, quadric + domain_rays, ())
-    B, psi0, psi1 = (ParamScalar.var(n) for n in ("B", "psi0", "psi1"))
+    B, psi0, psi1 = (ParamScalar.of(n) for n in ("B", "psi0", "psi1"))
     for xi in (("xi0", "xi1"), match_parameters(B, psi0, psi1)):
         chart = ctx.chart_equations(*xi)
         polys = nef_ci_polynomials(
@@ -274,7 +274,7 @@ def test_anticanonical_hypersurface_6ray(ctx):
     h = anticanonical_polynomial(delta, fan, names, models.HYP_RAY_NAMES)
     assert len(h.terms) == 8
     ring = h.ring
-    v = ParamScalar.var
+    v = ParamScalar.of
     expected = _named_poly(
         ring,
         [
@@ -297,15 +297,15 @@ def test_anticanonical_hypersurface_6ray(ctx):
 def test_anticanonical_gauged_rendering(ctx):
     fan = ctx.hyp_fan_6
     delta = ctx.hyp_simplex
-    B = ParamScalar.var("B")
-    psi_s = ParamScalar.var("psi_s")
-    psi1 = ParamScalar.var("psi1")
-    psi0 = ParamScalar.var("psi0")
+    B = ParamScalar.of("B")
+    psi_s = ParamScalar.of("psi_s")
+    psi1 = ParamScalar.of("psi1")
+    psi0 = ParamScalar.of("psi0")
     coeffs = acceptance._hyp_gauge(B, psi_s, psi0, psi1)
     h = anticanonical_polynomial(delta, fan, coeffs, models.HYP_RAY_NAMES)
     out = h.render()
     assert out.endswith("+ 1/3*z1^3 + 1/2*z4^2")
-    assert h.monomial_coefficient(z2=12) == ParamScalar.rational(1, 12)
+    assert h.monomial_coefficient(z2=12) == ParamScalar.of(Fraction(1, 12))
     assert h.monomial_coefficient(z0=24, z16=12) == B / 24
 
 

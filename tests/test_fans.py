@@ -442,7 +442,8 @@ def test_cone_contains_matches_generator_reference():
     for v in GRID:
         # r1, r2 restrict to the unit vectors on the first two coordinates
         a, b = v[0], v[1]
-        expected = a >= 0 and b >= 0 and la.add(la.scale(a, r1), la.scale(b, r2)) == v
+        # a*r1 + b*r2 = (a, b, a + b)
+        expected = a >= 0 and b >= 0 and v[2] == a + b
         assert geom.contains(v) == expected, v
 
 

@@ -47,7 +47,8 @@ def test_square_brute_force_oracle():
         # slice = polar cut by the line through b
         lo = hi = None
         for t in range(-5, 6):
-            if polar.contains(la.scale(t, b)):
+            x = tuple(t * a for a in b)
+            if all(la.dot(x, n) >= -c for n, c in polar.facets):
                 lo = t if lo is None else min(lo, t)
                 hi = t if hi is None else max(hi, t)
         if (lo, hi) != (-1, 1):

@@ -28,7 +28,7 @@ def test_normal_form_all_ones():
 
 
 def test_normal_form_symbolic():
-    lams = [ParamScalar.var(f"l{i}") for i in range(6)]
+    lams = [ParamScalar.of(f"l{i}") for i in range(6)]
     big0, big1, _ = normal_form_from_lambda(lams)
     assert big0 == lams[2] ** 3 * lams[3] ** 2 * lams[4] / lams[5] ** 6
     assert big1 == lams[0] * lams[1] / lams[4] ** 2
@@ -47,14 +47,14 @@ def test_pi_sigma():
 
 
 def test_pi_sigma_cancellation():
-    a3 = ParamScalar.var("x")
-    nf = K3NormalForm(a3=a3, b2=a3, d=ParamScalar(7))
+    a3 = ParamScalar.of("x")
+    nf = K3NormalForm(a3=a3, b2=a3, d=ParamScalar.of(7))
     assert pi_sigma(nf).sigma.as_fraction() == 1
 
 
 def test_pi_sigma_weighted_scaling_invariance():
-    a3, b2, d = (ParamScalar.var(n) for n in ("p", "q", "r"))
-    lam = ParamScalar.var("t")
+    a3, b2, d = (ParamScalar.of(n) for n in ("p", "q", "r"))
+    lam = ParamScalar.of("t")
     nf1 = K3NormalForm(a3=a3, b2=b2, d=d)
     nf2 = K3NormalForm(a3=lam**6 * a3, b2=lam**6 * b2, d=lam**6 * d)
     m1, m2 = pi_sigma(nf1), pi_sigma(nf2)
@@ -75,14 +75,14 @@ def test_fibre_params_Y_zero_u():
 
 def test_fibre_params_Z_specialization():
     # setting the symmetric parameter to -B turns the denominator into B(s+t)^2
-    s, t, B, psi0, psi1 = (ParamScalar.var(n) for n in ("s", "t", "B", "psi0", "psi1"))
+    s, t, B, psi0, psi1 = (ParamScalar.of(n) for n in ("s", "t", "B", "psi0", "psi1"))
     mp = fibre_params_Z(s, t, B, psi0, psi1, -B)
     expect = psi0**12 / (2 * B) * (s * t / ((s + t) ** 2))
     assert mp.pi == expect
 
 
 def test_match_parameters_formulas():
-    B, psi0, psi1 = (ParamScalar.var(n) for n in ("B", "psi0", "psi1"))
+    B, psi0, psi1 = (ParamScalar.of(n) for n in ("B", "psi0", "psi1"))
     xi0, xi1 = match_parameters(B, psi0, psi1)
     assert xi0 == 2 * B / ((12 * psi0**2) ** 6)
     assert xi1 == -4 * psi1 / ((12 * psi0**2) ** 3)
@@ -92,7 +92,7 @@ def test_match_parameters_formulas():
 
 
 def test_matching_identity_symbolic():
-    s, t, B, psi0, psi1 = (ParamScalar.var(n) for n in ("s", "t", "B", "psi0", "psi1"))
+    s, t, B, psi0, psi1 = (ParamScalar.of(n) for n in ("s", "t", "B", "psi0", "psi1"))
     xi0, xi1 = match_parameters(B, psi0, psi1)
     z = fibre_params_Z(s, t, B, psi0, psi1, -B)
     y = fibre_params_Y(s, t, xi0, xi1)
@@ -129,8 +129,8 @@ def test_j_invariants_vieta():
 
 
 def test_j_invariants_generic_symbolic():
-    pi = ParamScalar.var("p")
-    sigma = ParamScalar.var("s")
+    pi = ParamScalar.of("p")
+    sigma = ParamScalar.of("s")
     from toricfib.k3 import ModuliPoint
 
     q = j_invariants(ModuliPoint(pi=pi, sigma=sigma))

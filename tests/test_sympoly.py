@@ -13,30 +13,30 @@ from toricfib.sympoly import (
 
 
 def test_scalar_basic_arithmetic():
-    a = ParamScalar.var("b0")
-    b = ParamScalar.var("b1")
+    a = ParamScalar.of("b0")
+    b = ParamScalar.of("b1")
     expr = (a + b) * (a - b)
     assert expr == a * a - b * b
     assert (a / b) * b == a
 
 
 def test_scalar_rational():
-    half = ParamScalar.rational(1, 2)
-    third = ParamScalar.rational(1, 3)
-    assert (half + third) == ParamScalar.rational(5, 6)
+    half = ParamScalar.of(Fraction(1, 2))
+    third = ParamScalar.of(Fraction(1, 3))
+    assert (half + third) == ParamScalar.of(Fraction(5, 6))
     assert (half * third).as_fraction() == Fraction(1, 6)
 
 
 def test_scalar_render():
-    a = ParamScalar.var("c")
-    expr = a * a * 3 + ParamScalar.var("b0") - 1
+    a = ParamScalar.of("c")
+    expr = a * a * 3 + ParamScalar.of("b0") - 1
     assert expr.render() == "3*c^2 + b0 - 1"
     assert (a / 24).render() == "(1/24)*c"
     assert (-a / 12).render() == "-(1/12)*c"
     assert ((a + 1) / 6).render() == "(c + 1)/6"
-    assert ParamScalar.rational(1, 12).render() == "1/12"
+    assert ParamScalar.of(Fraction(1, 12)).render() == "1/12"
     # a one-monomial denominator with more than one factor keeps its parentheses
-    b, psi0, psi1 = ParamScalar.var("B"), ParamScalar.var("psi0"), ParamScalar.var("psi1")
+    b, psi0, psi1 = ParamScalar.of("B"), ParamScalar.of("psi0"), ParamScalar.of("psi1")
     assert (b / (1492992 * psi0**12)).render() == "B/(1492992*psi0^12)"
     assert (-psi1 / (432 * psi0**6)).render() == "-psi1/(432*psi0^6)"
     assert (1 / (2 * psi0)).render() == "1/(2*psi0)"
@@ -45,31 +45,38 @@ def test_scalar_render():
 
 
 def test_scalar_of():
-    a = ParamScalar.var("a")
+    a = ParamScalar.of("a")
     assert ParamScalar.of(a) is a
-    assert ParamScalar.of(3) == ParamScalar.rational(3)
-    assert ParamScalar.of(Fraction(-1, 2)) == ParamScalar.rational(-1, 2)
-    assert ParamScalar.of("a") == a
+    assert ParamScalar.of(3) == ParamScalar({(): 3})
+    assert ParamScalar.of(Fraction(-1, 2)) == ParamScalar({(): -1}, {(): 2})
+    assert ParamScalar.of("a") == ParamScalar({(("a", 1),): 1})
     for bad in (0.5, None, [1], SparsePoly.constant(("x",), 1)):
         with pytest.raises(TypeError):
             ParamScalar.of(bad)
 
 
+def test_constructor_takes_parameter_polynomials_only():
+    for num, den in ((1, None), (Fraction(1, 2), None), ({(): 1}, 2)):
+        with pytest.raises(TypeError, match=r"ParamScalar\.of"):
+            ParamScalar(num, den)
+
+
 def test_fractions_are_accepted_wherever_ints_are():
-    half = ParamScalar.rational(1, 2)
-    assert ParamScalar(Fraction(1, 2)) == half
+    half = ParamScalar.of(Fraction(1, 2))
     ring = ("x", "y")
     p = SparsePoly(ring, {(1, 0): Fraction(1, 2)})
-    assert p.coefficient((1, 0)) == half
+    assert p.monomial_coefficient(x=1) == half
+    assert p.monomial_coefficient(y=1) == 0
     x = SparsePoly.variable(ring, "x")
-    assert x.scale_vars({"x": Fraction(1, 2)}) == p
+    # a rescaling x -> x/2 is a pullback with a scalar
+    assert pullback(x, {"x": (Fraction(1, 2), {"x": 1})}, ring) == p
     out = pullback(x, {"x": (Fraction(1, 2), {"y": 2})}, ring)
     assert out == SparsePoly(ring, {(0, 2): half})
     assert x * Fraction(1, 2) == p
 
 
 def test_scalar_is_unhashable():
-    a = ParamScalar.var("a")
+    a = ParamScalar.of("a")
     x, y = (a * a - 1) / (a - 1), a + 1
     assert x == y
     with pytest.raises(TypeError):
@@ -81,7 +88,7 @@ def test_scalar_is_unhashable():
 def test_scalar_defers_to_polynomials():
     ring = ("x",)
     p = SparsePoly.variable(ring, "x")
-    c = ParamScalar.var("c")
+    c = ParamScalar.of("c")
     assert c * p == p * c
     assert c + p == p + c
     assert (c == p) is False
@@ -89,35 +96,43 @@ def test_scalar_defers_to_polynomials():
 
 
 def test_scalar_eval():
-    a = ParamScalar.var("u")
-    b = ParamScalar.var("v")
+    a = ParamScalar.of("u")
+    b = ParamScalar.of("v")
     expr = (a**2 + b) / (a - b)
     assert expr.evaluate({"u": 3, "v": 2}) == Fraction(11, 1)
 
 
 scalars = st.integers(-4, 4)
+polys = st.lists(st.tuples(scalars, st.integers(0, 3), st.integers(0, 3)), max_size=4)
+RING = ("x", "y")
+
+
+def _build(ts):
+    p = SparsePoly.zero(RING)
+    for c, e1, e2 in ts:
+        p = p + SparsePoly(RING, {(e1, e2): c})
+    return p
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    st.lists(st.tuples(scalars, st.integers(0, 3), st.integers(0, 3)), max_size=4),
-    st.lists(st.tuples(scalars, st.integers(0, 3), st.integers(0, 3)), max_size=4),
-    st.lists(st.tuples(scalars, st.integers(0, 3), st.integers(0, 3)), max_size=4),
-)
+@given(polys, polys, polys)
 def test_ring_axioms(ta, tb, tc):
-    ring = ("x", "y")
-
-    def build(ts):
-        p = SparsePoly.zero(ring)
-        for c, e1, e2 in ts:
-            p = p + SparsePoly(ring, {(e1, e2): c})
-        return p
-
-    a, b, c = build(ta), build(tb), build(tc)
+    a, b, c = _build(ta), _build(tb), _build(tc)
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
     assert a * b == b * a
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys)
+def test_collect_round_trip(ts):
+    p = _build(ts)
+    for v in RING:
+        parts = p.collect(v)
+        x = SparsePoly.variable(RING, v)
+        assert sum((c * x**k for k, c in parts.items()), SparsePoly.zero(RING)) == p
+        assert all(c.degree(v) == 0 for c in parts.values())
 
 
 def test_substitute_identity():
@@ -146,7 +161,7 @@ def test_chart_shift_substitution():
     # cubic-chart shift: support and coefficients after y8 -> y8+c, y9 -> y9+d+e*y8
     ring = ("y2", "y3", "y8", "y9")
     names = ["b0", "b3", "b2", "b6", "b8", "b1", "b5", "b7", "b4"]
-    b = {n: ParamScalar.var(n) for n in names}
+    b = {n: ParamScalar.of(n) for n in names}
     P = SparsePoly(
         ring,
         {
@@ -163,9 +178,9 @@ def test_chart_shift_substitution():
     )
     y8 = SparsePoly.variable(ring, "y8")
     y9 = SparsePoly.variable(ring, "y9")
-    c = SparsePoly.constant(ring, ParamScalar.var("c"))
-    d = SparsePoly.constant(ring, ParamScalar.var("d"))
-    e = SparsePoly.constant(ring, ParamScalar.var("e"))
+    c = SparsePoly.constant(ring, ParamScalar.of("c"))
+    d = SparsePoly.constant(ring, ParamScalar.of("d"))
+    e = SparsePoly.constant(ring, ParamScalar.of("e"))
     shifted = P.substitute({"y8": y8 + c, "y9": y9 + d + e * y8})
     assert shifted.support_names() == [
         "y8^3",
@@ -178,8 +193,8 @@ def test_chart_shift_substitution():
         "y9",
         "1",
     ]
-    cc, dd, ee = (ParamScalar.var(n) for n in ("c", "d", "e"))
-    bb = {n: ParamScalar.var(n) for n in names}
+    cc, dd, ee = (ParamScalar.of(n) for n in ("c", "d", "e"))
+    bb = {n: ParamScalar.of(n) for n in names}
     assert shifted.monomial_coefficient(y8=2) == (
         ee**2 * bb["b1"] + 3 * cc * bb["b0"] + ee * bb["b8"] + bb["b6"]
     )
@@ -203,11 +218,11 @@ def test_pullback_simple():
     p = SparsePoly(src, {(2, 0): 1, (0, 1): -3})
     out = pullback(
         p,
-        {"u": (1, {"x": 1, "y": 2}), "v": (ParamScalar.rational(1, 2), {"z": 3})},
+        {"u": (1, {"x": 1, "y": 2}), "v": (Fraction(1, 2), {"z": 3})},
         dst,
     )
     assert out == SparsePoly(
-        dst, {(2, 4, 0): 1, (0, 0, 3): ParamScalar.rational(-3, 2)}
+        dst, {(2, 4, 0): 1, (0, 0, 3): Fraction(-3, 2)}
     )
 
 
@@ -244,15 +259,8 @@ def test_pseudo_divide_self():
     st.lists(st.tuples(scalars, st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=4),
 )
 def test_pseudo_divide_certificate(tf, tg):
-    ring = ("x", "y")
-
-    def build(ts):
-        p = SparsePoly.zero(ring)
-        for c, e1, e2 in ts:
-            p = p + SparsePoly(ring, {(e1, e2): c})
-        return p
-
-    f, g = build(tf), build(tg)
+    ring = RING
+    f, g = _build(tf), _build(tg)
     if g.degree("x") <= 0:
         with pytest.raises(ValueError):
             pseudo_divide(f, g, "x")

@@ -2,20 +2,25 @@
 
 Lists the top-level functions, classes and UPPERCASE constants of
 ``src/toricfib/*.py`` and the non-dunder methods of its top-level classes.
-A name counts as used when it occurs as a Python name token in ``src/`` or
-``bench/`` outside every definition of that name (a token cannot tell which
-of two same-named methods it reaches) and outside ``import`` statements
-(importing a name is not using it).  Tests do not count: a name that only
-tests use is test-only API, and it is listed in ``TEST_ONLY`` with its
-reason.  A listed name must still be defined, must still be used by the
-tests, and must not be used by the package.
+A use is read off the syntax tree of a file in ``src/`` or ``bench/``, and
+only counts outside every definition of the same name:
+
+- a top-level name of module ``m`` is used by a Name in ``m`` itself or in
+  a file that imports it from ``m``, or by the attribute ``m.name`` where
+  the file imports ``m`` as a module (a local variable of the same name in
+  another module does not vouch for it);
+- a method is used by an attribute ``.name`` (an attribute cannot tell which
+  of two same-named methods it reaches).
+
+Tests do not count: a name that only tests use is test-only API, and it is
+listed in ``TEST_ONLY`` with its reason.  A listed name must still be
+defined, must still be used by the tests, and must not be used by the
+package.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +30,8 @@ TEST_ONLY = {
     "adjugate": "reference for exactlinalg.scaled_inverse",
     "base_roots": "the base roots that track_roots' permutations index; tests "
     "check their scale-relative solve and their memo",
+    "dual": "the nef-partition duality is an involution; a check of "
+    "make_nef_partition on the model partition",
     "evaluate": "numeric spot checks of exact identities, as the 256-bit form "
     "of the pullback identity with sqrt(12)",
     "is_smooth": "smoothness of the model and test fans, for ROADMAP item 7's "
@@ -33,18 +40,21 @@ TEST_ONLY = {
     "normal_form_from_lambda": "ROADMAP item 2: fibre moduli derived from the "
     "equations",
     "pi_sigma": "ROADMAP item 2: fibre moduli derived from the equations",
+    "points": "the five singular base values of SingularFibreLocus, for "
+    "ROADMAP item 8's singular locus",
 }
 
 
 def _definitions(path):
-    """(name, first line, last line) of each checked definition in one module."""
+    """(name, kind, first line, last line) of each checked definition in one
+    module; kind is "top" or "method"."""
     out = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append((node.name, node.lineno, node.end_lineno))
+            out.append((node.name, "top", node.lineno, node.end_lineno))
         if isinstance(node, ast.ClassDef):
             out.extend(
-                (m.name, m.lineno, m.end_lineno)
+                (m.name, "method", m.lineno, m.end_lineno)
                 for m in node.body
                 if isinstance(m, ast.FunctionDef)
                 and not (m.name.startswith("__") and m.name.endswith("__"))
@@ -52,58 +62,97 @@ def _definitions(path):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out.extend(
-                (t.id, node.lineno, node.end_lineno)
+                (t.id, "top", node.lineno, node.end_lineno)
                 for t in targets
                 if isinstance(t, ast.Name) and t.id.isupper()
             )
     return out
 
 
-def _name_tokens(path):
-    """(name, line) of every Python name token in one file, import lines excluded."""
-    src = path.read_text()
-    import_lines = {
-        line
-        for node in ast.walk(ast.parse(src))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for line in range(node.lineno, node.end_lineno + 1)
-    }
-    return [
-        (tok.string, tok.start[0])
-        for tok in tokenize.generate_tokens(io.StringIO(src).readline)
-        if tok.type == tokenize.NAME and tok.start[0] not in import_lines
-    ]
+def _package_module(node):
+    """The package module a from-import reads from ("" for the package
+    itself), or None when it reads from elsewhere."""
+    if node.level:
+        return node.module or ""
+    if node.module == "toricfib":
+        return ""
+    if node.module and node.module.startswith("toricfib."):
+        return node.module.removeprefix("toricfib.")
+    return None
 
 
-def _used(name, spans, tokens):
-    """Whether name occurs in tokens outside the (module, first, last) spans."""
+def _uses(path):
+    """The uses in one file: (("top", module, name) or ("method", name), line)."""
+    tree = ast.parse(path.read_text())
+    imported = {}  # local name -> (module, name) imported from a package module
+    modules = {}  # local name -> package module imported as a module
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        src = _package_module(node)
+        if src is None:
+            continue
+        for a in node.names:
+            if src:
+                imported[a.asname or a.name] = (src, a.name)
+            else:
+                modules[a.asname or a.name] = a.name
+    own = path.stem if path.parent == PACKAGE else None
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            if node.id in imported:
+                out.append((("top",) + imported[node.id], node.lineno))
+            elif own is not None:
+                out.append((("top", own, node.id), node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((("method", node.attr), node.lineno))
+            value = node.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                out.append((("top", modules[value.id], node.attr), node.lineno))
+    return out
+
+
+def _used(key, name, spans, uses):
+    """Whether key occurs in uses outside the (file, first, last) spans of name."""
     return any(
-        s == name and not any(p == m and f <= line <= e for m, f, e in spans)
-        for p, toks in tokens.items()
-        for s, line in toks
+        not any(p == m and f <= line <= e for m, f, e in spans[name])
+        for p, line in uses.get(key, ())
     )
 
 
 def test_no_unreferenced_definitions():
-    def tokens_of(*dirs):
-        return {p: _name_tokens(p) for d in dirs for p in (ROOT / d).rglob("*.py")}
+    def uses_of(*dirs):
+        """key -> (file, line) of each use in the files under dirs."""
+        out = {}
+        for d in dirs:
+            for p in (ROOT / d).rglob("*.py"):
+                for key, line in _uses(p):
+                    out.setdefault(key, []).append((p, line))
+        return out
 
-    package_tokens = tokens_of("src", "bench")
-    test_tokens = tokens_of("tests")
-    spans = {}
+    package_uses, test_uses = uses_of("src", "bench"), uses_of("tests")
+    definitions, spans = {}, {}
     for module in sorted(PACKAGE.glob("*.py")):
-        for name, first, last in _definitions(module):
+        for name, kind, first, last in _definitions(module):
+            key = ("top", module.stem, name) if kind == "top" else ("method", name)
+            definitions.setdefault(name, []).append((key, module, first))
             spans.setdefault(name, []).append((module, first, last))
     unreferenced = []
-    for name, where in spans.items():
+    for name, defs in definitions.items():
         if name in TEST_ONLY:
-            if _used(name, where, package_tokens):
+            if any(_used(k, name, spans, package_uses) for k, _, _ in defs):
                 unreferenced.append(f"{name} is used by the package; unlist it")
-            elif not _used(name, where, test_tokens):
+            elif not any(_used(k, name, spans, test_uses) for k, _, _ in defs):
                 unreferenced.append(f"{name} is used by no test either")
-        elif not _used(name, where, package_tokens):
-            unreferenced.extend(f"{m.name}:{f} {name}" for m, f, _ in where)
+        else:
+            unreferenced.extend(
+                f"{m.name}:{f} {name}"
+                for k, m, f in defs
+                if not _used(k, name, spans, package_uses)
+            )
     unreferenced.extend(
-        f"{name} is listed but not defined" for name in TEST_ONLY.keys() - spans.keys()
+        f"{name} is listed but not defined"
+        for name in TEST_ONLY.keys() - definitions.keys()
     )
     assert not unreferenced, unreferenced
