@@ -838,7 +838,7 @@ def criterion_14_pullback_identity(ctx):
     psih2 = pullback(h2, data["scaled_map"], chart_ring)
     lhs = psih2 * 48 - y["y3"] ** 2 * y["y745"] * g1 * 12**4
     _, rem, _ = pseudo_divide(lhs, g0, "y109")
-    _check(rem.is_zero(), "scaled pullback identity modulo the first equation", fails)
+    _check(not rem, "scaled pullback identity modulo the first equation", fails)
     weight = {"y6": 1, "y9": 1, "y630": 6, "y667": 8}
     weight.update(dict.fromkeys(("y469", "y109", "y32", "y745"), -2))
     w = [weight.get(n, 0) for n in chart_ring]
@@ -914,8 +914,7 @@ def criterion_15_monodromy_table(ctx):
         quads = [v for v in centers if v not in (zero, plus_i, minus_i)]
         _check(types(zero) == ((3,), (3,)), "three-cycles at the origin", fails)
         _check(
-            run1["inf"][0:2][0] is not None
-            and (cycle_type(run1["inf"][0]), cycle_type(run1["inf"][1])) == ((3,), (3,)),
+            (cycle_type(run1["inf"][0]), cycle_type(run1["inf"][1])) == ((3,), (3,)),
             "three-cycles at infinity",
             fails,
         )

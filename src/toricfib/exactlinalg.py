@@ -10,7 +10,9 @@ its transform; kernels, saturation and ``solve_exact`` need that certificate.
 no transform; ``rank`` and the double description's choice of a starting
 basis need only which rows it keeps.  ``scaled_inverse`` is Bareiss's
 fraction-free Gauss-Jordan elimination, giving det A and adj A at once;
-``det`` and the double description's starting rays read it.
+``det`` and the double description's starting rays read it.  It divides
+with ``//``: exact over ints and ``sympoly.SparsePoly``, not over ``Fraction``
+(whose ``//`` floors).
 
 Entry points that take a matrix or vector from outside (``hermite_form``,
 ``independent_rows``, ``rank``, ``kernel_basis``, ``right_kernel``,

@@ -164,9 +164,6 @@ class Fan:
                 out.add(frozenset(c[i] for i in fs))
         return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
-    def is_simplicial(self):
-        return all(self.cone_geom(c).is_simplicial() for c in self.max_cones)
-
     def is_smooth(self):
         return all(self.cone_geom(c).is_smooth() for c in self.max_cones)
 

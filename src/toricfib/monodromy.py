@@ -16,10 +16,10 @@ x-derivatives together, and one power of x per shifted coefficient.  The
 corrector's Horner passes in y run inline in the tracker.
 
 The exact layer works over the smallest rings its callers need.  A family's
-coefficients are rationals (``Fraction``), and its discriminant in x is the
-Sylvester resultant of f and df/dy, taken by Bareiss's fraction-free
-elimination over Q[x].  Local monodromy matrices (``Mat2``) have Gaussian
-integer entries (``GaussInt``).
+coefficients are rationals (``Fraction``).  Its discriminant in x is the
+Sylvester resultant of f and df/dy: ``exactlinalg.det``, the package's one
+Bareiss elimination, of a matrix of ``sympoly`` polynomials in x.  Local
+monodromy matrices (``Mat2``) have Gaussian integer entries (``GaussInt``).
 
 Precision policy: the path is tracked in IEEE double precision (Python
 ``complex``), whatever ``prec`` is.  Its Newton and collapse thresholds are
@@ -50,11 +50,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
 
 import mpmath as mp
 
+from . import exactlinalg as la
 from .errors import DegenerateInputError
+from .sympoly import SparsePoly, pseudo_divide
 
 
 # -- exact 2x2 matrices over the Gaussian integers ----------------------------
@@ -144,6 +145,7 @@ def classify_kodaira(m):
     are separated by the trace together with the rotation sense, read off the
     sign of the lower-left entry (negative for II/III/IV, positive for the
     starred types; this matches the usual normal-form representatives).
+    That entry c is never 0 there: c = 0 and det 1 force a = d = +-1, trace +-2.
     """
     if not m.is_integer():
         raise DegenerateInputError("matrix entries must be rational integers")
@@ -159,95 +161,23 @@ def classify_kodaira(m):
         return f"I{n}*"
     if t in (-1, 0, 1):
         base = {1: "II", 0: "III", -1: "IV"}[t]
-        if c == 0:
-            raise DegenerateInputError("elliptic matrix with zero rotation data")
         return base if c < 0 else base + "*"
     raise DegenerateInputError(
         "not a Kodaira local monodromy of finite type here", trace=t
     )
 
 
-# -- univariate polynomials over Q, as ascending lists of Fractions ------------
+# -- univariate polynomials over Q: ascending Fraction lists, or sympoly in x --
 
 
-def _pnorm(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _xpoly(coeffs):
+    """The ascending coefficients as a polynomial in x."""
+    return SparsePoly(("x",), {(k,): c for k, c in enumerate(coeffs)})
 
 
-def _padd(p, q):
-    return _pnorm(a + b for a, b in zip_longest(p, q, fillvalue=0))
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _pnorm(out)
-
-
-def _pscale(p, c):
-    return _pnorm(a * c for a in p)
-
-
-def _pdivmod(p, q):
-    p = _pnorm(p)
-    q = _pnorm(q)
-    if not q:
-        raise ZeroDivisionError
-    quot = [0] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        c = p[-1] / q[-1]
-        k = len(p) - len(q)
-        quot[k] = c
-        for i in range(len(q)):
-            p[i + k] -= q[i] * c
-        p.pop()  # the leading term cancels exactly
-        p = _pnorm(p)
-    return _pnorm(quot), p
-
-
-def _pgcd(p, q):
-    p, q = _pnorm(p), _pnorm(q)
-    while q:
-        _, r = _pdivmod(p, q)
-        p, q = q, r
-    if p:
-        p = _pscale(p, 1 / p[-1])
-    return p
-
-
-def _pderiv(p):
-    return _pnorm(p[i] * i for i in range(1, len(p)))
-
-
-def _pdet(mat):
-    """Determinant of a square matrix over Q[x] by Bareiss's fraction-free
-    elimination: each 2x2 minor update divides exactly by the previous pivot,
-    and a zero pivot swaps rows and flips the sign."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    sign, prev = 1, [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return []
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _padd(_pmul(m[k][k], m[i][j]), _pscale(_pmul(m[i][k], m[k][j]), -1))
-                m[i][j], r = _pdivmod(num, prev)
-                if r:
-                    raise ArithmeticError("inexact Bareiss division")
-        prev = m[k][k]
-    return _pscale(m[-1][-1], sign)
+def _xcoeffs(p):
+    """The ascending coefficients of a polynomial in x, as Fractions."""
+    return tuple(p.monomial_coefficient(x=k).as_fraction() for k in range(p.degree("x") + 1))
 
 
 @dataclass(frozen=True)
@@ -263,7 +193,7 @@ class RootFamily:
     @classmethod
     def build(cls, coeffs):
         out = [tuple(map(Fraction, c)) for c in coeffs]
-        while out and not _pnorm(out[-1]):
+        while out and not any(out[-1]):
             out.pop()
         if len(out) < 2:
             raise DegenerateInputError("family must have positive degree in y")
@@ -279,14 +209,16 @@ class RootFamily:
 
     @cached_property
     def discriminant(self):
-        """Exact discriminant in x, the Sylvester resultant of (f, df/dy) by
-        ``_pdet``, computed once per family (a tuple of ascending coefficients)."""
+        """Exact discriminant in x, ``la.det`` of the Sylvester matrix of (f, df/dy)
+        over Q[x], computed once per family (a tuple of ascending coefficients)."""
         n = self.degree
-        f = [_pnorm(c) for c in reversed(self.coeffs)]
-        fp = [_pscale(self.coeffs[k], k) for k in range(n, 0, -1)]
-        rows = [[[]] * i + f + [[]] * (n - 2 - i) for i in range(n - 1)]
-        rows += [[[]] * i + fp + [[]] * (n - 1 - i) for i in range(n)]
-        return tuple(_pdet(rows))
+        f = [_xpoly(c) for c in reversed(self.coeffs)]
+        fp = [f[i] * (n - i) for i in range(n)]
+        zero = _xpoly(())
+        rows = [[zero] * i + f + [zero] * (n - 2 - i) for i in range(n - 1)]
+        rows += [[zero] * i + fp + [zero] * (n - 1 - i) for i in range(n)]
+        d = la.det(rows)
+        return _xcoeffs(d) if d else ()
 
     @cached_property
     def _prepared(self):
@@ -296,7 +228,7 @@ class RootFamily:
         (0, []).  Built on first use, once per family."""
         out = []
         for c in reversed(self.coeffs):
-            c = _pnorm(c)
+            c = _xcoeffs(_xpoly(c))  # no trailing zeros
             v = next((i for i, a in enumerate(c) if a), 0)
             out.append((v, [complex(a) for a in reversed(c[v:])]))
         return tuple(out)
@@ -318,15 +250,17 @@ def _mpf(q):
 
 
 def _squarefree(p):
-    d = _pderiv(p)
-    if not d:
+    """p over its monic gcd with dp/dx, by Euclid on ``pseudo_divide`` remainders
+    made monic and one exact quotient; a constant p is its own squarefree part."""
+    if p.degree("x") < 1:
         return p
-    g = _pgcd(p, d)
-    if len(g) <= 1:
-        return p
-    q, r = _pdivmod(p, g)
-    assert not r
-    return q
+    a, b = p, SparsePoly(p.ring, {(k - 1,): k * c for (k,), c in p.terms.items() if k})
+    while b:
+        b = b * (1 / b.monomial_coefficient(x=b.degree("x")))
+        if b.degree("x") == 0:
+            return p
+        a, b = b, pseudo_divide(a, b, "x")[1]
+    return p // a
 
 
 def singular_parameters(family, prec=128):
@@ -343,7 +277,7 @@ def singular_parameters(family, prec=128):
         disc = family.discriminant
         if not disc:
             raise DegenerateInputError("non-reduced family: discriminant vanishes")
-        sf = _squarefree(_pmul(disc, family.coeffs[-1]))
+        sf = _xcoeffs(_squarefree(_xpoly(disc) * _xpoly(family.coeffs[-1])))
         out = []
         if len(sf) > 1:
             with mp.workprec(prec + 40):

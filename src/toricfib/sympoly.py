@@ -12,6 +12,9 @@ Each job has one way in:
   map with one scalar per variable;
 - the coefficients of a polynomial in one variable come from
   ``SparsePoly.collect``.
+
+Polynomials divide exactly with ``//``, so ``exactlinalg``'s Bareiss
+elimination runs on them.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def pp_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mono = _mono_mul(m1, m2)
+            mono = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
             s = out.get(mono, 0) + c1 * c2
             if s:
                 out[mono] = s
@@ -347,11 +350,21 @@ class SparsePoly:
             e[self.ring.index(name)] = k
         return tuple(e)
 
-    def is_zero(self):
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _lift(self, other):
+        """other as a polynomial of this ring; a number becomes a constant."""
+        if not isinstance(other, SparsePoly):
+            other = SparsePoly.constant(self.ring, other)
+        if self.ring != other.ring:
+            raise ValueError("mixed rings")
+        return other
 
     def __eq__(self, other):
-        if not isinstance(other, SparsePoly) or self.ring != other.ring:
+        try:
+            other = self._lift(other)
+        except (TypeError, ValueError):
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
         zero = ParamScalar.of(0)
@@ -365,10 +378,7 @@ class SparsePoly:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self.ring, other)
-        if self.ring != other.ring:
-            raise ValueError("mixed rings")
+        other = self._lift(other)
         terms = dict(self.terms)
         zero = ParamScalar.of(0)
         for e, c in other.terms.items():
@@ -385,9 +395,7 @@ class SparsePoly:
         return SparsePoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self.ring, other)
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
@@ -409,7 +417,26 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, other):
+        """Exact quotient by leading terms in lex order; ArithmeticError on a
+        remainder."""
+        other = self._lift(other)
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead = max(other.terms)
+        q, r = SparsePoly.zero(self.ring), self
+        while r:
+            top = max(r.terms)
+            shift = tuple(a - b for a, b in zip(top, lead))
+            if any(e < 0 for e in shift):
+                raise ArithmeticError("inexact polynomial division")
+            t = SparsePoly(self.ring, {shift: r.terms[top] / other.terms[lead]})
+            q, r = q + t, r - t * other
+        return q
+
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("nonnegative powers only")
         out = SparsePoly.constant(self.ring, 1)
         for _ in range(k):
             out = out * self
@@ -575,7 +602,9 @@ def pullback(poly, monomial_map, domain_ring):
 
 
 def pseudo_divide(f, g, var):
-    """Pseudo-division in one variable: lc(g)^power * f = q*g + r, deg_var r < deg_var g."""
+    """Pseudo-division in one variable: lc(g)^power * f = q*g + r, deg_var r < deg_var g.
+
+    Each step cancels the leading var-term of r exactly, so its degree drops."""
     if f.ring != g.ring:
         raise ValueError("mixed rings")
     d = g.degree(var)
@@ -586,12 +615,10 @@ def pseudo_divide(f, g, var):
     q = SparsePoly.zero(f.ring)
     r = f
     power = 0
-    while not r.is_zero() and r.degree(var) >= d:
+    while r and r.degree(var) >= d:
         k = r.degree(var)
         lead = r.collect(var)[k] * x ** (k - d)
         q = lc * q + lead
         r = lc * r - lead * g
         power += 1
-        if r.degree(var) >= k and not r.is_zero():
-            raise ArithmeticError("pseudo-division failed to reduce degree")
     return q, r, power
