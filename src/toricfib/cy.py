@@ -21,7 +21,6 @@ from .errors import (
     DegenerateInputError,
     NotNefPartitionError,
     NotReflexiveError,
-    ToricError,
 )
 from .fans import mori_cone
 from .polytope import LatticePolytope, enumerate_lattice_points
@@ -101,6 +100,8 @@ def make_nef_partition(delta, assignment):
     ``assignment`` maps each polar vertex (by coordinates) to its part index.
     Validity is certified by reflexivity of the Minkowski sum of the part
     hulls; the dual part polytopes are computed from the inequality systems.
+    The sum is full-dimensional: every part hull holds the origin, so the sum
+    holds every vertex of the full-dimensional polar.
     """
     if not delta.is_reflexive():
         raise NotReflexiveError("nef-partitions need a reflexive polytope")
@@ -116,10 +117,7 @@ def make_nef_partition(delta, assignment):
         raise NotNefPartitionError("empty part")
     origin = (0,) * delta.rank
     nabla_parts = tuple(tuple(sorted(set(p) | {origin})) for p in parts)
-    try:
-        nabla = minkowski_sum_hull(nabla_parts)
-    except ToricError as exc:  # pragma: no cover - degenerate sums
-        raise NotNefPartitionError(str(exc)) from exc
+    nabla = minkowski_sum_hull(nabla_parts)
     if not nabla.is_reflexive():
         raise NotNefPartitionError(
             "Minkowski sum of part hulls is not reflexive"
@@ -156,23 +154,13 @@ def _check_crepant(fan, polar):
         )
 
 
-def _ring_for(fan, names):
-    names = names or {}
-    return tuple(names.get(r, f"z{i}") for i, r in enumerate(fan.rays))
-
-
 def _section(fan, ring, coefficients, points):
-    """One term per key m of ``coefficients`` (every point of ``points`` when
-    None), with exponent <m, r> minus the minimum of <., r> over ``points``
-    on each ray coordinate r.  Every key must be one of ``points``, so no
-    exponent is negative.  When ``points`` are the lattice points of a
-    lattice polytope, each minimum is the one over its vertices: a linear
-    form attains its minimum over a polytope at a vertex."""
-    if coefficients is None:
-        coefficients = {
-            m: "c_" + "_".join(str(x).replace("-", "m") for x in m)
-            for m in sorted(points)
-        }
+    """One term per key m of ``coefficients``, with exponent <m, r> minus the
+    minimum of <., r> over ``points`` on each ray coordinate r.  Every key
+    must be one of ``points``, so no exponent is negative.  When ``points``
+    are the lattice points of a lattice polytope, each minimum is the one
+    over its vertices: a linear form attains its minimum over a polytope at
+    a vertex."""
     outside = [m for m in coefficients if m not in points]
     if outside:
         raise DegenerateInputError(
@@ -187,9 +175,10 @@ def _section(fan, ring, coefficients, points):
     return SparsePoly(ring, terms)
 
 
-def anticanonical_polynomial(delta, fan, coefficients=None, ray_names=None):
+def anticanonical_polynomial(delta, fan, coefficients, ray_names):
     """Anticanonical section: one term per key m of ``coefficients``, a
-    lattice point of delta, with exponent <m, ray> + 1 on every ray coordinate.
+    lattice point of delta, with exponent <m, ray> + 1 on the coordinate
+    that ``ray_names`` gives each ray.
 
     That is <m, ray> minus the minimum of <., ray> over delta's lattice
     points, attained at a vertex: a crepant ray lies on a facet of the polar,
@@ -197,29 +186,28 @@ def anticanonical_polynomial(delta, fan, coefficients=None, ray_names=None):
     """
     _check_crepant(fan, delta.polar())
     interior, boundary = delta.lattice_points()
-    ring = _ring_for(fan, ray_names)
+    ring = tuple(ray_names[r] for r in fan.rays)
     points = set(interior) | set(boundary)
     return _section(fan, ring, coefficients, points)
 
 
-def nef_ci_polynomials(np, fan, coefficients=None, ray_names=None):
+def nef_ci_polynomials(np, fan, coefficients, ray_names):
     """The complete-intersection equations of a nef-partition on a crepant fan.
 
     ``coefficients`` holds one mapping per part, keyed by lattice points of
-    that part's dual polytope, or is None.  The exponent of a ray coordinate
-    in the term of a point m of the i-th dual part polytope Delta_i is
-    <m, ray> minus the minimum of <., ray> over the lattice points of
-    Delta_i, attained at a vertex.  Delta_i contains the origin, so the
-    minimum is at most 0 (on the original rays this is the part-indicator
-    rule).
+    that part's dual polytope, and ``ray_names`` names the coordinate of
+    each ray.  The exponent of a ray coordinate in the term of a point m of
+    the i-th dual part polytope Delta_i is <m, ray> minus the minimum of
+    <., ray> over the lattice points of Delta_i, attained at a vertex.
+    Delta_i contains the origin, so the minimum is at most 0 (on the
+    original rays this is the part-indicator rule).
     """
     _check_crepant(fan, np.polar_base)
-    ring = _ring_for(fan, ray_names)
-    out = []
-    for i, (_, pts) in enumerate(np.part_polytopes):
-        coeffs = coefficients[i] if coefficients else None
-        out.append(_section(fan, ring, coeffs, set(pts)))
-    return out
+    ring = tuple(ray_names[r] for r in fan.rays)
+    return [
+        _section(fan, ring, coeffs, set(pts))
+        for coeffs, (_, pts) in zip(coefficients, np.part_polytopes, strict=True)
+    ]
 
 
 def batyrev_hodge(delta):

@@ -8,11 +8,12 @@ Three eliminations serve them.  ``hermite_form`` is unimodular and returns
 its transform; kernels, saturation and ``solve_exact`` need that certificate.
 ``independent_rows`` is a fraction-free row echelon with gcd-reduced rows and
 no transform; ``rank`` and the double description's choice of a starting
-basis need only which rows it keeps.  ``scaled_inverse`` is Bareiss's
-fraction-free Gauss-Jordan elimination, giving det A and adj A at once;
-``det`` and the double description's starting rays read it.  It divides
-with ``//``: exact over ints and ``sympoly.SparsePoly``, not over ``Fraction``
-(whose ``//`` floors).
+basis need only which rows it keeps.  ``_bareiss`` is Bareiss's
+fraction-free Gauss-Jordan elimination of n rows of any width, pivoting in
+the first n columns: ``det`` runs it on A alone, and ``scaled_inverse`` on
+[A | I] for det A and adj A at once, the double description's starting
+rays.  It divides with ``//``: exact over ints and ``sympoly.SparsePoly``,
+not over ``Fraction`` (whose ``//`` floors).
 
 Entry points that take a matrix or vector from outside (``hermite_form``,
 ``independent_rows``, ``rank``, ``kernel_basis``, ``right_kernel``,
@@ -197,27 +198,23 @@ def rank(m):
     return len(independent_rows(m))
 
 
-def scaled_inverse(m):
-    """(det m, adj m) of a square matrix from one fraction-free elimination.
+def _bareiss(a):
+    """det B for the leading n x n block B of the n row lists ``a``, by
+    Bareiss's fraction-free Gauss-Jordan elimination of the rows in place.
 
-    Bareiss's Gauss-Jordan elimination of [m | I] divides every update by
-    the previous pivot exactly, since after step k each entry is a k x k
-    minor; it ends at [p * I | p * m^-1], where the last pivot p is det m up
-    to the sign of the row swaps.  adj m = det m * m^-1 is None when m is
-    singular.
+    Each update divides by the previous pivot exactly: after step k each
+    entry is a k x k minor.  A row swap negates the incoming row, keeping
+    det B, so the last pivot d is det B, and the rows end at
+    [d * I | d * B^-1 C] for the columns C after B; 0 when B is singular.
     """
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("not a square matrix")
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    sign = prev = 1
+    n = len(a)
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             s = next((i for i in range(k + 1, n) if a[i][k]), None)
             if s is None:
-                return 0, None
-            a[k], a[s] = a[s], a[k]
-            sign = -sign
+                return 0
+            a[k], a[s] = [-x for x in a[s]], a[k]
         pk = a[k]
         for i in range(n):
             if i != k:
@@ -225,12 +222,28 @@ def scaled_inverse(m):
                 c = ri[k]
                 a[i] = [(pk[k] * x - c * y) // prev for x, y in zip(ri, pk)]
         prev = pk[k]
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+    return prev
+
+
+def _square_rows(m):
+    """The rows of m as lists; ValueError unless m is square."""
+    if any(len(r) != len(m) for r in m):
+        raise ValueError("not a square matrix")
+    return [list(r) for r in m]
+
+
+def scaled_inverse(m):
+    """(det m, adj m) of a square matrix, from ``_bareiss`` on [m | I], which
+    ends at [det m * I | adj m]; adj m is None when m is singular."""
+    n = len(m)
+    a = [r + [int(i == j) for j in range(n)] for i, r in enumerate(_square_rows(m))]
+    d = _bareiss(a)
+    return d, tuple(tuple(row[n:]) for row in a) if d else None
 
 
 def det(m):
-    """Determinant, from ``scaled_inverse``."""
-    return scaled_inverse(m)[0]
+    """Determinant, from ``_bareiss`` on m alone."""
+    return _bareiss(_square_rows(m))
 
 
 def adjugate(m):

@@ -311,8 +311,10 @@ def subdivide_domain(matrix, domain, codomain):
     cones, and its distinct full-dimensional pieces are kept: none lies in
     another (Lemma A).  New rays are the primitive generators of the pieces'
     edges.  A complete codomain's preimages cover every cone; otherwise each
-    cone's pieces must cover it, or ``SupportError`` is raised.
-    Already-compatible input comes back unchanged.
+    cone's pieces must cover it, or ``SupportError`` is raised.  So the
+    pieces are the maximal cones as they stand, and every ray is used: a
+    domain ray is an edge of each piece that holds it.  Already-compatible
+    input comes back unchanged.
     """
     matrix = la.mat(matrix)
     try:
@@ -341,8 +343,7 @@ def subdivide_domain(matrix, domain, codomain):
     new_rays = sorted({r for piece in pieces_all for r in piece} - set(domain.rays))
     rays = domain.rays + tuple(new_rays)
     index = {r: i for i, r in enumerate(rays)}
-    fan = Fan(n, rays, [[index[r] for r in piece] for piece in pieces_all])
-    return fan.subfan(fan.max_cones)
+    return Fan(n, rays, [[index[r] for r in piece] for piece in pieces_all])
 
 
 def _check_coverage(geom, pieces):

@@ -175,9 +175,7 @@ def _candidates(delta, fibre_dim):
         for rep, verts in zip(reps, _integral_slices(P, reps, polar)):
             if verts is not None:
                 basis = la.saturation(la.mat([gens[i] for i in rep]))
-                cand = _candidate(basis, verts)
-                if cand is not None:
-                    yield cand
+                yield _candidate(basis, verts)
 
 
 def _span_survivors(P, k):
@@ -339,12 +337,13 @@ def _signed_permutations(k):
 
 def _candidate(basis, verts):
     """The candidate over the saturated ``basis`` whose slice has the ambient
-    lattice points ``verts`` as vertices, or None if the slice is not
-    reflexive."""
+    lattice points ``verts`` as vertices.  The slice needs no reflexivity
+    test: each of its facets lies on a facet <u, .> = -1 of the polar, for u
+    a vertex of the reflexive polytope, and u on the saturated lattice is
+    integral and -1 on the facet's lattice vertices, so it is primitive at
+    distance 1."""
     sub = la.Sublattice(basis=basis, ambient_rank=len(basis[0]))
     slice_poly = LatticePolytope.hull([sub.coords(v) for v in verts])
-    if not slice_poly.is_reflexive():
-        return None
     # the projection of the base polytope along the annihilator of the
     # sublattice is dual to the slice of its polar, so it is the slice's polar
     return FibrationCandidate(
@@ -372,7 +371,7 @@ def lattice_equivalent(p, q):
     qverts = set(q.vertices)
     for sub in combinations(q.vertices, k):
         # base * U = target has |det U| = 1 only when |det target| = |d|
-        if abs(la.scaled_inverse(sub)[0]) != abs(d):
+        if abs(la.det(sub)) != abs(d):
             continue
         for target in permutations(sub):
             u = _solve_matrix(adj, target, d)

@@ -288,20 +288,13 @@ class LatticePolytope:
         return tuple(self._face_data.get(dim, ()))
 
     def dual_face(self, face):
-        """The polar face pairing to -1 with all of ``face``; needs reflexivity."""
+        """The polar face pairing to -1 with all of ``face``; needs reflexivity.
+        Polar vertex j is facet j (both are sorted by the same vectors), so
+        its vertex indices are the tight facets of ``face``."""
         if not self.is_reflexive():
             raise NotReflexiveError("dual faces require a reflexive polytope")
-        polar = self.polar()
-        # facets of self <-> vertices of polar (same normal vectors)
-        normals = [n for n, _ in self.facets]
-        dual_vertex_set = frozenset(
-            polar.vertices.index(normals[i]) for i in face.tight_facets
-        )
-        for fs in polar._face_data.values():
-            for f in fs:
-                if f.vertex_indices == dual_vertex_set:
-                    return f
-        raise KeyError("dual face not found")
+        dual = self.polar().faces(self.rank - 1 - face.dim)
+        return next(f for f in dual if f.vertex_indices == face.tight_facets)
 
     # -- skeleton ------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 Coefficients lie in one field: fractions of integer-coefficient polynomials
 in named parameters, over Q.  Fractions are reduced by integer and monomial
-content only; equality is decided by cross multiplication, so the
+content only, read in one pass over the terms of numerator and denominator
+together; equality is decided by cross multiplication, so the
 representation need not be fully reduced, and scalars are unhashable.
 
 Each job has one way in:
@@ -74,53 +75,6 @@ def pp_mul(a, b):
     return out
 
 
-def pp_content(a):
-    g = 0
-    for c in a.values():
-        g = gcd(g, c)
-    return g
-
-
-def pp_mono_content(a):
-    """Per-name minimal exponent over all monomials (the common monomial factor)."""
-    if not a:
-        return {}
-    common = None
-    for m in a:
-        d = dict(m)
-        if common is None:
-            common = d
-            continue
-        for n in list(common):
-            e = min(common[n], d.get(n, 0))
-            if e:
-                common[n] = e
-            else:
-                del common[n]
-        if not common:
-            return {}
-    return common or {}
-
-
-def pp_divide_mono(a, mono_exps):
-    out = {}
-    for m, c in a.items():
-        d = dict(m)
-        for n, e in mono_exps.items():
-            d[n] = d.get(n, 0) - e
-            if d[n] == 0:
-                del d[n]
-        out[tuple(sorted(d.items()))] = c
-    return out
-
-
-def pp_leading(a):
-    if not a:
-        return (), 0
-    m = max(a, key=_mono_key)
-    return m, a[m]
-
-
 def pp_eval(a, env):
     out = Fraction(0)
     for m, c in a.items():
@@ -150,27 +104,33 @@ def pp_render(a):
 
 
 def _normalize(num, den):
-    """Divide out the integer and monomial content; make den's leading
-    coefficient positive."""
+    """Reduce num/den by its integer and monomial content, read in one pass
+    over the terms of both: the gcd of all coefficients, and each parameter's
+    least exponent over all monomials.  Then make the leading coefficient of
+    the reduced den positive."""
     if not num:
         return {}, pp_const(1)
-    g = gcd(pp_content(num), pp_content(den))
-    if g > 1:
+    g = 0
+    common = None  # parameter -> least exponent so far
+    for poly in (num, den):
+        for m, c in poly.items():
+            g = gcd(g, c)
+            if common is None:
+                common = dict(m)
+            elif common:
+                common = {n: min(e, common[n]) for n, e in m if n in common}
+    if common:
+        # common parameters are in every monomial; dropping pairs keeps order
+        def reduced(m):
+            return tuple((n, e - common.get(n, 0)) for n, e in m if e != common.get(n))
+
+        num = {reduced(m): c for m, c in num.items()}
+        den = {reduced(m): c for m, c in den.items()}
+    if den[max(den, key=_mono_key)] < 0:
+        g = -g
+    if g != 1:
         num = {m: c // g for m, c in num.items()}
         den = {m: c // g for m, c in den.items()}
-    mc_num = pp_mono_content(num)
-    mc_den = pp_mono_content(den)
-    common = {}
-    for n in mc_num:
-        if n in mc_den:
-            common[n] = min(mc_num[n], mc_den[n])
-    if common:
-        num = pp_divide_mono(num, common)
-        den = pp_divide_mono(den, common)
-    _, lead = pp_leading(den)
-    if lead < 0:
-        num = pp_neg(num)
-        den = pp_neg(den)
     return num, den
 
 

@@ -259,12 +259,16 @@ def test_chart_equations_restrict_all_rays(ctx):
 def test_coefficient_keys_outside_polytope_raise(ctx):
     # (2, 0, 0, 0) is no lattice point of the 4d simplex
     with pytest.raises(DegenerateInputError):
-        anticanonical_polynomial(ctx.hyp_simplex, ctx.hyp_fan_6, {(2, 0, 0, 0): 1})
+        anticanonical_polynomial(
+            ctx.hyp_simplex, ctx.hyp_fan_6, {(2, 0, 0, 0): 1}, models.HYP_RAY_NAMES
+        )
     # b3's point lies in the second dual part polytope, not in the first
     c0, c1 = _ci_reduced_coeffs()
     c0[models.CI_COEFF_POINTS["b3"]] = 1
     with pytest.raises(DegenerateInputError):
-        nef_ci_polynomials(ctx.nef_partition, ctx.ci_face_fan, (c0, c1))
+        nef_ci_polynomials(
+            ctx.nef_partition, ctx.ci_face_fan, (c0, c1), models.CI_RAY_NAMES
+        )
 
 
 def test_anticanonical_hypersurface_6ray(ctx):
@@ -290,7 +294,9 @@ def test_anticanonical_hypersurface_6ray(ctx):
     )
     assert h == expected
     # every lattice point adds the three facet-interior monomials
-    h_all = anticanonical_polynomial(delta, fan, ray_names=models.HYP_RAY_NAMES)
+    interior, boundary = delta.lattice_points()
+    every = {m: f"c{i}" for i, m in enumerate(interior + boundary)}
+    h_all = anticanonical_polynomial(delta, fan, every, models.HYP_RAY_NAMES)
     assert len(h_all.terms) == 11
 
 
@@ -312,7 +318,9 @@ def test_anticanonical_gauged_rendering(ctx):
 def test_anticanonical_smallest_case():
     seg = LatticePolytope.hull([(-1,), (1,)])
     fan = Fan(1, ((1,), (-1,)), ((0,), (1,)))
-    h = anticanonical_polynomial(seg, fan)
+    interior, boundary = seg.lattice_points()
+    every = {m: f"c{i}" for i, m in enumerate(interior + boundary)}
+    h = anticanonical_polynomial(seg, fan, every, {(1,): "z0", (-1,): "z1"})
     assert len(h.terms) == 3
     degs = sorted(h.terms)
     assert degs == [(0, 2), (1, 1), (2, 0)]

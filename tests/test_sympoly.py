@@ -2,13 +2,20 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from math import gcd
 
 from toricfib import exactlinalg as la
 from toricfib.sympoly import (
     ParamScalar,
     SparsePoly,
+    _mono_key,
+    _normalize,
+    pp_add,
+    pp_mul,
+    pp_neg,
     pseudo_divide,
     pullback,
 )
@@ -174,8 +181,15 @@ def test_zero_is_false_and_numbers_compare_as_constants():
     assert x and x != 0 and x != 1
 
 
+X, Y, XY, ONE = [(1, 1, 0)], [(1, 0, 1)], [(1, 1, 1)], [(1, 0, 0)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(polys, min_size=9, max_size=9))
+# singular: the third row is the sum of the first two
+@example([X, Y + ONE, ONE, ONE, XY, Y, X + ONE, Y + ONE + XY, ONE + Y])
+# a zero first pivot: the elimination swaps rows at once
+@example([[], X, ONE, Y, ONE, X, ONE, [], Y])
 def test_det_of_polynomial_matrix_matches_leibniz(entries):
     # zero entries are common here, so the elimination also swaps rows
     m = [[_build(t) for t in entries[3 * i : 3 * i + 3]] for i in range(3)]
@@ -183,7 +197,91 @@ def test_det_of_polynomial_matrix_matches_leibniz(entries):
     for p in permutations(range(3)):
         sign = (-1) ** sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
         want = want + m[0][p[0]] * m[1][p[1]] * m[2][p[2]] * sign
-    assert la.det(m) == want
+    d = la.det(m)
+    assert d == want and bool(d) == bool(want)
+
+
+def _reference_normalize(num, den):
+    """Reference for ``sympoly._normalize``, one helper per job: the integer
+    and monomial content of num and of den taken apart, then the sign of the
+    reduced den's leading coefficient."""
+
+    def content(a):
+        g = 0
+        for c in a.values():
+            g = gcd(g, c)
+        return g
+
+    def mono_content(a):
+        common = None
+        for m in a:
+            d = dict(m)
+            if common is None:
+                common = d
+                continue
+            for n in list(common):
+                e = min(common[n], d.get(n, 0))
+                if e:
+                    common[n] = e
+                else:
+                    del common[n]
+            if not common:
+                return {}
+        return common or {}
+
+    def divide_mono(a, mono_exps):
+        out = {}
+        for m, c in a.items():
+            d = dict(m)
+            for n, e in mono_exps.items():
+                d[n] = d.get(n, 0) - e
+                if d[n] == 0:
+                    del d[n]
+            out[tuple(sorted(d.items()))] = c
+        return out
+
+    if not num:
+        return {}, {(): 1}
+    g = gcd(content(num), content(den))
+    if g > 1:
+        num = {m: c // g for m, c in num.items()}
+        den = {m: c // g for m, c in den.items()}
+    mc_num, mc_den = mono_content(num), mono_content(den)
+    common = {n: min(mc_num[n], mc_den[n]) for n in mc_num if n in mc_den}
+    if common:
+        num = divide_mono(num, common)
+        den = divide_mono(den, common)
+    if den[max(den, key=_mono_key)] < 0:
+        num, den = pp_neg(num), pp_neg(den)
+    return num, den
+
+
+def _param_poly(ts):
+    """A parameter polynomial in a and b from ``polys`` terms."""
+    out = {}
+    for c, e1, e2 in ts:
+        mono = tuple((n, e) for n, e in (("a", e1), ("b", e2)) if e)
+        out = pp_add(out, {mono: c})
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys, polys, polys, polys)
+# ab/(ab^2 - a^2b): dividing out ab moves den's leading term from -a^2b to b
+@example([(1, 1, 1)], [(1, 1, 2), (-1, 2, 1)], [(1, 0, 0)], [(1, 0, 0)])
+def test_normalize_matches_reference(ta, tb, tc, td):
+    # the unreduced num/den that the sum, product and quotient of a/b and
+    # c/d hand to _normalize
+    a, b, c, d = map(_param_poly, (ta, tb, tc, td))
+    pairs = [
+        (a, b),
+        (pp_add(pp_mul(a, d), pp_mul(c, b)), pp_mul(b, d)),
+        (pp_mul(a, c), pp_mul(b, d)),
+        (pp_mul(a, d), pp_mul(b, c)),
+    ]
+    for num, den in pairs:
+        if den:
+            assert _normalize(num, den) == _reference_normalize(num, den)
 
 
 def test_substitute_identity():
