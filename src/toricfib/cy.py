@@ -5,15 +5,14 @@ against the rays of a crepant fan.  The keys of ``coefficients`` are the
 monomials: one term per key, a lattice point of the polytope, never an
 enumeration index.  The equations are ``sympoly.SparsePoly``s over the one
 parameter field; a value may be anything ``ParamScalar.of`` accepts, so a
-``str`` names a parameter, and ``coefficients=None`` takes every lattice
-point with the parameter ``c_<point>``.
+``str`` names a parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor
+from math import factorial
 
 from . import exactlinalg as la
 from .dd import extreme_rays
@@ -40,23 +39,6 @@ def vertices_from_inequalities(ineqs, dim):
             continue
         verts.append(tuple(Fraction(x, r[0]) for x in r[1:]))
     return sorted(verts)
-
-
-def _integral(points):
-    out = []
-    for p in points:
-        q = tuple(int(x) for x in p)
-        if any(Fraction(x) != y for x, y in zip(p, q)):
-            return None
-        out.append(q)
-    return out
-
-
-def _lattice_points_of(ineqs, rational_vertices):
-    dim = len(rational_vertices[0])
-    lows = [min(floor(v[i]) for v in rational_vertices) for i in range(dim)]
-    highs = [max(ceil(v[i]) for v in rational_vertices) for i in range(dim)]
-    return enumerate_lattice_points(tuple(ineqs), lows, highs)
 
 
 def minkowski_sum_hull(point_sets):
@@ -128,13 +110,14 @@ def make_nef_partition(delta, assignment):
             (v, 1 if assignment[v] == i else 0) for v in polar.vertices
         )
         verts = vertices_from_inequalities(ineqs, delta.rank)
-        iverts = _integral(verts)
-        if iverts is None:
+        if any(x.denominator != 1 for v in verts for x in v):
             raise NotNefPartitionError(
                 "a dual part polytope has fractional vertices"
             )
-        pts = _lattice_points_of(ineqs, verts)
-        part_polytopes.append((tuple(sorted(iverts)), tuple(pts)))
+        verts = [tuple(map(int, v)) for v in verts]
+        box = list(zip(*verts))
+        pts = enumerate_lattice_points(ineqs, [min(x) for x in box], [max(x) for x in box])
+        part_polytopes.append((tuple(verts), tuple(pts)))
     return NefPartition(
         base=delta,
         polar_base=polar,

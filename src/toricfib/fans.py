@@ -314,16 +314,11 @@ def subdivide_domain(matrix, domain, codomain):
     cone's pieces must cover it, or ``SupportError`` is raised.  So the
     pieces are the maximal cones as they stand, and every ray is used: a
     domain ray is an edge of each piece that holds it.  Already-compatible
-    input comes back unchanged.
+    input comes back equal (Lemma A): a cone that maps into one codomain
+    cone is its own only full-dimensional piece.
     """
-    matrix = la.mat(matrix)
-    try:
-        check_compatibility(matrix, domain, codomain)
-        return domain
-    except IncompatibleMorphismError:
-        pass
     n = domain.rank
-    back = la.transpose(matrix)
+    back = la.transpose(la.mat(matrix))
     preimages = [
         tuple(la.vecmat(f, back) for f in codomain.cone_geom(t).inequalities)
         for t in codomain.max_cones
@@ -400,11 +395,7 @@ def is_fibration(phi):
 def kernel_fan(phi):
     """The subfan inside ker dim, in a saturated basis of the kernel sublattice."""
     kern = la.kernel_basis(phi.matrix)
-    n = phi.domain.rank
-    if not kern:
-        sub = la.Sublattice(basis=(), ambient_rank=n)
-        return Fan(0, (), ()), sub
-    sub = la.Sublattice(basis=kern, ambient_rank=n)
+    sub = la.Sublattice(basis=kern, ambient_rank=phi.domain.rank)
     kset = {
         i
         for i, r in enumerate(phi.domain.rays)
@@ -464,11 +455,21 @@ def mori_cone(fan):
     Each generator is a relation among the fan rays, extended by one final
     coordinate for the origin equal to minus the sum of the other entries.
     Non-simplicial cones are triangulated (pulling, lexicographic ray order,
-    no new rays) before wall relations are read off.
+    no new rays) before wall relations are read off; the Mori cone is the
+    cone the wall relations span (Cox-Little-Schenck, Toric Varieties, 6.4).
+
+    Lemma E (walls of a complete fan).  A pulling triangulation with one
+    global order restricts to the pulling triangulation of every face, so the
+    triangulation of a complete fan is complete and simplicial.  Each of its
+    walls lies in exactly two simplices, whose n + 1 rays span, so their
+    relations have rank one.  A relation among some of the rays, padded with
+    zeros, is an integer relation among all of them.  So the only check left
+    is the sign one: two maximal cones on one side of a wall, which
+    ``is_complete`` accepts, give a relation whose two outer entries differ
+    in sign.
     """
     if not fan.is_complete():
         raise DegenerateInputError("Mori cone requires a complete fan")
-    n = fan.rank
     simplices = set()
     for c in fan.max_cones:
         geom = fan.cone_geom(c)
@@ -480,16 +481,9 @@ def mori_cone(fan):
             wall = tuple(sorted(set(s) - {drop}))
             walls.setdefault(wall, []).append((s, drop))
     relations = set()
-    for wall, touching in walls.items():
-        if len(touching) != 2:
-            raise DegenerateInputError("fan is not complete along a wall")
-        (s1, o1), (s2, o2) = touching
+    for (s1, o1), (s2, o2) in walls.values():
         idx = sorted(set(s1) | set(s2))
-        rows = la.mat([fan.rays[i] for i in idx])
-        kern = la.kernel_basis(rows)
-        if len(kern) != 1:
-            raise DegenerateInputError("unexpected wall relation rank")
-        rel = kern[0]
+        (rel,) = la.kernel_basis([fan.rays[i] for i in idx])
         pos1 = rel[idx.index(o1)]
         pos2 = rel[idx.index(o2)]
         if pos1 == 0 or pos2 == 0 or (pos1 > 0) != (pos2 > 0):
@@ -500,22 +494,7 @@ def mori_cone(fan):
         for t, i in enumerate(idx):
             full[i] = rel[t]
         relations.add(tuple(full))
-    lam = la.kernel_basis(la.mat(fan.rays))
-    if not lam:
-        return ()
-    coords = []
-    for rel in relations:
-        c = la.solve_exact(lam, rel)
-        if c is None:
-            raise DegenerateInputError("wall relation outside relation lattice")
-        coords.append(c)
-    gens = _extreme_generators(coords)
-    out = []
-    for g in gens:
-        full = la.vecmat(g, lam)
-        full = la.primitive(full)
-        out.append(full + (-sum(full),))
-    return tuple(sorted(out))
+    return tuple(sorted(g + (-sum(g),) for g in _extreme_generators(relations)))
 
 
 def _extreme_generators(vectors):

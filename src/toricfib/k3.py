@@ -179,7 +179,7 @@ def ade_subgraph(polytope, direction):
     g = polytope.skeleton()
 
     def keep(edge):
-        a, b = tuple(edge) if len(edge) == 2 else (next(iter(edge)),) * 2
+        a, b = edge  # skeleton edges join two distinct points
         return la.dot(g.nodes[a], direction) * la.dot(g.nodes[b], direction) > 0
 
     comps = g.subgraph_components(keep)

@@ -299,22 +299,18 @@ class LatticePolytope:
     # -- skeleton ------------------------------------------------------------
 
     def skeleton(self):
-        """Graph on boundary lattice points; edges join consecutive points of 1-faces."""
+        """Graph on boundary lattice points; edges join consecutive points of 1-faces.
+
+        A 1-face has exactly two vertices a and b, so its points sort by
+        <p, b - a>."""
         interior, boundary, masks = self._points_data
         index = {p: i for i, p in enumerate(boundary)}
         edges = set()
         for f in self.faces(1):
             pts = [p for p in boundary if f.tight_facets <= masks[p]]
-            if len(pts) < 2:
-                continue
-            a = self.vertices[min(f.vertex_indices)]
-            direction = None
-            for p in pts:
-                d = la.sub(p, a)
-                if not la.is_zero(d):
-                    direction = d
-                    break
-            pts.sort(key=lambda p: la.dot(la.sub(p, a), direction))
+            a, b = (self.vertices[i] for i in f.vertex_indices)
+            d = la.sub(b, a)
+            pts.sort(key=lambda p: la.dot(p, d))
             for u, v in zip(pts, pts[1:]):
                 edges.add(frozenset((index[u], index[v])))
         return SkeletonGraph(nodes=boundary, edges=frozenset(edges))

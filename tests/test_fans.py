@@ -99,9 +99,14 @@ def test_subdivide_for_projection_counts(ctx):
 
 
 def test_subdivide_idempotent(ctx):
+    # compatible input comes back equal (Lemma A), onto a complete codomain
+    # and onto an incomplete one, whose coverage check then runs
     fan = ctx.ci_fan
     again = subdivide_domain(ctx.fx.matrix("proj_first_two"), fan, ctx.base_fan)
-    assert again is fan
+    assert (again.rays, again.max_cones) == (fan.rays, fan.max_cones)
+    split = split_quadrant()
+    again = subdivide_domain(la.identity(2), split, split)
+    assert (again.rays, again.max_cones) == (split.rays, split.max_cones)
 
 
 def test_compatibility_fails_before_subdivision(ctx):
@@ -562,6 +567,15 @@ def test_mori_hirzebruch(a):
     fan = Fan(2, ((1, 0), (0, 1), (-1, a), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
     assert fan.is_complete()
     assert mori_cone(fan) == ((0, 1, 0, 1, -2), (1, -a, 1, 0, a - 2))
+
+
+def test_mori_rejects_cones_on_one_side_of_a_wall():
+    # every wall lies in two cones, so is_complete accepts it, but cones
+    # (0,1) and (0,2) both lie right of the wall at (0,1)
+    fan = Fan(2, ((0, 1), (1, 0), (2, 1), (0, -1)), ((0, 1), (0, 2), (1, 3), (2, 3)))
+    assert fan.is_complete()
+    with pytest.raises(DegenerateInputError, match="wall relation with unexpected signs"):
+        mori_cone(fan)
 
 
 def test_mori_requires_complete():
