@@ -7,6 +7,9 @@ cone containing each image); fibration verdicts, kernel fans, monomial
 coordinate forms, and wall-relation Mori cones build on that.  Certificates
 are monotone along faces and every proper face lies in a facet, so fibration
 verdicts read minimality off the face poset, not off any cone's facets.
+One tiling rule, ``_tiles``, decides both ``Fan.is_complete`` and whether a
+cone's pieces in ``subdivide_domain`` cover it: each wall in two cones on
+opposite sides of it, and one interior point in one cone only.
 
 Two facts about a lattice map phi into a fan (any two of its cones meet in a
 common face) spare ``subdivide_domain`` and ``is_fibration`` some work.
@@ -168,22 +171,14 @@ class Fan:
         return all(self.cone_geom(c).is_smooth() for c in self.max_cones)
 
     def is_complete(self):
-        """Every maximal cone full-dimensional and every wall shared by two."""
+        """Every maximal cone full-dimensional, and the cones tile the space
+        once (``_tiles`` with no boundary)."""
         return self._complete
 
     @cached_property
     def _complete(self):
-        if not self.max_cones:
-            return False
-        counts = {}
-        for c in self.max_cones:
-            geom = self.cone_geom(c)
-            if geom.dim != self.rank:
-                return False
-            for fs in geom.facet_ray_sets():
-                wall = frozenset(c[i] for i in fs)
-                counts[wall] = counts.get(wall, 0) + 1
-        return all(v == 2 for v in counts.values())
+        geoms = [self.cone_geom(c) for c in self.max_cones]
+        return all(g.dim == self.rank for g in geoms) and _tiles(geoms, ())
 
     def subfan(self, cones):
         """Fan on the maximal elements of the given ray-index sets.
@@ -198,6 +193,28 @@ class Fan:
         rays = tuple(self.rays[i] for i in used)
         new_cones = sorted({tuple(sorted(remap[i] for i in s)) for s in maximal})
         return Fan(self.rank, rays, new_cones)
+
+
+def _tiles(geoms, boundary):
+    """Whether the cones, all of one span, cover their support exactly once.
+
+    Every facet is keyed by its set of ray vectors, and walls on a hyperplane
+    of ``boundary`` (functionals) are skipped.  Every other wall must lie in
+    exactly two cones, on opposite sides of it: their facet normals there
+    are primitive and lie in the span, so they must be opposite.  Then the
+    cones cover the support some number of times, and the sum of the first
+    cone's rays, interior to it, lying in no other cone makes that number one.
+    """
+    walls = {}
+    for g in geoms:
+        for fs, f in zip(g.facet_ray_sets(), g.ambient_ineqs):
+            wall = frozenset(g.rays[i] for i in fs)
+            if not any(all(la.dot(r, b) == 0 for r in wall) for b in boundary):
+                walls.setdefault(wall, []).append(f)
+    if not geoms or any(len(ns) != 2 or ns[0] != la.neg(ns[1]) for ns in walls.values()):
+        return False
+    inside = la.vec(map(sum, zip(*geoms[0].rays)))
+    return not any(g.contains(inside) for g in geoms[1:])
 
 
 def face_fan(p):
@@ -310,9 +327,10 @@ def subdivide_domain(matrix, domain, codomain):
     Every domain cone is intersected with the preimages of the codomain
     cones, and its distinct full-dimensional pieces are kept: none lies in
     another (Lemma A).  New rays are the primitive generators of the pieces'
-    edges.  A complete codomain's preimages cover every cone; otherwise each
-    cone's pieces must cover it, or ``SupportError`` is raised.  So the
-    pieces are the maximal cones as they stand, and every ray is used: a
+    edges.  A complete codomain's preimages cover every cone, since
+    ``is_complete`` checks that its cones tile the space; otherwise each
+    cone's pieces must tile it (``_tiles``), or ``SupportError`` is raised.
+    So the pieces are the maximal cones as they stand, and every ray is used: a
     domain ray is an edge of each piece that holds it.  Already-compatible
     input comes back equal (Lemma A): a cone that maps into one codomain
     cone is its own only full-dimensional piece.
@@ -331,33 +349,16 @@ def subdivide_domain(matrix, domain, codomain):
             rays = extreme_rays(geom.inequalities + preimage, n)
             if rays and la.rank(rays) == geom.dim:
                 pieces.add(rays)
-        if not codomain.is_complete():
-            _check_coverage(geom, pieces)
+        if not codomain.is_complete() and not _tiles(
+            [ConeGeom(p, n) for p in pieces], geom.ambient_ineqs
+        ):
+            raise SupportError("domain support does not map into the codomain support")
         pieces_all |= pieces
     # assemble: original rays keep their order, new rays appended in lex order
     new_rays = sorted({r for piece in pieces_all for r in piece} - set(domain.rays))
     rays = domain.rays + tuple(new_rays)
     index = {r: i for i, r in enumerate(rays)}
     return Fan(n, rays, [[index[r] for r in piece] for piece in pieces_all])
-
-
-def _check_coverage(geom, pieces):
-    """Raise unless the pieces (ray tuples) cover the cone: there is at least
-    one, and every wall of a piece is a wall of two pieces or lies on the cone's boundary."""
-    counts = {}
-    for rays in pieces:
-        g = ConeGeom(rays, geom.ambient_rank)
-        for fs in g.facet_ray_sets():
-            wall = tuple(sorted(g.rays[i] for i in fs))
-            counts[wall] = counts.get(wall, 0) + 1
-    inner = [
-        wall
-        for wall, cnt in counts.items()
-        if cnt != 2
-        and not any(all(la.dot(r, f) == 0 for r in wall) for f in geom.ambient_ineqs)
-    ]
-    if not pieces or inner:
-        raise SupportError("domain support does not map into the codomain support")
 
 
 def is_fibration(phi):
@@ -462,11 +463,13 @@ def mori_cone(fan):
     global order restricts to the pulling triangulation of every face, so the
     triangulation of a complete fan is complete and simplicial.  Each of its
     walls lies in exactly two simplices, whose n + 1 rays span, so their
-    relations have rank one.  A relation among some of the rays, padded with
-    zeros, is an integer relation among all of them.  So the only check left
-    is the sign one: two maximal cones on one side of a wall, which
-    ``is_complete`` accepts, give a relation whose two outer entries differ
-    in sign.
+    relations have rank one.  The two simplices lie on opposite sides of the
+    wall: ``is_complete`` checks this for the fan's walls, and the
+    triangulation of a convex cone has it inside the cone.  Pairing the
+    relation with the wall's normal then gives its two outer entries one
+    sign, neither zero, so the first alone orients it.  A relation among
+    some of the rays, padded with zeros, is an integer relation among all
+    of them.  So no check is left.
     """
     if not fan.is_complete():
         raise DegenerateInputError("Mori cone requires a complete fan")
@@ -481,14 +484,10 @@ def mori_cone(fan):
             wall = tuple(sorted(set(s) - {drop}))
             walls.setdefault(wall, []).append((s, drop))
     relations = set()
-    for (s1, o1), (s2, o2) in walls.values():
+    for (s1, o1), (s2, _) in walls.values():
         idx = sorted(set(s1) | set(s2))
         (rel,) = la.kernel_basis([fan.rays[i] for i in idx])
-        pos1 = rel[idx.index(o1)]
-        pos2 = rel[idx.index(o2)]
-        if pos1 == 0 or pos2 == 0 or (pos1 > 0) != (pos2 > 0):
-            raise DegenerateInputError("wall relation with unexpected signs")
-        if pos1 < 0:
+        if rel[idx.index(o1)] < 0:
             rel = la.neg(rel)
         full = [0] * len(fan.rays)
         for t, i in enumerate(idx):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
@@ -378,19 +379,27 @@ def test_subdivide_domain_onto_split_quadrant():
     assert out.max_cones == ((0, 2), (1, 2))
 
 
+def overlapping_fan():
+    """Every wall in two cones, but (0,1) and (0,2) both lie right of the
+    wall at (0,1): the cones overlap there and leave the left half-plane bare."""
+    return Fan(2, ((0, 1), (1, 0), (2, 1), (0, -1)), ((0, 1), (0, 2), (1, 3), (2, 3)))
+
+
 @pytest.mark.parametrize(
-    "domain",
+    "domain, codomain",
     [
         # cone((1,0),(-1,1)) is covered only in part
-        Fan(2, ((1, 0), (-1, 1)), ((0, 1),)),
+        (Fan(2, ((1, 0), (-1, 1)), ((0, 1),)), split_quadrant()),
         # two cones of P^2 map to no full-dimensional piece at all
-        p2_fan(),
+        (p2_fan(), split_quadrant()),
+        # the left half-plane, onto cones that count as complete by walls alone
+        (Fan(2, ((-1, 0), (0, 1), (0, -1)), ((0, 1), (0, 2))), overlapping_fan()),
     ],
-    ids=["partly_covered", "uncovered"],
+    ids=["partly_covered", "uncovered", "onto_overlapping_cones"],
 )
-def test_subdivide_domain_outside_codomain_support(domain):
+def test_subdivide_domain_outside_codomain_support(domain, codomain):
     with pytest.raises(SupportError, match="does not map into the codomain support"):
-        subdivide_domain(la.identity(2), domain, split_quadrant())
+        subdivide_domain(la.identity(2), domain, codomain)
 
 
 def test_simplicial_facets_match_double_description_on_model_fans(ctx):
@@ -570,12 +579,73 @@ def test_mori_hirzebruch(a):
 
 
 def test_mori_rejects_cones_on_one_side_of_a_wall():
-    # every wall lies in two cones, so is_complete accepts it, but cones
-    # (0,1) and (0,2) both lie right of the wall at (0,1)
-    fan = Fan(2, ((0, 1), (1, 0), (2, 1), (0, -1)), ((0, 1), (0, 2), (1, 3), (2, 3)))
-    assert fan.is_complete()
-    with pytest.raises(DegenerateInputError, match="wall relation with unexpected signs"):
+    fan = overlapping_fan()
+    assert not fan.is_complete()
+    with pytest.raises(DegenerateInputError, match="requires a complete fan"):
         mori_cone(fan)
+
+
+@pytest.mark.parametrize(
+    "fan",
+    [
+        overlapping_fan(),
+        # every wall in two cones on opposite sides, but the five cones wind
+        # twice around the origin: only the covering degree rejects it
+        Fan(
+            2,
+            ((1, 0), (1, 2), (-1, 1), (-1, -1), (1, -2)),
+            ((0, 2), (2, 4), (1, 4), (1, 3), (0, 3)),
+        ),
+        # the four quadrants plus three cones inside the third that fold back:
+        # the walls at (-2,-1) and (-1,-2) each lie in two of them on one
+        # side, so every wall pairs by count and only the side test rejects it
+        Fan(
+            2,
+            ((1, 0), (0, 1), (-1, 0), (0, -1), (-2, -1), (-1, -1), (-1, -2)),
+            ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)),
+        ),
+    ],
+    ids=["overlap", "pentagram", "fold"],
+)
+def test_non_tilings_are_not_complete(fan):
+    assert not fan.is_complete()
+    with pytest.raises(DegenerateInputError, match="requires a complete fan"):
+        mori_cone(fan)
+
+
+def _polytope_fan(build, name, polar):
+    """The fan ``build`` makes of a model polytope, or of its polar."""
+
+    def fan(ctx):
+        p = getattr(ctx, name)
+        return build(p.polar() if polar else p)
+
+    return fan
+
+
+@pytest.mark.parametrize(
+    "fan, complete",
+    [
+        *(
+            pytest.param(attrgetter(a), True, id=a)
+            for a in (
+                "ci_face_fan", "ci_fan", "hyp_fan_6", "hyp_fan_12", "base_fan", "line_fan", "mirror_fan"
+            )
+        ),
+        *(
+            pytest.param(
+                _polytope_fan(f, p, polar), True, id=f"{f.__name__}({p}{'.polar()' * polar})"
+            )
+            for p in ("ci_polar", "ci_base", "hyp_simplex", "k3_simplex", "base_pentagon")
+            for polar in (False, True)
+            for f in (face_fan, normal_fan)
+        ),
+        pytest.param(attrgetter("ci_partial"), False, id="ci_partial"),
+        pytest.param(attrgetter("transition.domain"), False, id="transition.domain"),
+    ],
+)
+def test_model_fans_completeness(ctx, fan, complete):
+    assert fan(ctx).is_complete() == complete
 
 
 def test_mori_requires_complete():
