@@ -1,19 +1,22 @@
 """Double-description conversion for pointed rational cones.
 
-The primitive is `extreme_rays`: the extreme rays of
-{y : <y, a> >= 0 for all a in constraints}.  Conversion is self-dual, so the
-same routine turns generators into facet normals and inequalities into rays.
-All arithmetic is on arbitrary-precision integers.  Two more primitives read
-a cone's generator-facet incidence alone: `face_closure` lists every face,
-and `extreme_generators` picks the generators that are extreme rays (for the
+The primitive is `double_description`: the extreme rays of
+{y : <y, a> >= 0 for all a in constraints}, each with the constraints tight
+on it; `extreme_rays` is its sorted rays.  Conversion is self-dual, so the
+same routine turns generators into facet normals, with the generator-facet
+incidence, and inequalities into rays.  All arithmetic is on
+arbitrary-precision integers.  Two more primitives read a cone's
+generator-facet incidence alone: `face_closure` lists every face, and
+`extreme_generators` picks the generators that are extreme rays (for the
 homogenized points of a polytope, its vertices).
 
-The starting simplicial cone comes from two fraction-free eliminations: the
-row echelon of `exactlinalg.independent_rows` picks the constraints, and
-`exactlinalg.scaled_inverse` of them gives its rays as the columns of the
-adjugate.  The same elimination, run on the Gram matrix R R^T of linearly
-independent rays R, gives the facet normals of the simplicial cone they span
-without the double description loop: `simplicial_facets`.
+The loop starts from the lineality space R^dim, with the identity basis
+(Fukuda-Prodon, "Double description method revisited", 1996).  A constraint
+a on which a basis vector l is nonzero makes l, oriented so that <l, a> > 0,
+a ray tight on every earlier constraint, and moves the other basis vectors
+and the rays along l onto a's hyperplane, so their tight sets need no dot
+product.  Any other constraint runs the usual step on the rays.  The
+facets of a simplicial cone need no loop (`simplicial_facets`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from collections import defaultdict
 from functools import reduce
 from operator import and_
 
-from .exactlinalg import dot, independent_rows, mat, primitive, scaled_inverse, vecmat
+from .exactlinalg import (
+    dot, identity, independent_rows, mat, neg, primitive, scaled_inverse, vecmat,
+)
 
 
 def _initial_basis_rays(constraints, dim):
@@ -55,68 +60,61 @@ def simplicial_facets(rays):
     return tuple(sorted(primitive(vecmat(c, rays)) for c in coeffs))
 
 
-def extreme_rays(constraints, dim):
-    """Extreme rays of the pointed cone {y in R^dim : <y, a> >= 0}.
+def _meet(u, pu, w, pw):
+    """primitive(pu * w - pw * u): tight on a when pu = <u, a> and pw = <w, a>."""
+    return primitive(tuple(pu * y - pw * x for x, y in zip(u, w)))
 
-    The constraint normals must span R^dim (equivalently the cone is
-    pointed).  Returns a sorted tuple of primitive integer rays.
+
+def double_description(constraints, dim):
+    """Extreme rays of the pointed cone {y in R^dim : <y, a> >= 0}, each with
+    the set of constraints tight on it.
+
+    Returns {primitive ray: frozenset of indices into ``constraints``}; a
+    constraint that repeats is reported at its first position.  The
+    constraint normals must span R^dim (equivalently the cone is pointed),
+    or ValueError is raised.
     """
-    constraints = mat(constraints)
-    constraints = tuple(dict.fromkeys(constraints))
-    init_idx, rays = _initial_basis_rays(constraints, dim)
-    processed = list(init_idx)
-    # tight masks over processed constraints, kept in processing order
-    masks = []
-    for r in rays:
-        m = 0
-        for bit, ci in enumerate(processed):
-            if dot(r, constraints[ci]) == 0:
-                m |= 1 << bit
-        masks.append(m)
-    for ci in range(len(constraints)):
-        if ci in init_idx:
-            continue
-        a = constraints[ci]
+    first = {}
+    for i, a in enumerate(mat(constraints)):
+        first.setdefault(a, i)
+    lines = list(identity(dim))  # lineality basis, tight on every constraint so far
+    rays, masks = [], []  # bit b of masks[k]: the b-th constraint taken is tight on rays[k]
+    for b, a in enumerate(first):
+        bit = 1 << b
+        lvals = [dot(x, a) for x in lines]
         vals = [dot(r, a) for r in rays]
-        if all(v >= 0 for v in vals):
-            bit = 1 << len(processed)
-            processed.append(ci)
-            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
-            continue
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        new_rays = []
-        new_masks = []
-        for p in plus:
-            for m_ in minus:
-                common = masks[p] & masks[m_]
-                # combinatorial adjacency: no third ray is tight on the
-                # common constraint set
-                adjacent = True
-                for o in range(len(rays)):
-                    if o != p and o != m_ and (masks[o] & common) == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                r = tuple(
-                    vals[p] * x - vals[m_] * y
-                    for x, y in zip(rays[m_], rays[p])
-                )
-                r = primitive(r)
-                new_rays.append(r)
-                new_masks.append(common)
-        bit = 1 << len(processed)
-        processed.append(ci)
-        kept_rays = [rays[i] for i in plus] + [rays[i] for i in zero]
-        kept_masks = [masks[i] for i in plus] + [masks[i] | bit for i in zero]
-        for r, m in zip(new_rays, new_masks):
-            kept_rays.append(r)
-            kept_masks.append(m | bit)
-        rays, masks = kept_rays, kept_masks
-    # dedupe and order canonically
-    return tuple(sorted(set(rays)))
+        k = next((k for k, v in enumerate(lvals) if v), None)
+        if k is not None:
+            # line k leaves the lineality space as the ray on the side <l, a> > 0
+            line, p = lines.pop(k), lvals.pop(k)
+            if p < 0:
+                line, p = neg(line), -p
+            lines = [_meet(line, p, x, v) if v else x for x, v in zip(lines, lvals)]
+            rays = [_meet(line, p, r, v) if v else r for r, v in zip(rays, vals)] + [line]
+            masks = [m | bit for m in masks] + [bit - 1]
+        else:
+            plus = [j for j, v in enumerate(vals) if v > 0]
+            minus = [j for j, v in enumerate(vals) if v < 0]
+            new = [(r, m | bit if v == 0 else m) for r, m, v in zip(rays, masks, vals) if v >= 0]
+            for p in plus:
+                for m in minus:
+                    common = masks[p] & masks[m]
+                    # combinatorial adjacency: no ray but the pair is tight
+                    # on all of the pair's common constraints
+                    if sum(o & common == common for o in masks) == 2:
+                        new.append((_meet(rays[p], vals[p], rays[m], vals[m]), common | bit))
+            rays, masks = [r for r, _ in new], [m for _, m in new]
+    if lines:
+        raise ValueError("cone is not pointed (constraints do not span)")
+    return {
+        r: frozenset(i for b, i in enumerate(first.values()) if m >> b & 1)
+        for r, m in zip(rays, masks)
+    }
+
+
+def extreme_rays(constraints, dim):
+    """The sorted extreme rays of ``double_description``."""
+    return tuple(sorted(double_description(constraints, dim)))
 
 
 def face_closure(incidence, nfacets):
@@ -145,7 +143,7 @@ def face_closure(incidence, nfacets):
 def extreme_generators(incidence, dim):
     """Indices of the extreme generators of a pointed cone of dimension dim.
 
-    ``incidence[i]`` is the frozenset of facets tight at generator i; no
+    ``incidence[i]`` holds the facets tight at generator i once each; no
     generator is zero or a positive multiple of another.  The facets tight at
     a generator cut out the smallest face containing it, so it is extreme iff
     no other generator is tight on all of them.  That needs at least dim - 1

@@ -7,13 +7,13 @@ back all of the geometry layers.
 Three eliminations serve them.  ``hermite_form`` is unimodular and returns
 its transform; kernels, saturation and ``solve_exact`` need that certificate.
 ``independent_rows`` is a fraction-free row echelon with gcd-reduced rows and
-no transform; ``rank`` and the double description's choice of a starting
-basis need only which rows it keeps.  ``_bareiss`` is Bareiss's
-fraction-free Gauss-Jordan elimination of n rows of any width, pivoting in
-the first n columns: ``det`` runs it on A alone, and ``scaled_inverse`` on
-[A | I] for det A and adj A at once, the double description's starting
-rays.  It divides with ``//``: exact over ints and ``sympoly.SparsePoly``,
-not over ``Fraction`` (whose ``//`` floors).
+no transform; ``rank`` and the start-up of ``dd.simplicial_facets`` need
+only which rows it keeps.  ``_bareiss`` is Bareiss's fraction-free
+Gauss-Jordan elimination of n rows of any width, pivoting in the first n
+columns: ``det`` runs it on A alone, and ``scaled_inverse`` on [A | I] for
+det A and adj A at once (``dd.simplicial_facets``, ``fibsearch``).  It
+divides with ``//``: exact over ints and ``sympoly.SparsePoly``, not over
+``Fraction`` (whose ``//`` floors).
 
 Entry points that take a matrix or vector from outside (``hermite_form``,
 ``independent_rows``, ``rank``, ``kernel_basis``, ``right_kernel``,

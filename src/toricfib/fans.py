@@ -11,8 +11,8 @@ One tiling rule, ``_tiles``, decides both ``Fan.is_complete`` and whether a
 cone's pieces in ``subdivide_domain`` cover it: each wall in two cones on
 opposite sides of it, and one interior point in one cone only.
 
-Two facts about a lattice map phi into a fan (any two of its cones meet in a
-common face) spare ``subdivide_domain`` and ``is_fibration`` some work.
+Three facts about a lattice map phi into a fan (any two of its cones meet in
+a common face) spare ``subdivide_domain`` and ``is_fibration`` some work.
 
 Lemma A (pieces do not nest).  Let c be a domain cone and s1, s2 codomain
 cones whose pieces Pi = {x in c : phi(x) in si} satisfy P1 <= P2, with P1
@@ -26,6 +26,13 @@ proper face of c has certificate t), then ker phi & span c = 0.  Otherwise a
 nonzero kernel direction through a relative-interior point of c reaches a
 proper face G of c (c is pointed) whose image meets the relative interior of
 t, so cert(G) = t.  Hence c's rays and their images have equal rank.
+
+Lemma F (separated pieces).  Let f be a pulled-back inequality of a
+codomain cone s (a facet normal, or either sign of an equation), with
+<r, f> <= 0 on every ray r of a domain cone c and < 0 on one.  Then the
+piece {x in c : phi(x) in s}, on which f >= 0, lies in c & f^perp, a face
+of c that misses a ray of c.  So the piece is not full-dimensional, and
+``subdivide_domain`` drops it with no double description.
 """
 
 from __future__ import annotations
@@ -326,14 +333,15 @@ def subdivide_domain(matrix, domain, codomain):
 
     Every domain cone is intersected with the preimages of the codomain
     cones, and its distinct full-dimensional pieces are kept: none lies in
-    another (Lemma A).  New rays are the primitive generators of the pieces'
-    edges.  A complete codomain's preimages cover every cone, since
-    ``is_complete`` checks that its cones tile the space; otherwise each
-    cone's pieces must tile it (``_tiles``), or ``SupportError`` is raised.
-    So the pieces are the maximal cones as they stand, and every ray is used: a
-    domain ray is an edge of each piece that holds it.  Already-compatible
-    input comes back equal (Lemma A): a cone that maps into one codomain
-    cone is its own only full-dimensional piece.
+    another (Lemma A), and none is sought where Lemma F rules it out.  The
+    zero cone is its own only piece.  New rays are the primitive generators
+    of the pieces' edges.  A complete codomain's preimages cover every cone,
+    since ``is_complete`` checks that its cones tile the space; otherwise
+    each cone's pieces must tile it (``_tiles``), or ``SupportError`` is
+    raised.  So the pieces are the maximal cones as they stand, and every
+    ray is used: a domain ray is an edge of each piece that holds it.
+    Already-compatible input comes back equal (Lemma A): a cone that maps
+    into one codomain cone is its own only full-dimensional piece.
     """
     n = domain.rank
     back = la.transpose(la.mat(matrix))
@@ -346,8 +354,11 @@ def subdivide_domain(matrix, domain, codomain):
         geom = domain.cone_geom(c)
         pieces = set()
         for preimage in preimages:
+            vals = ([la.dot(r, f) for r in geom.rays] for f in preimage)
+            if any(max(v, default=0) <= 0 and any(v) for v in vals):
+                continue  # Lemma F: the piece lies in a proper face of c
             rays = extreme_rays(geom.inequalities + preimage, n)
-            if rays and la.rank(rays) == geom.dim:
+            if la.rank(rays) == geom.dim:
                 pieces.add(rays)
         if not codomain.is_complete() and not _tiles(
             [ConeGeom(p, n) for p in pieces], geom.ambient_ineqs

@@ -6,9 +6,9 @@ the face lattice with its inclusion-reversing correspondence, lattice point
 enumeration and the boundary skeleton graph all live here.  Derived data is
 computed once per polytope: the faces come from the cached vertex-facet
 incidence ``_vertex_facets`` through ``dd.face_closure``, and the face and
-normal fans read the same incidence.  ``hull`` takes its facets from
-``dd.extreme_rays`` on the homogenized points, which also decides that they
-span, and its vertices from their facet incidence by
+normal fans read the same incidence.  ``hull`` takes its facets, with the
+points on each, from ``dd.double_description`` on the homogenized points,
+which also decides that they span, and its vertices from that incidence by
 ``dd.extreme_generators``.
 
 Lattice points come from one int64 array test over the bounding box: for each
@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exactlinalg as la
-from .dd import extreme_generators, extreme_rays, face_closure
+# extreme_rays is unused here; bench/tests/test_tracer.py checks that it is bound
+from .dd import double_description, extreme_generators, extreme_rays, face_closure  # noqa: F401
 from .errors import (
     DegenerateInputError,
     NotFullDimensionalError,
@@ -150,8 +151,9 @@ class LatticePolytope:
     def hull(cls, points):
         """Convex hull of lattice points, which must span the ambient space.
 
-        A non full-dimensional input, found by the double description as
-        homogenized points that do not span, raises NotFullDimensionalError
+        One double description of the homogenized points (1, p) gives the
+        facets (c, n) with the points on each, and the vertices are read off
+        that incidence.  Points that do not span raise NotFullDimensionalError
         carrying the affine span so the caller can restrict to a sublattice
         and retry.
         """
@@ -160,7 +162,7 @@ class LatticePolytope:
             raise DegenerateInputError("no points")
         dim = len(pts[0])
         try:
-            raw = extreme_rays(tuple((1,) + p for p in pts), dim + 1)
+            tight = double_description(tuple((1,) + p for p in pts), dim + 1)
         except ValueError:
             base, basis = affine_span(pts)
             raise NotFullDimensionalError(
@@ -169,7 +171,8 @@ class LatticePolytope:
                 span_basis=[list(b) for b in basis],
             ) from None
         facets = []
-        for f in raw:
+        incidence = [[] for _ in pts]
+        for j, (f, on) in enumerate(tight.items()):
             c, n = f[0], f[1:]
             if la.is_zero(n):
                 # the inequality t >= 0 cannot be a facet of a bounded
@@ -178,10 +181,8 @@ class LatticePolytope:
             # a facet of a lattice polytope contains lattice points, so the
             # jointly-primitive (c, n) already has a primitive normal part
             facets.append((n, c))
-        incidence = [
-            frozenset(j for j, (n, c) in enumerate(facets) if la.dot(p, n) == -c)
-            for p in pts
-        ]
+            for i in on:
+                incidence[i].append(j)
         return cls(dim, [pts[i] for i in extreme_generators(incidence, dim + 1)], facets)
 
     # -- basic queries -----------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
-from toricfib.dd import _initial_basis_rays, extreme_rays, simplicial_facets
+from toricfib.dd import _initial_basis_rays, double_description, extreme_rays, simplicial_facets
+from toricfib.errors import NotFullDimensionalError
+from toricfib.polytope import LatticePolytope
 
 
 def test_hermite_small():
@@ -186,6 +188,60 @@ def test_initial_basis_rays_match_cofactor_reference():
         assert _initial_basis_rays(rows, dim) == want, rows
     # both outcomes occur often enough to be tested
     assert 200 < raised < 1300
+
+
+def _extreme_rays_by_subsets(constraints, dim):
+    """Reference for dd.double_description: every rank-(dim - 1) subset of
+    the constraints has a line as kernel, and a primitive direction of it
+    that satisfies every constraint is an extreme ray."""
+    out = set()
+    for subset in itertools.combinations(set(constraints), dim - 1):
+        if _hermite_rank(subset) < dim - 1:
+            continue
+        (k,) = la.right_kernel(subset)
+        for r in (k, la.neg(k)):
+            if all(la.dot(r, a) >= 0 for a in constraints):
+                out.add(r)
+    return out
+
+
+def test_double_description_matches_subset_reference():
+    rng = random.Random(2027)
+    kinds = {"rays": 0, "origin": 0, "not pointed": 0}
+    for _ in range(400):
+        dim = rng.randint(2, 5)
+        # constraints mostly positive on a random direction, so most cones
+        # are full-dimensional; +- pairs cut them down to lower dimension
+        y = [rng.randint(-3, 3) for _ in range(dim)]
+        rows, size = [], rng.randint(dim - 1, dim + 4)
+        while len(rows) < size:
+            a = tuple(rng.randint(-3, 3) for _ in range(dim))
+            if la.dot(a, y) > 0 or rng.random() < 0.2:
+                rows.append(a)
+        for _ in range(rng.randint(0, 3)):
+            a = rng.choice(rows)
+            extra = rng.choice((a, tuple(2 * x for x in a), la.neg(a)))  # repeat, scale, pair
+            rows.insert(rng.randint(0, len(rows)), extra)
+        rows = tuple(rows)
+        if _hermite_rank(rows) < dim:
+            kinds["not pointed"] += 1
+            with pytest.raises(ValueError, match="not pointed"):
+                double_description(rows, dim)
+            continue
+        got = double_description(rows, dim)
+        assert set(got) == _extreme_rays_by_subsets(rows, dim), rows
+        assert extreme_rays(rows, dim) == tuple(sorted(got))
+        for r, tight in got.items():
+            assert tight == {
+                i for i, a in enumerate(rows) if la.dot(r, a) == 0 and a not in rows[:i]
+            }, (rows, r)
+        kinds["rays" if got else "origin"] += 1
+    assert all(n > 10 for n in kinds.values()), kinds
+
+
+def test_hull_of_collinear_points_is_not_full_dimensional():
+    with pytest.raises(NotFullDimensionalError):
+        LatticePolytope.hull([(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, -1, -1)])
 
 
 @seed(1312)

@@ -6,7 +6,7 @@ from operator import attrgetter
 import pytest
 
 from toricfib import exactlinalg as la
-from toricfib import models
+from toricfib import fans, models
 from toricfib.dd import extreme_generators, extreme_rays, simplicial_facets
 from toricfib.errors import DegenerateInputError, IncompatibleMorphismError, SupportError
 from toricfib.fans import (
@@ -400,6 +400,79 @@ def overlapping_fan():
 def test_subdivide_domain_outside_codomain_support(domain, codomain):
     with pytest.raises(SupportError, match="does not map into the codomain support"):
         subdivide_domain(la.identity(2), domain, codomain)
+
+
+@pytest.mark.parametrize("codomain", [p2_fan(), split_quadrant()], ids=["p2", "split_quadrant"])
+def test_subdivide_domain_keeps_the_zero_cone(codomain):
+    # the origin maps into every fan, so the zero cone is its own only piece
+    out = subdivide_domain(la.identity(2), Fan(2, (), [()]), codomain)
+    assert out.rays == () and out.max_cones == ((),)
+
+
+def _subdivide_by_every_pair(matrix, domain, codomain):
+    """Reference for subdivide_domain with no Lemma F filter: (rays, maximal
+    cones) from one double description per domain cone and codomain cone."""
+    back = la.transpose(la.mat(matrix))
+    pieces = set()
+    for c in domain.max_cones:
+        geom = domain.cone_geom(c)
+        for t in codomain.max_cones:
+            preimage = tuple(la.vecmat(f, back) for f in codomain.cone_geom(t).inequalities)
+            rays = extreme_rays(geom.inequalities + preimage, domain.rank)
+            if la.rank(rays) == geom.dim:
+                pieces.add(rays)
+    rays = domain.rays + tuple(sorted({r for p in pieces for r in p} - set(domain.rays)))
+    return rays, tuple(sorted(tuple(sorted(rays.index(r) for r in p)) for p in pieces))
+
+
+def _count_double_descriptions(monkeypatch):
+    """The argument lists of every later ``extreme_rays`` call made by fans."""
+    calls = []
+    monkeypatch.setattr(fans, "extreme_rays", lambda *a: calls.append(a) or extreme_rays(*a))
+    return calls
+
+
+def test_separated_pieces_change_no_subdivision(monkeypatch):
+    # Lemma F of the fans module: the skipped pairs change no answer.  The
+    # random maps go from their own domains and from the unrefined (P^1)^n,
+    # onto (P^1)^k and onto a star subdivision of it that needs new rays
+    rng = random.Random(27)
+    calls = _count_double_descriptions(monkeypatch)
+    pairs = refined = 0
+    for phi in _random_morphisms(rng, 100):
+        k = phi.codomain.rank
+        v = rng.choice([u for u in itertools.product(range(-2, 3), repeat=k) if any(u)])
+        v = la.primitive(v)
+        for codomain in (phi.codomain, star_subdivide(phi.codomain, v)):
+            for domain in (phi.domain, cube_fan(phi.domain.rank)):
+                # the reference caches every cone geometry, so that the calls
+                # counted below are subdivide_domain's pieces
+                want = _subdivide_by_every_pair(phi.matrix, domain, codomain)
+                pairs += len(domain.max_cones) * len(codomain.max_cones)
+                out = subdivide_domain(phi.matrix, domain, codomain)
+                assert (out.rays, out.max_cones) == want, (phi.matrix, domain.rays, v)
+                refined += len(out.rays) > len(domain.rays)
+    assert refined > 20
+    assert 0 < len(calls) < pairs / 2
+
+
+def test_separated_pieces_skip_most_double_descriptions(ctx, monkeypatch):
+    # the two model subdivisions, for ctx.ci_fan and ctx.transition, meet 460
+    # (domain cone, codomain cone) pairs; Lemma F leaves at most 160 of them
+    jobs = [
+        (ctx.fx.matrix("proj_first_two"), ctx.ci_face_fan, ctx.base_fan),
+        (ctx.fx.matrix("transition_matrix"), ctx.ci_partial, ctx.hyp_fan_12),
+    ]
+    for _, domain, codomain in jobs:  # every cone geometry first
+        for fan in (domain, codomain):
+            for c in fan.max_cones:
+                fan.cone_geom(c).inequalities
+        assert codomain.is_complete()
+    calls = _count_double_descriptions(monkeypatch)
+    for job in jobs:
+        subdivide_domain(*job)
+    assert sum(len(d.max_cones) * len(c.max_cones) for _, d, c in jobs) == 460
+    assert len(calls) <= 160
 
 
 def test_simplicial_facets_match_double_description_on_model_fans(ctx):
