@@ -32,7 +32,12 @@ the double grid cannot resolve, raises ``DegenerateInputError``.  So tracking
 a loop again at a higher ``prec`` re-checks the base roots, the refinement
 and the matching at that precision, but follows the same double path;
 tracking it again with a smaller ``initial_step`` is the independent check on
-the path.
+the path.  The double continuation is a pure function of the family, the
+double start roots, the double path and the step, so it runs once per
+distinct tuple of these: ``_continue_along`` keeps the last 64 in a memo.  A
+loop tracked at 128 and then at 256 bits whose base roots and path round to
+the same doubles is continued once.  The resolution check of the path still
+runs on every call, on that call's exact points.
 
 Certificates: the loop checks (``_validate_loop``: singular values off the
 path and at most one inside it) and the resolution check of the double path
@@ -41,15 +46,17 @@ moves it by at most 2^-53 of its modulus, so a comparison that clears its
 threshold by ``_CERT_SLACK`` = 2^-40 times the moduli involved has the exact
 comparison's outcome.  Only the cases no such bound settles are compared in
 mpmath, so exactly the same inputs raise ``DegenerateInputError`` as with the
-comparison in mpmath alone.  A base point at the circle's centre, or a radius
-that is not positive, is rejected before any tracking.
+comparison in mpmath alone.  A base point at the circle's centre, a radius
+that is not positive, or an ``initial_step`` that is not a positive finite
+number is rejected before any tracking.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 
@@ -481,21 +488,31 @@ def _coeffs_at(prepared, x):
     return vals, ders
 
 
-def _continue_along(family, roots, points, initial_step=None):
-    """Continue roots through the listed parameter values (piecewise linear),
-    in double precision: each step predicts the roots along their tangents
-    and corrects them by Newton's method.  A step that follows a rejected one
-    is not doubled.
+@lru_cache(maxsize=64)
+def _continue_along(family, roots, points, max_step):
+    """Continue the double roots through the double parameter values
+    ``points`` (piecewise linear), in double precision: each step predicts
+    the roots along their tangents and corrects them by Newton's method.  A
+    step is at most ``max_step`` of a segment, and a step that follows a
+    rejected one is not doubled.  Returns the roots at the last point, as a
+    tuple.
 
     Each attempt evaluates the y-coefficients and their x-derivatives once,
     by ``_coeffs_at`` from ``RootFamily._prepared``; the corrector is
     ``_newton``'s iteration, inlined, and the tangents -f_x / f_y at accepted
-    roots take f_y from its last iteration."""
+    roots take f_y from its last iteration.
+
+    The result is a pure function of the arguments in IEEE double
+    arithmetic; the family enters only through ``_prepared``, which is
+    derived from ``coeffs``, the field its equality and hash compare.  So the
+    calls are memoized, and an exception, which is not cached, is raised
+    again on every call.  Why 64 entries: a loop tracked at 128 bits comes
+    back at 256 bits 16 continuations later in the ``monodromy-loops``
+    benchmark pass, 32 later in acceptance criterion 15 and 44 later in
+    ``tests/dump_monodromy.py``; 64 entries of about 1.5 KB each cover all
+    three."""
     prepared = family._prepared
     degree = family.degree
-    roots = [complex(y) for y in roots]
-    points = _double_path(points)
-    max_step = float(initial_step) if initial_step else 1 / 8
     desc, ddesc = _coeffs_at(prepared, points[0])
     scale = max(map(abs, roots))
     _check_scale(desc[0], scale, degree)
@@ -564,7 +581,7 @@ def _continue_along(family, roots, points, initial_step=None):
                 raise DegenerateInputError(
                     "continuation failed: roots collide along the path"
                 )
-    return roots
+    return tuple(roots)
 
 
 def _refine(coeffs, roots, prec):
@@ -647,12 +664,27 @@ def base_roots(family, base, prec=128):
     return list(_base_point(family, base, prec)[1])
 
 
-def _track(family, base, points, prec, initial_step):
+def _max_step(initial_step):
+    """``initial_step`` as a double, 1/8 for None; raises unless it is None
+    or a positive real number that is finite and nonzero in double."""
+    if initial_step is None:
+        return 1 / 8
+    if isinstance(initial_step, numbers.Real) and 0 < float(initial_step) < math.inf:
+        return float(initial_step)
+    raise DegenerateInputError(
+        "initial step must be a positive finite number", initial_step=str(initial_step)
+    )
+
+
+def _track(family, base, points, prec, max_step):
     """(permutation, residual) of the base roots continued along points,
-    which start and end at base: the path in double, the endpoints refined
-    at prec bits."""
+    which start and end at base: the path in double, through the memo of
+    ``_continue_along``, the endpoints refined at prec bits.  The resolution
+    check of the double path runs on every call."""
     coeffs, start = _base_point(family, base, prec)
-    final = _refine(coeffs, _continue_along(family, start, points, initial_step), prec)
+    path = tuple(_double_path(points))
+    ends = _continue_along(family, tuple(map(complex, start)), path, max_step)
+    final = _refine(coeffs, ends, prec)
     residual = max(abs(_horner(coeffs, y)[0]) for y in final)
     return _match(start, final), residual
 
@@ -668,22 +700,30 @@ def track_roots(family, loop, prec=128, initial_step=None, _singulars=None):
     thresholds relative to the root scale; ``prec`` is the precision of the
     base roots, of the Newton refinement of the endpoints, of the residual
     and of the matching.  ``initial_step`` is the largest step, as a fraction
-    of a path segment (default 1/8).  A radius that is not positive, or a
-    base point at the centre, raises ``DegenerateInputError`` before any
-    tracking, as does a loop that ``_validate_loop`` rejects.
+    of a path segment (default 1/8).  An ``initial_step`` that is not None or
+    a positive finite number, a radius that is not positive, or a base point
+    at the centre raises ``DegenerateInputError`` before any tracking, as does
+    a loop that ``_validate_loop`` rejects.
+
+    The double continuation is pure, so it is memoized (``_continue_along``,
+    64 entries): tracking the loop again at another ``prec`` reuses it when
+    the base roots and the path round to the same doubles, and gives the
+    same permutation and residual as a fresh continuation.
     """
+    max_step = _max_step(initial_step)
     with mp.workprec(prec):
         singulars = _singulars or singular_parameters(family, prec)
         base = mp.mpc(loop.base)
         pts = _circle_path(base, mp.mpc(loop.center), mp.mpf(loop.radius), 1)
         _validate_loop(loop, singulars, pts[1])
-        return _track(family, base, pts, prec, initial_step)
+        return _track(family, base, pts, prec, max_step)
 
 
 def track_loop_at_infinity(family, base, radius, prec=128, initial_step=None, _singulars=None):
     """Anticlockwise loop about infinity: a clockwise circle about 0 exceeding
     all finite singular values.  Precision, and the checks of radius and base
-    point, as in ``track_roots``."""
+    point, and of ``initial_step``, as in ``track_roots``."""
+    max_step = _max_step(initial_step)
     with mp.workprec(prec):
         singulars = _singulars or singular_parameters(family, prec)
         b = mp.mpc(base)
@@ -691,7 +731,7 @@ def track_loop_at_infinity(family, base, radius, prec=128, initial_step=None, _s
         for s, _ in singulars:
             if abs(s) >= radius / 2:
                 raise DegenerateInputError("radius does not dominate singular values")
-        return _track(family, b, pts, prec, initial_step)
+        return _track(family, b, pts, prec, max_step)
 
 
 def _match(start, final):

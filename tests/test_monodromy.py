@@ -446,6 +446,105 @@ def test_nonpositive_radius_rejected_before_tracking(monkeypatch):
             track_loop_at_infinity(cubic, 1, radius)
 
 
+def test_invalid_initial_step_rejected_before_tracking(monkeypatch):
+    # unchecked, inf never finishes a segment, -0.1 walks backwards into
+    # "roots collide", nan fails the scale check and 0 would mean 1/8
+    monkeypatch.setattr(monodromy, "_continue_along", None)  # tracking would raise TypeError
+    fam = sqrt_family()
+    cubic = RootFamily.build([[-1], [0], [0], [1]])  # y^3 - 1: no singular values
+    loop = Loop(base=mp.mpc(2), center=mp.mpc(0), radius=0.5)
+    bad = (math.inf, -0.1, math.nan, 0, mp.mpf("inf"), -mp.mpf(1) / 8, mp.mpf("1e-400"), "0.1", 1j)
+    for step in bad:
+        with pytest.raises(DegenerateInputError, match="initial step") as err:
+            track_roots(fam, loop, initial_step=step)
+        assert err.value.context["initial_step"] == str(step)
+        with pytest.raises(DegenerateInputError, match="initial step"):
+            track_loop_at_infinity(cubic, 1, 4.0, initial_step=step)
+    # valid steps, mpf and Fraction included, pass the check and reach tracking
+    for step in (None, 1 / 32, mp.mpf(1) / 32, Fraction(1, 32), 2):
+        with pytest.raises(TypeError):
+            track_roots(fam, loop, initial_step=step)
+        with pytest.raises(TypeError):
+            track_loop_at_infinity(cubic, 1, 4.0, initial_step=step)
+
+
+# -- the memo of the double continuation ----------------------------------------
+
+
+def _criterion_loops():
+    """The two families of acceptance criterion 15 and its seven distinct
+    loop centres, taken at 128 bits as there."""
+    fams = [RootFamily.build(c) for c in models.DOUBLE_COVER_FAMILIES]
+    with mp.workprec(128):
+        centers = []
+        for fam in fams:
+            for v, _ in singular_parameters(fam, 128):
+                if all(abs(v - u) >= 1e-6 for u in centers):
+                    centers.append(v)
+    assert len(centers) == 7
+    return fams, centers
+
+
+def _track_criterion_loops(fams, centers, prec, initial_step=None):
+    """(permutation, residual) of criterion 15's 16 loops at prec bits: both
+    families about each centre at radius 1e-4, then about infinity."""
+    out = []
+    with mp.workprec(prec):
+        base = mp.mpc(-1) / 10
+        sings = [singular_parameters(fam, prec) for fam in fams]
+        for v in centers:
+            loop = Loop(base=base, center=mp.mpc(v), radius=mp.mpf("1e-4"), margin=0.5)
+            for fam in fams:
+                out.append(track_roots(fam, loop, prec, initial_step, _singulars=sings[0] + sings[1]))
+        for fam, sing in zip(fams, sings):
+            out.append(track_loop_at_infinity(fam, base, 4.0, prec, initial_step, _singulars=sing))
+    return out
+
+
+def test_memo_changes_no_answer():
+    # every (permutation, residual) read through a warm memo is the one a
+    # fresh continuation gives; residuals compare as exact mpf values
+    fams, centers = _criterion_loops()
+    runs = [(128, None), (256, None), (128, mp.mpf(1) / 32), (256, mp.mpf(1) / 32)]
+    cold = []
+    for prec, step in runs:
+        monodromy._continue_along.cache_clear()
+        cold.append(_track_criterion_loops(fams, centers, prec, step))
+    monodromy._continue_along.cache_clear()
+    warm, hits = [], []
+    for prec, step in runs:
+        before = monodromy._continue_along.cache_info().hits
+        warm.append(_track_criterion_loops(fams, centers, prec, step))
+        hits.append(monodromy._continue_along.cache_info().hits - before)
+    # the 256-bit runs reuse the 128-bit ones; another step is another key
+    assert hits[0] == hits[2] == 0 and hits[1] >= 12 and hits[3] >= 12
+    again = [_track_criterion_loops(fams, centers, p, s) for p, s in runs]
+    assert monodromy._continue_along.cache_info().hits - sum(hits) == 4 * 16
+    assert warm == cold
+    assert again == cold
+
+
+def test_resolution_check_runs_on_every_hit(monkeypatch):
+    fams, centers = _criterion_loops()
+    calls = _counting(monkeypatch, "_double_path")
+    monodromy._continue_along.cache_clear()
+    tracked = [_track_criterion_loops(fams, centers, prec) for prec in (128, 256, 256)]
+    assert monodromy._continue_along.cache_info().hits >= 12 + 16
+    assert len(calls) == sum(map(len, tracked)) == 48
+
+
+def test_256_bit_tracks_reuse_128_bit_continuations():
+    # guards the memo: criterion 15 tracks each loop at 128 and at 256 bits,
+    # and at least 12 of its 16 tracks at 256 bits round to the same doubles
+    fams, centers = _criterion_loops()
+    monodromy._continue_along.cache_clear()
+    for prec in (128, 256):
+        _track_criterion_loops(fams, centers, prec)
+    info = monodromy._continue_along.cache_info()
+    assert info.maxsize == 64
+    assert info.hits >= 12
+
+
 # -- the prepared evaluator ----------------------------------------------------
 
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
