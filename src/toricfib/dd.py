@@ -15,15 +15,21 @@ The loop starts from the lineality space R^dim, with the identity basis
 a on which a basis vector l is nonzero makes l, oriented so that <l, a> > 0,
 a ray tight on every earlier constraint, and moves the other basis vectors
 and the rays along l onto a's hyperplane, so their tight sets need no dot
-product.  Any other constraint runs the usual step on the rays.  The
-facets of a simplicial cone need no loop (`simplicial_facets`).
+product.  Any other constraint runs the usual step on the rays.  The input
+is coerced once by `mat`, so the loop takes its dot products as
+``sum(map(mul, ...))`` with no length check, and `_meet` divides by one gcd.
+
+The facets of a simplicial cone need no loop: `simplicial_facets` returns
+them in ray order, normal j tight on every ray but ray j, so the caller has
+the generator-facet incidence with no dot product.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import reduce
-from operator import and_
+from math import gcd
+from operator import and_, mul
 
 from .exactlinalg import (
     dot, identity, independent_rows, mat, neg, primitive, scaled_inverse, vecmat,
@@ -48,21 +54,30 @@ def _initial_basis_rays(constraints, dim):
 
 
 def simplicial_facets(rays):
-    """Primitive facet normals, in the span, of the cone on independent rays.
+    """Primitive facet normals, in the span, of the cone on independent rays,
+    in ray order: normal j is tight on every ray but ray j.
 
     With G = R R^T, the normal y_j = c_j R pairs with the rays to c_j G, so
     the columns c_j of d * G^-1 give y_j tight on every ray but ray j.  They
-    are the rays of ``_initial_basis_rays(G, k)``.  Returns the sorted tuple
-    that ``extreme_rays`` returns for the rays and the span's equations.
+    are the rays of ``_initial_basis_rays(G, k)``, whose chosen rows are all
+    of G.  Sorted, the normals are what ``extreme_rays`` returns for the rays
+    and the span's equations.
     """
     gram = tuple(tuple(dot(r, s) for s in rays) for r in rays)
     _, coeffs = _initial_basis_rays(gram, len(rays))
-    return tuple(sorted(primitive(vecmat(c, rays)) for c in coeffs))
+    return tuple(primitive(vecmat(c, rays)) for c in coeffs)
 
 
 def _meet(u, pu, w, pw):
-    """primitive(pu * w - pw * u): tight on a when pu = <u, a> and pw = <w, a>."""
-    return primitive(tuple(pu * y - pw * x for x, y in zip(u, w)))
+    """primitive(pu * w - pw * u): tight on a when pu = <u, a> and pw = <w, a>.
+
+    The loop never meets parallel vectors (the lines are independent of each
+    other and of the rays, and two rays are never opposite, as every line of
+    the cone lies in the lineality space), so the combination is not zero.
+    """
+    v = tuple(pu * y - pw * x for x, y in zip(u, w))
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def double_description(constraints, dim):
@@ -81,8 +96,8 @@ def double_description(constraints, dim):
     rays, masks = [], []  # bit b of masks[k]: the b-th constraint taken is tight on rays[k]
     for b, a in enumerate(first):
         bit = 1 << b
-        lvals = [dot(x, a) for x in lines]
-        vals = [dot(r, a) for r in rays]
+        lvals = [sum(map(mul, x, a)) for x in lines]
+        vals = [sum(map(mul, r, a)) for r in rays]
         k = next((k for k, v in enumerate(lvals) if v), None)
         if k is not None:
             # line k leaves the lineality space as the ray on the side <l, a> > 0

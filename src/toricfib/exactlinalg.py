@@ -89,10 +89,7 @@ def identity(n):
 
 
 def gcd_vec(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive(v):
@@ -100,7 +97,7 @@ def primitive(v):
 
     Raises ValueError on the zero vector, which has no primitive generator.
     """
-    g = gcd_vec(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("no primitive generator")
     return tuple(x // g for x in v)

@@ -1,10 +1,13 @@
 """Rational polyhedral fans, fan morphisms, subdivisions and the Mori cone.
 
 Fans store primitive rays plus maximal cones as ray-index tuples; faces are
-derived on demand, each cone's from its cached ray-facet incidence.
-Morphisms carry per-cone compatibility certificates (the smallest codomain
-cone containing each image); fibration verdicts, kernel fans, monomial
-coordinate forms, and wall-relation Mori cones build on that.  Certificates
+derived on demand, each cone's from the ray-facet incidence that the
+computation of its facets reports (``ConeGeom``).  Morphisms carry per-cone
+compatibility certificates (the smallest codomain cone containing each
+image), read off one profile per domain ray: in each maximal codomain cone,
+whether the ray's image lies in it and on which facets (``FanMorphism.cert``).
+Fibration verdicts, kernel fans, monomial coordinate forms, and wall-relation
+Mori cones build on that.  Certificates
 are monotone along faces and every proper face lies in a facet, so fibration
 verdicts read minimality off the face poset, not off any cone's facets.
 One tiling rule, ``_tiles``, decides both ``Fan.is_complete`` and whether a
@@ -39,9 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from . import exactlinalg as la
-from .dd import extreme_generators, extreme_rays, face_closure, simplicial_facets
+from .dd import (
+    double_description, extreme_generators, extreme_rays, face_closure, simplicial_facets,
+)
 from .errors import (
     DegenerateInputError,
     IncompatibleMorphismError,
@@ -57,14 +63,18 @@ class ConeGeom:
     Invariant: v lies in the cone iff <v, e> == 0 for every e in
     ``equations`` and <v, a> >= 0 for every a in ``ambient_ineqs``, that is
     iff <v, a> >= 0 for every a in ``inequalities``.  The equations cut out
-    the saturated span of the rays, so this also decides integer membership;
-    every query below reads these tuples.  Facet normals are computed in
-    ambient coordinates and lie in the span of the rays.  A simplicial cone skips the double description: its normals come
-    from one elimination on the Gram matrix of its rays
-    (``dd.simplicial_facets``).  For any other cone the span's equations
-    enter the double description as pairs of opposite inequalities.  Faces
-    are read off the cached ray-facet incidence ``_ray_facets`` by
-    ``dd.face_closure``.
+    the saturated span of the rays, so this also decides integer membership.
+    Facet normals are computed in ambient coordinates and lie in the span.
+
+    The ray-facet incidence ``_ray_facets`` comes from the computation that
+    finds the facets, with no dot product of a ray and a facet.  A simplicial
+    cone takes its normals from one elimination on the Gram matrix of its
+    rays (``dd.simplicial_facets``); normal j is tight on every ray but ray
+    j.  Any other cone runs the double description on its rays and the
+    span's equations as pairs of opposite inequalities, which reports the
+    rays tight on each facet; a repeated ray shares its first copy's set.
+    Faces are the power set of the rays for a simplicial cone, and are read
+    off the incidence by ``dd.face_closure`` for any other.
     """
 
     def __init__(self, rays, ambient_rank):
@@ -83,14 +93,31 @@ class ConeGeom:
         return la.right_kernel(self.rays)
 
     @cached_property
+    def _facets(self):
+        """(sorted primitive facet normals, per ray the frozenset of indices
+        of the normals it lies on)."""
+        if not self.rays:
+            return (), []
+        if self.is_simplicial():
+            normals = simplicial_facets(self.rays)  # normal i misses ray i only
+            ineqs = tuple(sorted(normals))
+            everyone = frozenset(range(len(ineqs)))
+            return ineqs, [everyone - {ineqs.index(f)} for f in normals]
+        eqs = self.equations
+        tight = double_description(self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank)
+        ineqs = tuple(sorted(tight))
+        firsts = map(self.rays.index, self.rays)  # the DD reports a repeat at its first copy
+        return ineqs, [frozenset(j for j, f in enumerate(ineqs) if i in tight[f]) for i in firsts]
+
+    @cached_property
     def ambient_ineqs(self):
         """Primitive facet normals, as ambient functionals lying in the span."""
-        if not self.rays:
-            return ()
-        if self.is_simplicial():
-            return simplicial_facets(self.rays)
-        eqs = self.equations
-        return extreme_rays(self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank)
+        return self._facets[0]
+
+    @cached_property
+    def _ray_facets(self):
+        """Per ray, the frozenset of facet indices (into ambient_ineqs) it lies on."""
+        return self._facets[1]
 
     @cached_property
     def inequalities(self):
@@ -98,17 +125,22 @@ class ConeGeom:
         equation and its negation."""
         return self.ambient_ineqs + tuple(x for e in self.equations for x in (e, la.neg(e)))
 
-    @cached_property
-    def _ray_facets(self):
-        """Per ray, the frozenset of facet indices (into ambient_ineqs) it lies on."""
-        return [
-            frozenset(j for j, f in enumerate(self.ambient_ineqs) if la.dot(r, f) == 0)
-            for r in self.rays
-        ]
-
     def contains(self, v):
-        v = la.vec(v)
-        return all(la.dot(v, a) >= 0 for a in self.inequalities)
+        return self._facets_on(la.vec(v)) is not None
+
+    def _facets_on(self, v):
+        """None if v lies outside the cone, else the frozenset of indices of
+        the facets that vanish on v."""
+        if any(la.dot(v, e) for e in self.equations):
+            return None
+        tight = []
+        for j, f in enumerate(self.ambient_ineqs):
+            x = la.dot(v, f)
+            if x < 0:
+                return None
+            if x == 0:
+                tight.append(j)
+        return frozenset(tight)
 
     def facet_ray_sets(self):
         """Ray-index subsets (into self.rays) tight on each facet."""
@@ -118,11 +150,17 @@ class ConeGeom:
         )
 
     def all_face_ray_sets(self):
-        """Ray-index subsets of every face, the zero cone included."""
+        """Ray-index subsets of every face, the zero cone included, in
+        (size, lex) order."""
         return self._face_ray_sets
 
     @cached_property
     def _face_ray_sets(self):
+        """Every subset of the rays of a simplicial cone spans a face: the
+        facets that miss the other rays cut it out."""
+        k = len(self.rays)
+        if self.is_simplicial():
+            return tuple(frozenset(s) for d in range(k + 1) for s in combinations(range(k), d))
         faces = set(face_closure(self._ray_facets, len(self.ambient_ineqs)).values())
         faces.add(frozenset())  # the apex
         return tuple(sorted(faces, key=lambda s: (len(s), sorted(s))))
@@ -282,37 +320,71 @@ class FanMorphism:
         return la.vecmat(v, self.matrix)
 
     def cert(self, cone):
+        """The smallest codomain cone containing the image of the cone.
+
+        It is ``_least_face`` of the profiles of the cone's rays, each
+        computed once per morphism, so every ray's image is tested once
+        against each maximal codomain cone.  A cone whose image no
+        codomain cone contains raises ``IncompatibleMorphismError``.
+        """
         cone = frozenset(cone)
         if cone in self.certificates:
             return self.certificates[cone]
-        rays = [self.domain.rays[i] for i in sorted(cone)]
-        c = _smallest_containing_cone(self.codomain, [self.image(r) for r in rays])
+        c = _least_face(self.codomain, [self._ray_profiles[i] for i in cone])
         if c is None:
+            rays = [self.domain.rays[i] for i in sorted(cone)]
             raise IncompatibleMorphismError(
                 "no codomain cone contains the image", cone=[list(r) for r in rays]
             )
         self.certificates[cone] = c
         return c
 
+    @cached_property
+    def _ray_profiles(self):
+        """Per domain ray, the ``_profile`` of its image in the codomain."""
+        return [_profile(self.codomain, self.image(r)) for r in self.domain.rays]
+
+
+def _generating_cones(fan):
+    return fan.max_cones or ((),)  # a fan without cones still holds the origin
+
+
+def _profile(fan, v):
+    """Per generating cone of the fan: None if v lies outside it, else the
+    frozenset of its facets that vanish on v."""
+    return tuple(fan.cone_geom(c)._facets_on(v) for c in _generating_cones(fan))
+
+
+def _least_face(fan, profiles):
+    """Of the first generating cone that holds every vector, the smallest
+    face that holds them, read off the vectors' ``_profile``s; None when no
+    generating cone holds them all.
+
+    This is exact: vectors lie in a cone exactly when each one does, and the
+    facets that vanish on all of them are the intersection of each one's
+    set.  The face is the rays tight on all of those facets; with no vector
+    (the zero cone) that is every facet.
+    """
+    for k, c in enumerate(_generating_cones(fan)):
+        sets = [p[k] for p in profiles]
+        if None in sets:
+            continue
+        geom = fan.cone_geom(c)
+        tight = frozenset(range(len(geom.ambient_ineqs))).intersection(*sets)
+        return frozenset(c[i] for i, m in enumerate(geom._ray_facets) if tight <= m)
+    return None
+
 
 def _smallest_containing_cone(fan, vectors):
     """The cone of the fan of least dimension containing every vector, or None.
 
-    It is the smallest face of the first maximal cone containing the vectors:
-    the rays tight on every facet that vanishes on all of them.  That face is
-    the fan's answer only if its cones meet in common faces, which the caller
-    guarantees (see ``check_compatibility``).
+    It is ``_least_face`` of the vectors' profiles, the rule of
+    ``FanMorphism.cert``: the smallest face of the first maximal cone
+    containing the vectors.  That face is the fan's answer only if its cones
+    meet in common faces, which the caller guarantees (see
+    ``check_compatibility``).
     """
-    for c in fan.max_cones or ((),):  # a fan without cones still holds the origin
-        geom = fan.cone_geom(c)
-        if all(geom.contains(v) for v in vectors):
-            tight = {
-                j
-                for j, f in enumerate(geom.ambient_ineqs)
-                if all(la.dot(v, f) == 0 for v in vectors)
-            }
-            return frozenset(c[i] for i, m in enumerate(geom._ray_facets) if tight <= m)
-    return None
+    return _least_face(fan, [_profile(fan, la.vec(v)) for v in vectors])
 
 
 def check_compatibility(matrix, domain, codomain):

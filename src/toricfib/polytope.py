@@ -137,11 +137,15 @@ class SkeletonGraph:
 
 
 class LatticePolytope:
-    """Full-dimensional lattice polytope with exact vertex and facet data."""
+    """Full-dimensional lattice polytope with exact vertex and facet data.
+
+    Built by ``hull`` or by the polar, which pass vertices as tuples of ints,
+    so the constructor does not coerce them.
+    """
 
     def __init__(self, rank, vertices, facets):
         self.rank = rank
-        self.vertices = tuple(sorted(la.mat(vertices)))
+        self.vertices = tuple(sorted(vertices))
         # facets: tuple of (primitive normal, offset), meaning <u,n> >= -c
         self.facets = tuple(sorted(facets))
 

@@ -256,7 +256,11 @@ def test_simplicial_facets_match_double_description(data):
     rays = la.mat(rays)
     eqs = la.right_kernel(rays)
     want = extreme_rays(rays + eqs + tuple(map(la.neg, eqs)), n)
-    assert simplicial_facets(rays) == want
+    normals = simplicial_facets(rays)
+    assert tuple(sorted(normals)) == want
+    # in ray order: normal j misses ray j and no other
+    for j, f in enumerate(normals):
+        assert [i for i, r in enumerate(rays) if la.dot(r, f)] == [j]
 
 
 def test_dot_rejects_different_lengths():

@@ -1,13 +1,14 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from operator import attrgetter
 
 import pytest
 
 from toricfib import exactlinalg as la
-from toricfib import fans, models
-from toricfib.dd import extreme_generators, extreme_rays, simplicial_facets
+from toricfib import acceptance, fans, models
+from toricfib.dd import extreme_generators, extreme_rays, face_closure, simplicial_facets
 from toricfib.errors import DegenerateInputError, IncompatibleMorphismError, SupportError
 from toricfib.fans import (
     ConeGeom,
@@ -486,9 +487,159 @@ def test_simplicial_facets_match_double_description_on_model_fans(ctx):
             want = extreme_rays(geom.rays + eqs + tuple(map(la.neg, eqs)), fan.rank)
             assert geom.ambient_ineqs == want, c
             if geom.is_simplicial():
-                assert simplicial_facets(geom.rays) == want, c
+                normals = simplicial_facets(geom.rays)
+                assert tuple(sorted(normals)) == want, c
+                # in ray order: normal j misses ray j and no other
+                for j, f in enumerate(normals):
+                    assert [i for i, r in enumerate(geom.rays) if la.dot(r, f)] == [j], c
                 nsimplicial += 1
         assert nsimplicial > len(fan.max_cones)
+
+
+def _assert_incidence_matches_dots(geom):
+    """``_ray_facets`` equals a dot-product recomputation, and the faces equal
+    ``face_closure`` on that incidence plus the apex."""
+    inc = [
+        frozenset(j for j, f in enumerate(geom.ambient_ineqs) if la.dot(r, f) == 0)
+        for r in geom.rays
+    ]
+    assert geom._ray_facets == inc, geom.rays
+    faces = set(face_closure(inc, len(geom.ambient_ineqs)).values()) | {frozenset()}
+    want = tuple(sorted(faces, key=lambda s: (len(s), sorted(s))))
+    assert geom.all_face_ray_sets() == want, geom.rays
+
+
+def test_incidence_matches_dot_products_on_acceptance_cones(monkeypatch):
+    # every cone geometry that one acceptance run builds
+    built = []
+    init = ConeGeom.__init__
+    monkeypatch.setattr(ConeGeom, "__init__", lambda g, *a: init(g, *a) or built.append(g))
+    assert all(r.passed for r in acceptance.run())
+    monkeypatch.undo()
+    assert len(built) > 100
+    assert any(g.is_simplicial() for g in built) and not all(g.is_simplicial() for g in built)
+    for g in built:
+        _assert_incidence_matches_dots(g)
+
+
+def test_incidence_matches_dot_products_on_random_cones():
+    # pointed by a positive functional w; some with a repeated ray, and some
+    # lower-dimensional by a zero last coordinate
+    rng = random.Random(29)
+    kinds = {"zero": 0, "ray": 0, "repeat": 0, "simplicial": 0, "lower simplicial": 0, "other": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        w = [rng.randint(1, 3) for _ in range(n)]
+        rays = []
+        for _ in range(rng.choice((0, 1, rng.randint(2, n + 3)))):
+            r = tuple(rng.randint(-3, 3) for _ in range(n))
+            if rng.random() < 0.3:
+                r = r[:-1] + (0,)
+            if la.dot(r, w) > 0:
+                rays.append(la.primitive(r))
+        if rays and rng.random() < 0.2:
+            rays.insert(rng.randrange(len(rays) + 1), rng.choice(rays))
+        geom = ConeGeom(rays, n)
+        _assert_incidence_matches_dots(geom)
+        if len(set(rays)) < len(rays):
+            kinds["repeat"] += 1
+        elif len(rays) < 2:
+            kinds["ray" if rays else "zero"] += 1
+        elif geom.is_simplicial():
+            kinds["simplicial" if geom.dim == n else "lower simplicial"] += 1
+        else:
+            kinds["other"] += 1
+    assert all(kinds.values()), kinds
+
+
+def _guarded_cones(ctx):
+    """Fresh geometries of every cone of the refined 5d face fan and of the
+    transition's domain."""
+    return [
+        ConeGeom([fan.rays[i] for i in sorted(c)], fan.rank)
+        for fan in (ctx.ci_fan, ctx.transition.domain)
+        for c in fan.all_cones()
+    ]
+
+
+def test_incidence_takes_no_dot_product(ctx, monkeypatch):
+    # the incidence comes from the computation that finds the facets: fans
+    # takes no dot product for it, and only non-simplicial cones run face_closure
+    geoms = _guarded_cones(ctx)
+    for g in geoms:
+        g.equations
+    dots, closures = [], []
+    dot = la.dot
+    monkeypatch.setattr(
+        la,
+        "dot",
+        lambda u, v: dots.append(sys._getframe(1).f_globals["__name__"]) or dot(u, v),
+    )
+    monkeypatch.setattr(fans, "face_closure", lambda *a: closures.append(a) or face_closure(*a))
+    for g in geoms:
+        g._ray_facets
+        g.all_face_ray_sets()
+    assert "toricfib.fans" not in dots
+    nonsimplicial = sum(not g.is_simplicial() for g in geoms)
+    assert 0 < len(closures) == nonsimplicial < len(geoms)
+
+
+def test_certificates_test_each_ray_once_per_codomain_cone(ctx, monkeypatch):
+    # a fresh transition morphism certifies and decides the fibration with at
+    # most one containment test per domain ray and maximal codomain cone
+    t = ctx.transition
+    for fan in (t.domain, t.codomain):
+        for c in fan.all_cones():
+            fan.cone_geom(c).inequalities
+    bound = t.domain.nrays() * t.codomain.ngenerating_cones()
+    tests = {"contains": 0, "_facets_on": 0}
+    for name in tests:
+        method = getattr(ConeGeom, name)
+
+        def spy(g, v, method=method, name=name):
+            tests[name] += 1
+            return method(g, v)
+
+        monkeypatch.setattr(ConeGeom, name, spy)
+    phi = check_compatibility(t.matrix, t.domain, t.codomain)
+    assert is_fibration(phi)
+    assert tests["contains"] <= tests["_facets_on"] <= bound, (tests, bound)
+
+
+def _assert_certificates_match_scan(phi):
+    for c in phi.domain.all_cones():
+        want = _least_cone_by_scan(phi.codomain, [phi.image(phi.domain.rays[i]) for i in c])
+        assert phi.cert(c) == want, (phi.matrix, sorted(c))
+
+
+def test_certificates_match_scan_on_model_morphisms(ctx):
+    phis = [
+        check_compatibility(ctx.fx.matrix("proj_first_two"), ctx.ci_fan, ctx.base_fan),
+        check_compatibility(ctx.fx.matrix("fibre_direction"), ctx.hyp_fan_6, ctx.line_fan),
+        ctx.beta12,
+        ctx.transition,
+    ]
+    for phi in phis:
+        _assert_certificates_match_scan(phi)
+
+
+def test_certificates_match_scan_on_random_morphisms():
+    count = 0
+    for phi in _random_morphisms(random.Random(29), 60):
+        _assert_certificates_match_scan(phi)
+        count += 1
+    assert count > 20
+
+
+def test_image_outside_the_codomain_support_names_the_cone():
+    # the identity from the fan of P^2 onto the first quadrant: the first
+    # maximal cone that leaves the quadrant is named in the error
+    fan = p2_fan()
+    with pytest.raises(IncompatibleMorphismError) as err:
+        check_compatibility(la.identity(2), fan, quadrant())
+    assert err.value.context == {"cone": [[1, 0], [-1, -1]]}
+    phi = check_compatibility(la.identity(2), Fan(2, fan.rays[:2], [(0, 1)]), quadrant())
+    assert phi.cert({0}) == {0} and phi.cert(()) == frozenset()
 
 
 def test_hyp_12ray_triangle_charts_smooth(ctx):

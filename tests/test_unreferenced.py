@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "toricfib"
 
 TEST_ONLY = {
+    "_smallest_containing_cone": "the certificate rule of FanMorphism.cert "
+    "on arbitrary vectors, checked against a scan of every cone of a fan",
     "adjugate": "reference for exactlinalg.scaled_inverse",
     "base_roots": "the base roots that track_roots' permutations index; tests "
     "check their scale-relative solve and their memo",
