@@ -1,23 +1,19 @@
 """The bundled verification suite: every headline value this package must
 reproduce, one criterion per function, each returning a CriterionResult.
 
-The fixtures (model polytopes, morphism matrices, the nef-partition) are
-loaded from the bundled JSON files so that the suite genuinely exercises the
-I/O layer, and ``_Ctx`` is the one place that builds the model polytopes,
-fans and morphisms from them; expected values are frozen here by coordinates,
-never by any enumeration index.
+Each criterion reads the model geometry from one ``models.ModelGeometry``,
+built from the bundled fixtures so that the suite genuinely exercises the
+I/O layer; expected values are frozen here by coordinates, never by any
+enumeration index.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from importlib import resources
-from math import factorial, prod
+from math import factorial
 
 import mpmath as mp
 
@@ -27,25 +23,18 @@ from .cy import (
     anticanonical_polynomial,
     batyrev_hodge,
     gkz_coefficient,
-    gkz_degrees,
     gkz_series_reindexed,
-    make_nef_partition,
     minkowski_sum_hull,
     nef_ci_polynomials,
 )
 from .errors import ToricError
 from .fans import (
-    Fan,
     check_compatibility,
-    face_fan,
     homogeneous_map,
     is_fibration,
     kernel_fan,
     normal_fan,
-    star_subdivide,
-    subdivide_domain,
 )
-from .jsonio import matrix_from_json, polytope_from_json
 from .k3 import (
     fibre_params_Y,
     fibre_params_Z,
@@ -53,6 +42,7 @@ from .k3 import (
     singular_fibre_locus,
     ade_subgraph,
 )
+from .models import Fixtures, ModelGeometry
 from .monodromy import (
     Loop,
     Mat2,
@@ -78,214 +68,12 @@ class CriterionResult:
     seconds: float
 
 
-class Fixtures:
-    """Loads the model data bundled with the package."""
-
-    def _data(self, name):
-        ref = resources.files("toricfib").joinpath("fixtures").joinpath(name)
-        return json.loads(ref.read_text())
-
-    def polytope(self, name):
-        return polytope_from_json(self._data(name + ".json"))
-
-    def matrix(self, name):
-        return matrix_from_json(self._data(name + ".json"))
-
-    def nef_assignment(self):
-        data = self._data("nef_parts.json")
-        out = {}
-        for i, part in enumerate(data["parts"]):
-            for v in part:
-                out[tuple(int(x) for x in v)] = i
-        return out
-
-
-class _Ctx:
-    """The model geometry, built lazily from the fixtures and memoized per
-    instance; criteria and tests share one instance instead of rebuilding."""
-
-    def __init__(self, fixtures):
-        self.fx = fixtures
-
-    # model polytopes -----------------------------------------------------
-    @cached_property
-    def ci_polar(self):
-        return self.fx.polytope("ci_polar")
-
-    @cached_property
-    def ci_base(self):
-        return self.ci_polar.polar()
-
-    @cached_property
-    def hyp_simplex(self):
-        return self.fx.polytope("hyp_simplex")
-
-    @cached_property
-    def k3_simplex(self):
-        return self.fx.polytope("k3_simplex")
-
-    @cached_property
-    def base_pentagon(self):
-        return self.fx.polytope("base_pentagon")
-
-    @cached_property
-    def nef_partition(self):
-        return make_nef_partition(self.ci_base, self.fx.nef_assignment())
-
-    @cached_property
-    def base_fan(self):
-        return face_fan(self.base_pentagon)
-
-    @cached_property
-    def line_fan(self):
-        return Fan(1, ((1,), (-1,)), ((0,), (1,)))
-
-    @cached_property
-    def ci_face_fan(self):
-        return face_fan(self.ci_polar)
-
-    @cached_property
-    def ci_fan(self):
-        """Refinement of the 5d face fan compatible with the base projection."""
-        return subdivide_domain(
-            self.fx.matrix("proj_first_two"), self.ci_face_fan, self.base_fan
-        )
-
-    @cached_property
-    def ci_partial(self):
-        """Subfan avoiding the two quadric coordinates and the joint torus factor.
-
-        Drops every cone touching the ray (1,-1,0,0,0) or (-1,1,0,0,0), or
-        containing both (12,0,-1,-1,-1) and (0,12,-1,-1,-1).
-        """
-        fan = self.ci_fan
-        i0 = fan.rays.index((1, -1, 0, 0, 0))
-        i1 = fan.rays.index((-1, 1, 0, 0, 0))
-        i4 = fan.rays.index((12, 0, -1, -1, -1))
-        i5 = fan.rays.index((0, 12, -1, -1, -1))
-        keep = [
-            c
-            for c in fan.all_cones()
-            if i0 not in c and i1 not in c and not ({i4, i5} <= set(c))
-        ]
-        return fan.subfan(keep)
-
-    @cached_property
-    def hyp_fan_6(self):
-        fan = face_fan(self.hyp_simplex.polar())
-        return star_subdivide(fan, models.HYP_EDGE_MIDPOINT)
-
-    @cached_property
-    def hyp_fan_12(self):
-        fan = self.hyp_fan_6
-        for r in (
-            models.HYP_BELOW_SLICE,
-            models.HYP_ABOVE_SLICE,
-            models.HYP_TRIANGLE_INTERIOR,
-        ) + models.HYP_TRIANGLE_EDGE_POINTS:
-            fan = star_subdivide(fan, r)
-        return fan
-
-    @cached_property
-    def beta12(self):
-        """Projection of the 12-ray 4d fan onto the line along the K3 slice."""
-        matrix = self.fx.matrix("fibre_direction")
-        return check_compatibility(matrix, self.hyp_fan_12, self.line_fan)
-
-    @cached_property
-    def transition(self):
-        """Fibration onto the 12-ray 4d fan, with the final 5d edge-midpoint insertion."""
-        matrix = self.fx.matrix("transition_matrix")
-        domain = subdivide_domain(matrix, self.ci_partial, self.hyp_fan_12)
-        domain = star_subdivide(domain, models.CI_EDGE_MIDPOINT)
-        return check_compatibility(matrix, domain, self.hyp_fan_12)
-
-    @cached_property
-    def mirror_fan(self):
-        """Face fan of the polar of nabla; its rays are named coefficient points."""
-        return face_fan(self.nef_partition.nabla.polar())
-
-    @cached_property
-    def mirror_gkz(self):
-        """GKZ degree data of the CI model over the Mori cone of the mirror fan."""
-        names = {pt: n for n, pt in models.CI_COEFF_POINTS.items()}
-        rays = self.mirror_fan.rays
-        parts = [
-            tuple(i for i, r in enumerate(rays) if r in vs)
-            for vs, _ in self.nef_partition.part_polytopes
-        ]
-        ray_names = {i: names[r] for i, r in enumerate(rays)}
-        return gkz_degrees(self.mirror_fan, parts, ray_names, ("a2", "b8"))
-
-    @cached_property
-    def ci_equations(self):
-        """The two CI equations over every monomial, coefficients named a*, b*."""
-        names = models.CI_COEFF_POINTS.items()
-        return nef_ci_polynomials(
-            self.nef_partition,
-            self.ci_face_fan,
-            tuple({pt: n for n, pt in names if n[0] == c} for c in "ab"),
-            models.CI_RAY_NAMES,
-        )
-
-    def chart_equations(self, xi0="xi0", xi1="xi1"):
-        """The reduced CI equations in the resolved partial chart, built on
-        the rays of the transition domain.
-
-        Lemma D (restriction to a chart).  The exponent on a ray depends only
-        on the monomial's point and on that ray.  So the equation on a subset
-        R' of the rays is the equation on all rays with the other coordinates
-        set to 1, as long as distinct points keep distinct exponent vectors,
-        and they do when R' spans N_Q: <m, r> = <m', r> for every r in R'
-        forces m = m'.  The transition domain's rays span N_Q, and they are
-        the chart's rays: every ray but the two quadric rays y0 and y1.
-        """
-        return nef_ci_polynomials(
-            self.nef_partition,
-            self.transition.domain,
-            _ci_reduced_coeffs(xi0, xi1),
-            models.CI_RAY_NAMES,
-        )
+# the old private name of the model geometry: bench/workloads.py reads it
+# until the next change allowed to touch bench/ (ROADMAP item 12)
+_Ctx = ModelGeometry
 
 
 # -- small helpers --------------------------------------------------------
-
-
-def _named_poly(ring, terms):
-    out = {}
-    for coeff, mono in terms:
-        exps = [0] * len(ring)
-        for name, e in mono.items():
-            exps[ring.index(name)] = e
-        key = tuple(exps)
-        out[key] = coeff
-    return SparsePoly(ring, out)
-
-
-def _ci_reduced_coeffs(xi0="xi0", xi1="xi1"):
-    """The reduced CI family: a0, a1, a2 and b0, b1, b2, b8 set to 1,
-    b3 = xi0 and b4 = xi1."""
-    P = models.CI_COEFF_POINTS
-    c0 = {P[n]: 1 for n in ("a0", "a1", "a2")}
-    c1 = {P[n]: 1 for n in ("b0", "b1", "b2", "b8")}
-    c1[P["b3"]] = xi0
-    c1[P["b4"]] = xi1
-    return (c0, c1)
-
-
-def _hyp_gauge(B, psi_s, psi0, psi1):
-    """The paper's gauge of the hypersurface coefficients, by point."""
-    P = models.HYP_COEFF_POINTS
-    return {
-        P["a0"]: B / 24,
-        P["a1"]: Fraction(1, 12),
-        P["a2"]: Fraction(1, 3),
-        P["a3"]: Fraction(1, 2),
-        P["a4"]: B / 24,
-        P["a5"]: -psi_s / 12,
-        P["a6"]: -psi1 / 6,
-        P["a10"]: -psi0,
-    }
 
 
 def _check(condition, label, failures):
@@ -432,7 +220,7 @@ def criterion_06_cy_equations(ctx):
     ring = g0.ring
     _check(
         g0
-        == _named_poly(
+        == SparsePoly.from_named(
             ring,
             [
                 (v("a0"), {"y0": 2, "y4": 12}),
@@ -445,7 +233,7 @@ def criterion_06_cy_equations(ctx):
     )
     _check(
         g1
-        == _named_poly(
+        == SparsePoly.from_named(
             ring,
             [
                 (v("b4"), {"y4": 6, "y5": 6, "y6": 6, "y7": 6}),
@@ -463,7 +251,7 @@ def criterion_06_cy_equations(ctx):
         fails,
     )
     g0r, g1r = nef_ci_polynomials(
-        np_, fan, _ci_reduced_coeffs(), models.CI_RAY_NAMES
+        np_, fan, models.ci_reduced_coeffs(), models.CI_RAY_NAMES
     )
     _check(g0r.render() == GOLDEN_G0_REDUCED, "reduced first equation rendering", fails)
     _check(g1r.render() == GOLDEN_G1_REDUCED, "reduced second equation rendering", fails)
@@ -473,7 +261,7 @@ def criterion_06_cy_equations(ctx):
     chart_ring = g0c.ring
     _check(
         g0c
-        == _named_poly(
+        == SparsePoly.from_named(
             chart_ring,
             [
                 (1, {"y5": 12, "y109": 1}),
@@ -484,7 +272,7 @@ def criterion_06_cy_equations(ctx):
         "chart first equation",
         fails,
     )
-    expected_g1c = _named_poly(
+    expected_g1c = SparsePoly.from_named(
         chart_ring,
         [
             (1, {"y3": 2, "y7": 12, "y109": 11, "y469": 8, "y630": 4, "y32": 11,
@@ -515,7 +303,7 @@ def criterion_06_cy_equations(ctx):
     gauged = anticanonical_polynomial(
         ctx.hyp_simplex,
         ctx.hyp_fan_6,
-        _hyp_gauge(B, psi_s, psi0, psi1),
+        models.hyp_gauge(B, psi_s, psi0, psi1),
         models.HYP_RAY_NAMES,
     )
     _check(gauged.render() == GOLDEN_H_GAUGED, "gauged hypersurface rendering", fails)
@@ -746,55 +534,6 @@ def criterion_13_singular_locus(ctx):
     return fails
 
 
-def _transition_rings(ctx):
-    """Chart ring, equations with hypersurface parameters, and the pullback maps."""
-    B, psi0, psi1 = (ParamScalar.of(n) for n in ("B", "psi0", "psi1"))
-    phi = ctx.transition
-
-    # hypersurface equation with the symmetric parameter specialized
-    h2 = anticanonical_polynomial(
-        ctx.hyp_simplex,
-        ctx.hyp_fan_12,
-        _hyp_gauge(B, -B, psi0, psi1),
-        models.HYP_RAY_NAMES,
-    )
-    # chart equations with the matched moduli
-    g0, g1 = ctx.chart_equations(*match_parameters(B, psi0, psi1))
-    chart_ring = g0.ring
-
-    mm = homogeneous_map(phi)
-    plain_map = {}
-    for j, ray in enumerate(phi.codomain.rays):
-        zname = models.HYP_RAY_NAMES[ray]
-        plain_map[zname] = (1, {chart_ring[i]: e for i, e in mm.entries[j]})
-    # the paper's scaling composed with the chart torus element 12^w
-    # (see criterion_14_pullback_identity), per chart coordinate; the
-    # scalar of z is the product of c_y^e over z's monomial
-    scalings = {
-        "y6": 1 / psi0,
-        "y8": Fraction(1, 2),
-        "y9": -1,
-        "y752": Fraction(1, 2),
-        "y630": 12**3,
-        "y667": 12**4,
-    }
-    scalings.update(dict.fromkeys(("y469", "y109", "y32", "y745"), Fraction(1, 12)))
-    scaled_map = {
-        z: (prod(scalings.get(y, 1) ** e for y, e in mono.items()), mono)
-        for z, (_, mono) in plain_map.items()
-    }
-    return {
-        "chart_ring": chart_ring,
-        "h2": h2,
-        "g0": g0,
-        "g1": g1,
-        "plain_map": plain_map,
-        "scaled_map": scaled_map,
-        "B": B,
-        "phi": phi,
-    }
-
-
 def criterion_14_pullback_identity(ctx):
     """pullback of the squared part, the scaled pullback identity, and charts
 
@@ -816,7 +555,7 @@ def criterion_14_pullback_identity(ctx):
     together give the paper's identity over Q(sqrt(12)).
     """
     fails = []
-    data = _transition_rings(ctx)
+    data = ctx.transition_rings()
     h2, g0, g1 = data["h2"], data["g0"], data["g1"]
     chart_ring = data["chart_ring"]
     parts = h2.collect("z334")
@@ -828,7 +567,7 @@ def criterion_14_pullback_identity(ctx):
         fails,
     )
     pkr2 = pullback(r2, data["plain_map"], chart_ring)
-    B = data["B"]
+    B = ParamScalar.of("B")
     y = {n: SparsePoly.variable(chart_ring, n) for n in chart_ring}
     inner = y["y5"] ** 12 * y["y109"] + y["y4"] ** 12 * y["y32"]
     expected = inner * inner * (y["y6"] ** 12) * (B / 24)
@@ -849,7 +588,7 @@ def criterion_14_pullback_identity(ctx):
             fails,
         )
 
-    fan = data["phi"].domain
+    fan = ctx.transition.domain
     def never_together(a, b):
         ia, ib = fan.rays.index(a), fan.rays.index(b)
         return not any(ia in c and ib in c for c in fan.max_cones)
@@ -1148,7 +887,7 @@ def run(only=None):
         criteria = [(name, func) for name, func in CRITERIA if name == only]
         if not criteria:
             raise ValueError(f"no acceptance criterion named {only!r}")
-    ctx = _Ctx(Fixtures())
+    ctx = ModelGeometry(Fixtures())
     results = []
     for name, func in criteria:
         start = time.perf_counter()

@@ -15,9 +15,12 @@ The loop starts from the lineality space R^dim, with the identity basis
 a on which a basis vector l is nonzero makes l, oriented so that <l, a> > 0,
 a ray tight on every earlier constraint, and moves the other basis vectors
 and the rays along l onto a's hyperplane, so their tight sets need no dot
-product.  Any other constraint runs the usual step on the rays.  The input
-is coerced once by `mat`, so the loop takes its dot products as
-``sum(map(mul, ...))`` with no length check, and `_meet` divides by one gcd.
+product.  Any other constraint runs the usual step on the rays.
+`double_description` takes its input as tuples of ints, as `hull` and
+`ConeGeom` have coerced them, so the loop takes its dot products as
+``sum(map(mul, ...))`` with no coercion and no length check, and `_meet`
+divides by one gcd.  `extreme_rays` takes any integer rows (numpy arrays
+too) and coerces them once with `mat`.
 
 The facets of a simplicial cone need no loop: `simplicial_facets` returns
 them in ray order, normal j tight on every ray but ray j, so the caller has
@@ -84,13 +87,16 @@ def double_description(constraints, dim):
     """Extreme rays of the pointed cone {y in R^dim : <y, a> >= 0}, each with
     the set of constraints tight on it.
 
-    Returns {primitive ray: frozenset of indices into ``constraints``}; a
-    constraint that repeats is reported at its first position.  The
-    constraint normals must span R^dim (equivalently the cone is pointed),
-    or ValueError is raised.
+    ``constraints`` is a sequence of tuples of ints, each of length dim, as
+    ``LatticePolytope.hull`` and ``ConeGeom`` pass them; they are neither
+    coerced nor checked.  Returns
+    {primitive ray: frozenset of indices into ``constraints``}; a constraint
+    that repeats is reported at its first position.  The constraint normals
+    must span R^dim (equivalently the cone is pointed), or ValueError is
+    raised.
     """
     first = {}
-    for i, a in enumerate(mat(constraints)):
+    for i, a in enumerate(constraints):
         first.setdefault(a, i)
     lines = list(identity(dim))  # lineality basis, tight on every constraint so far
     rays, masks = [], []  # bit b of masks[k]: the b-th constraint taken is tight on rays[k]
@@ -128,8 +134,9 @@ def double_description(constraints, dim):
 
 
 def extreme_rays(constraints, dim):
-    """The sorted extreme rays of ``double_description``."""
-    return tuple(sorted(double_description(constraints, dim)))
+    """The sorted extreme rays of ``double_description``, for constraints
+    given as any integer rows, coerced once by ``mat``."""
+    return tuple(sorted(double_description(mat(constraints), dim)))
 
 
 def face_closure(incidence, nfacets):

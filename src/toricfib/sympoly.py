@@ -304,6 +304,13 @@ class SparsePoly:
     def constant(cls, ring, c):
         return cls(ring, {tuple(0 for _ in ring): c})
 
+    @classmethod
+    def from_named(cls, ring, terms):
+        """The sum of coeff * prod(name^e) over the pairs (coeff, {name: e})
+        of terms; a repeated monomial keeps its last coefficient."""
+        monomial = cls(ring).monomial
+        return cls(ring, {monomial(**exps): c for c, exps in terms})
+
     def monomial(self, **exps):
         e = [0] * len(self.ring)
         for name, k in exps.items():

@@ -1,10 +1,10 @@
 import pytest
 
-from toricfib import acceptance
+from toricfib import models
 
 
 @pytest.fixture(scope="session")
 def ctx():
     """The model geometry, built once from the bundled fixtures as the
     acceptance suite builds it."""
-    return acceptance._Ctx(acceptance.Fixtures())
+    return models.ModelGeometry(models.Fixtures())

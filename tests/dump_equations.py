@@ -1,20 +1,20 @@
 """Print the exact equations that the acceptance criteria build with ``sympoly``.
 
 It prints ``render()`` of the two complete-intersection equations of
-``acceptance._Ctx.ci_equations``; the reduced equations
-(``acceptance._ci_reduced_coeffs``: a0, a1, a2 and b0, b1, b2, b8 set to 1,
+``models.ModelGeometry.ci_equations``; the reduced equations
+(``models.ci_reduced_coeffs``: a0, a1, a2 and b0, b1, b2, b8 set to 1,
 b3 = xi0, b4 = xi1) on the face fan and, through
-``acceptance._Ctx.chart_equations``, on the resolved partial chart; the
+``ModelGeometry.chart_equations``, on the resolved partial chart; the
 anticanonical hypersurface on the 6-ray fan with named coefficients and with
 the gauged coefficients; the shifted cubic chart y8 -> y8 + c,
-y9 -> y9 + d + e*y8 of the second equation; the hypersurface h2 of the
-12-ray fan and the two chart equations g0, g1 with the matched moduli, and
-the pullback of h2 through the monomial map of the transition morphism,
-unscaled; and the symbolic fibre moduli of both models and the parameter
-match.  The last line is the md5 of the lines before it, so two source trees
-answer alike when they print the same last line.  It reads the private
-helpers of ``acceptance`` that the criteria read, so it runs only against a
-tree that has them.
+y9 -> y9 + d + e*y8 of the second equation; from
+``ModelGeometry.transition_rings``, the hypersurface h2 of the 12-ray fan,
+the two chart equations g0, g1 with the matched moduli, and the pullback of
+h2 through the monomial map of the transition morphism, unscaled; and the
+symbolic fibre moduli of both models and the parameter match.  The last line is the md5 of the lines before it, so two source trees
+answer alike when they print the same last line.  It reads only public
+names of ``models``, the ones the criteria read, so it runs against any tree
+that has them.
 
 Run from the root of a source checkout (pytest does not collect this file):
 
@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import hashlib
 
-from toricfib import acceptance, models
+from toricfib import models
 from toricfib.cy import anticanonical_polynomial, nef_ci_polynomials
-from toricfib.fans import homogeneous_map
 from toricfib.k3 import fibre_params_Y, fibre_params_Z, match_parameters
 from toricfib.sympoly import ParamScalar, SparsePoly, pullback
 
 
 def dump_lines():
-    ctx = acceptance._Ctx(acceptance.Fixtures())
+    ctx = models.ModelGeometry(models.Fixtures())
     var = ParamScalar.of
     lines = []
     for i, g in enumerate(ctx.ci_equations):
@@ -43,7 +42,7 @@ def dump_lines():
     reduced = nef_ci_polynomials(
         ctx.nef_partition,
         ctx.ci_face_fan,
-        acceptance._ci_reduced_coeffs(),
+        models.ci_reduced_coeffs(),
         models.CI_RAY_NAMES,
     )
     for i, g in enumerate(reduced):
@@ -59,7 +58,7 @@ def dump_lines():
     gauged = anticanonical_polynomial(
         ctx.hyp_simplex,
         ctx.hyp_fan_6,
-        acceptance._hyp_gauge(B, psi_s, psi0, psi1),
+        models.hyp_gauge(B, psi_s, psi0, psi1),
         models.HYP_RAY_NAMES,
     )
     lines.append(f"h6 gauged: {gauged.render()}")
@@ -75,27 +74,15 @@ def dump_lines():
     lines.append(f"shifted: {shifted.render()}")
 
     # criterion pullback-identity: h2, g0, g1 and the unscaled pullback
-    h2 = anticanonical_polynomial(
-        ctx.hyp_simplex,
-        ctx.hyp_fan_12,
-        acceptance._hyp_gauge(B, -B, psi0, psi1),
-        models.HYP_RAY_NAMES,
-    )
-    lines.append(f"h2: {h2.render()}")
-    xi0, xi1 = match_parameters(B, psi0, psi1)
-    phi = ctx.transition
-    matched = ctx.chart_equations(xi0, xi1)
-    domain_ring = matched[0].ring
-    for i, g in enumerate(matched):
-        lines.append(f"g{i}: {g.render()}")
-    mm = homogeneous_map(phi)
-    monomial_map = {
-        models.HYP_RAY_NAMES[ray]: (1, {domain_ring[i]: k for i, k in mm.entries[j]})
-        for j, ray in enumerate(phi.codomain.rays)
-    }
-    lines.append(f"pullback h2: {pullback(h2, monomial_map, domain_ring).render()}")
+    data = ctx.transition_rings()
+    lines.append(f"h2: {data['h2'].render()}")
+    for i in range(2):
+        lines.append(f"g{i}: {data[f'g{i}'].render()}")
+    pulled = pullback(data["h2"], data["plain_map"], data["chart_ring"])
+    lines.append(f"pullback h2: {pulled.render()}")
 
     # criterion k3-matching: symbolic fibre moduli and the parameter match
+    xi0, xi1 = match_parameters(B, psi0, psi1)
     s, t, u, v = (var(n) for n in ("s", "t", "u", "v"))
     lines.append(f"match xi0: {xi0.render()}")
     lines.append(f"match xi1: {xi1.render()}")

@@ -1,18 +1,18 @@
 """Print the exact geometry of the model fans, morphisms and polytopes.
 
-For every fan of ``acceptance._Ctx`` (and the domain and codomain of each of
-its morphisms) it prints the rays, ``max_cones`` and ``all_cones()``, and for
-every cone its ``equations``, ``ambient_ineqs``, ``facet_ray_sets()`` and
-``all_face_ray_sets()``; for each morphism, its matrix and the certificate of
-every domain cone.  For every model polytope, the 4-cube, ``nabla`` of the nef
+For every fan of ``models.ModelGeometry`` (and the domain and codomain of
+each of its morphisms) it prints the rays, ``max_cones`` and
+``all_cones()``, and for every cone its ``equations``, ``ambient_ineqs``,
+``facet_ray_sets()`` and ``all_face_ray_sets()``; for each morphism, its
+matrix and the certificate of every domain cone.  For every model polytope, the 4-cube, ``nabla`` of the nef
 partition and their polars it prints the vertices, the facets, the faces of
 every dimension and the point counts; then the same for the 30 reflexive
 polygons that the acceptance criterion ``property-suites`` draws.  Last come
 the Mori cone generators of every complete model fan: those in
 ``COMPLETE_FANS`` and the mirror fan, the face fan of the polar of ``nabla``.
 The last line is the md5 of the lines before it, so two source trees answer
-alike when they print the same last line.  Only public attributes are read, so
-older trees run it unchanged.
+alike when they print the same last line.  It reads only public names, so it
+runs against any tree with ``models.ModelGeometry``.
 
 Run from the root of a source checkout (pytest does not collect this file):
 
@@ -25,7 +25,7 @@ import hashlib
 import itertools
 import random
 
-from toricfib import acceptance
+from toricfib import models
 from toricfib.errors import ToricError
 from toricfib.fans import face_fan, mori_cone
 from toricfib.polytope import LatticePolytope
@@ -118,7 +118,7 @@ def property_suite_polygons():
 
 
 def dump_lines():
-    ctx = acceptance._Ctx(acceptance.Fixtures())
+    ctx = models.ModelGeometry(models.Fixtures())
     lines = []
     for name in FANS:
         lines += fan_lines(name, getattr(ctx, name))

@@ -8,10 +8,6 @@ import pytest
 
 from toricfib import acceptance, cy, models
 from toricfib import exactlinalg as la
-from toricfib.acceptance import (
-    _ci_reduced_coeffs,
-    _named_poly,
-)
 from toricfib.cy import (
     batyrev_hodge,
     gkz_coefficient,
@@ -25,7 +21,7 @@ from toricfib.errors import DegenerateInputError, NotNefPartitionError
 from toricfib.fans import Fan, mori_cone
 from toricfib.k3 import match_parameters
 from toricfib.polytope import LatticePolytope
-from toricfib.sympoly import ParamScalar, pullback
+from toricfib.sympoly import ParamScalar, SparsePoly, pullback
 
 
 def test_nef_partition_data(ctx):
@@ -111,7 +107,7 @@ def test_nef_ci_equations_full(ctx):
     g0, g1 = ctx.ci_equations
     ring = g0.ring
     v = ParamScalar.of
-    expected_g0 = _named_poly(
+    expected_g0 = SparsePoly.from_named(
         ring,
         [
             (v("a0"), {"y0": 2, "y4": 12}),
@@ -120,7 +116,7 @@ def test_nef_ci_equations_full(ctx):
         ],
     )
     assert g0 == expected_g0
-    expected_g1 = _named_poly(
+    expected_g1 = SparsePoly.from_named(
         ring,
         [
             (v("b4"), {"y4": 6, "y5": 6, "y6": 6, "y7": 6}),
@@ -139,11 +135,11 @@ def test_nef_ci_equations_full(ctx):
 
 def test_nef_ci_equations_reduced(ctx):
     g0, g1 = nef_ci_polynomials(
-        ctx.nef_partition, ctx.ci_face_fan, _ci_reduced_coeffs(), models.CI_RAY_NAMES
+        ctx.nef_partition, ctx.ci_face_fan, models.ci_reduced_coeffs(), models.CI_RAY_NAMES
     )
     ring = g0.ring
     v = ParamScalar.of
-    assert g0 == _named_poly(
+    assert g0 == SparsePoly.from_named(
         ring,
         [
             (1, {"y0": 2, "y4": 12}),
@@ -151,7 +147,7 @@ def test_nef_ci_equations_reduced(ctx):
             (1, {"y0": 1, "y1": 1, "y2": 1, "y3": 1}),
         ],
     )
-    assert g1 == _named_poly(
+    assert g1 == SparsePoly.from_named(
         ring,
         [
             (v("xi1"), {"y4": 6, "y5": 6, "y6": 6, "y7": 6}),
@@ -170,7 +166,7 @@ def test_nef_ci_equations_resolved_chart(ctx):
     g0c, g1c = ctx.chart_equations()
     chart_ring = g0c.ring
     v = ParamScalar.of
-    assert g0c == _named_poly(
+    assert g0c == SparsePoly.from_named(
         chart_ring,
         [
             (1, {"y5": 12, "y109": 1}),
@@ -178,7 +174,7 @@ def test_nef_ci_equations_resolved_chart(ctx):
             (1, {"y2": 1, "y3": 1, "y745": 1}),
         ],
     )
-    expected_g1 = _named_poly(
+    expected_g1 = SparsePoly.from_named(
         chart_ring,
         [
             (
@@ -236,9 +232,10 @@ def test_nef_ci_equations_resolved_chart(ctx):
 
 
 def test_chart_equations_restrict_all_rays(ctx):
-    """Lemma D of ``_Ctx.chart_equations``: on the transition domain's rays
-    plus the two quadric rays, dropping the y0 and y1 exponents gives the
-    chart equations term by term, for symbolic and for matched moduli."""
+    """Lemma D of ``ModelGeometry.chart_equations``: on the transition
+    domain's rays plus the two quadric rays, dropping the y0 and y1 exponents
+    gives the chart equations term by term, for symbolic and for matched
+    moduli."""
     domain_rays = ctx.transition.domain.rays
     assert la.rank(domain_rays) == 5
     quadric = ((1, -1, 0, 0, 0), (-1, 1, 0, 0, 0))
@@ -247,7 +244,7 @@ def test_chart_equations_restrict_all_rays(ctx):
     for xi in (("xi0", "xi1"), match_parameters(B, psi0, psi1)):
         chart = ctx.chart_equations(*xi)
         polys = nef_ci_polynomials(
-            ctx.nef_partition, full, _ci_reduced_coeffs(*xi), models.CI_RAY_NAMES
+            ctx.nef_partition, full, models.ci_reduced_coeffs(*xi), models.CI_RAY_NAMES
         )
         for g, want in zip(polys, chart):
             assert g.ring == ("y0", "y1") + want.ring
@@ -263,7 +260,7 @@ def test_coefficient_keys_outside_polytope_raise(ctx):
             ctx.hyp_simplex, ctx.hyp_fan_6, {(2, 0, 0, 0): 1}, models.HYP_RAY_NAMES
         )
     # b3's point lies in the second dual part polytope, not in the first
-    c0, c1 = _ci_reduced_coeffs()
+    c0, c1 = models.ci_reduced_coeffs()
     c0[models.CI_COEFF_POINTS["b3"]] = 1
     with pytest.raises(DegenerateInputError):
         nef_ci_polynomials(
@@ -279,7 +276,7 @@ def test_anticanonical_hypersurface_6ray(ctx):
     assert len(h.terms) == 8
     ring = h.ring
     v = ParamScalar.of
-    expected = _named_poly(
+    expected = SparsePoly.from_named(
         ring,
         [
             (v("a0"), {"z0": 24, "z16": 12}),
@@ -307,7 +304,7 @@ def test_anticanonical_gauged_rendering(ctx):
     psi_s = ParamScalar.of("psi_s")
     psi1 = ParamScalar.of("psi1")
     psi0 = ParamScalar.of("psi0")
-    coeffs = acceptance._hyp_gauge(B, psi_s, psi0, psi1)
+    coeffs = models.hyp_gauge(B, psi_s, psi0, psi1)
     h = anticanonical_polynomial(delta, fan, coeffs, models.HYP_RAY_NAMES)
     out = h.render()
     assert out.endswith("+ 1/3*z1^3 + 1/2*z4^2")
@@ -348,9 +345,10 @@ def test_gkz_degrees_keep_mori_generators(monkeypatch):
         calls.append(fan)
         return mori_cone(fan)
 
-    for module in (cy, acceptance):
-        monkeypatch.setattr(module, "mori_cone", counted, raising=False)
-    fresh = acceptance._Ctx(acceptance.Fixtures())
+    # cy is the one module that imports mori_cone; with the default
+    # raising=True the patch fails loudly if that import moves
+    monkeypatch.setattr(cy, "mori_cone", counted)
+    fresh = models.ModelGeometry(models.Fixtures())
     assert acceptance.criterion_08_mori_gkz(fresh) == []
     assert len(calls) == 1
     assert fresh.mirror_gkz.generators == mori_cone(fresh.mirror_fan)
@@ -427,7 +425,7 @@ def test_pullback_identity_with_sqrt12(ctx):
     y6 -> y6/(psi0*sqrt(12)), y9 -> -y9/sqrt(12), y8 and y752 halved, in
     256-bit arithmetic: 48*S(phi^*h2) = y3^2*y745*g1 at seeded rational
     points of g0 = 0, to 2^-200 of the largest term."""
-    data = acceptance._transition_rings(ctx)
+    data = ctx.transition_rings()
     ring, g0, g1 = data["chart_ring"], data["g0"], data["g1"]
     pulled = pullback(data["h2"], data["plain_map"], ring)
     rng = random.Random(1812)

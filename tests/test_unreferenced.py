@@ -16,6 +16,11 @@ Tests do not count: a name that only tests use is test-only API, and it is
 listed in ``TEST_ONLY`` with its reason.  A listed name must still be
 defined, must still be used by the tests, and must not be used by the
 package.
+
+The model geometry is public in ``models``, so no file in ``src/`` or
+``tests/`` but ``acceptance.py`` itself reads a private ``acceptance._*``
+name, through an attribute of the module or a from-import.  ``bench/`` is
+exempt while it reads ``acceptance._Ctx`` (ROADMAP item 12).
 """
 
 from __future__ import annotations
@@ -158,3 +163,53 @@ def test_no_unreferenced_definitions():
         for name in TEST_ONLY.keys() - definitions.keys()
     )
     assert not unreferenced, unreferenced
+
+
+def _private_acceptance_uses(source):
+    """(line, name) of each private name of ``acceptance`` that a source
+    reads, through an attribute of the module or a from-import."""
+    tree = ast.parse(source)
+    bound = set()  # expressions that name the acceptance module here
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            src = _package_module(node)
+            if src == "acceptance":
+                out.extend((node.lineno, a.name) for a in node.names)
+            elif src == "":
+                bound.update(a.asname or a.name for a in node.names if a.name == "acceptance")
+        elif isinstance(node, ast.Import):
+            bound.update(
+                a.asname or a.name for a in node.names if a.name == "toricfib.acceptance"
+            )
+    out.extend(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in bound
+    )
+    return sorted(
+        (line, name)
+        for line, name in out
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_private_acceptance_names_stay_in_acceptance():
+    for source, want in (
+        ("from toricfib import acceptance\nacceptance._Ctx(acceptance.Fixtures())", [(2, "_Ctx")]),
+        ("from toricfib.acceptance import run, _check as c", [(1, "_check")]),
+        ("from .acceptance import _check", [(1, "_check")]),
+        ("from . import acceptance as a\na._check", [(2, "_check")]),
+        ("import toricfib.acceptance as a\na._x; a.__name__", [(2, "_x")]),
+        ("import toricfib.acceptance\ntoricfib.acceptance._x", [(2, "_x")]),
+        ("from toricfib import models\nmodels._x; acceptance._x", []),
+    ):
+        assert _private_acceptance_uses(source) == want, source
+    found = [
+        f"{p.relative_to(ROOT)}:{line} acceptance.{name}"
+        for d in ("src", "tests")
+        for p in sorted((ROOT / d).rglob("*.py"))
+        if p != PACKAGE / "acceptance.py"
+        for line, name in _private_acceptance_uses(p.read_text())
+    ]
+    assert not found, found
