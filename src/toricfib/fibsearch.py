@@ -8,16 +8,19 @@ keep the search exact and fast:
 * a vertex x of the slice is an extreme point of the intersection, so its
   carrier face G of the polar satisfies lin(G - x) meet L = 0; hence x lies
   on a face of dimension at most n - k, and L is spanned by such points;
-* a valid L contains at least k + 1 generating points of rank k, so some
-  rank-(k-1) subspan extends to L through two distinct generating points.
-  Only multiply-hit extensions survive the last enumeration stage.
+* the origin is interior to a valid slice, so every hyperplane of L through
+  the origin has slice vertices, which are generating points, strictly on
+  both of its sides.  The enumeration reaches each span first through its
+  least basis of generating points (lemma A of ``_span_survivors``), and the
+  last stage keeps a span only when its parent reaches it from both sides
+  (lemma B).
 
 The enumeration keys each span by its normalized Pluecker row in int64.  The
 last stage runs over batches of parents and groups each batch's (parent, row)
 pairs with np.unique on a view of each row as one opaque byte string: two
 int64 rows are equal exactly when their bytes are, so the grouping is exact
-and only the multiply-hit rows reach Python.  A set of the row bytes already
-seen keeps the first hit of each span, across batches too.
+and only the rows reached from both sides reach Python.  A set of the row
+bytes already seen keeps the first kept hit of each span, across batches too.
 
 The search is one lazy pipeline: each batch of new survivors is decided,
 saturated and evaluated before the next batch is enumerated, and candidates
@@ -81,13 +84,15 @@ def _generating_points(polar, max_face_dim):
 
 
 def _normalize_rows(m):
+    """The primitive rows of ``m`` with positive first nonzero entry, and the
+    sign each row was multiplied by (1 for a zero row)."""
     g = np.gcd.reduce(np.abs(m), axis=1)
     g[g == 0] = 1
     m = m // g[:, None]
     first = np.argmax(m != 0, axis=1)
     signs = np.sign(m[np.arange(len(m)), first])
     signs[signs == 0] = 1
-    return m * signs[:, None]
+    return m * signs[:, None], signs
 
 
 def _stage_matrix(n, r):
@@ -179,16 +184,29 @@ def _candidates(delta, fibre_dim):
 
 
 def _span_survivors(P, k):
-    """Rank-k spans of the rows of ``P`` that some rank-(k-1) span reaches
-    through two distinct rows, as a stream.
+    """Rank-k spans of the rows of ``P`` that the least basis of some
+    rank-(k-1) span reaches from both of its sides, as a stream.
 
-    Each item of the stream is a non-empty list of the spans first reached
-    from one batch of parents: pairs of the normalized Pluecker row (a tuple)
-    of a span and its representative, the row indices of its first hit,
-    smallest parent first, then smallest appended row.  The items follow in
-    that order too, so each span occurs once, with its first hit.  Raises
-    DegenerateInputError when an int64 minor could overflow, at the call,
-    before any item is pulled.
+    The least basis of a span is its lexicographically least increasing
+    tuple of independent rows of ``P``.  Two lemmas make the stream complete
+    for the search, that is, it holds every span whose slice is reflexive:
+
+    * A (least basis): the least basis of a rank-r span is the least basis
+      of the span of its first r - 1 rows plus one later row, so extending
+      each such parent only by the rows after its last reaches every span,
+      parents in order, first through its least basis;
+    * B (both sides): a reflexive slice by a rank-k span L has vertices, all
+      of them rows of ``P``, strictly on both sides of the span of L's first
+      k - 1 least-basis rows, and none of them precedes the k-th, so that
+      parent reaches L through rows on both of its sides.
+
+    Each item of the stream is a non-empty list of the spans first kept from
+    one batch of parents: pairs of the normalized Pluecker row (a tuple) of a
+    span and its representative, the increasing row indices of its first
+    hit from both sides, in lexicographic order.  The items follow in that
+    order too, so each span occurs once, and a span with a reflexive slice
+    with its least basis.  Raises DegenerateInputError when an int64 minor
+    could overflow, at the call, before any item is pulled.
     """
     g, n = P.shape
     # Hadamard: every minor, and every partial sum of one, is below n*|row|^k
@@ -199,10 +217,21 @@ def _span_survivors(P, k):
 
 
 def _span_batches(P, k):
-    """The stream of _span_survivors, after its bound check."""
+    """The stream of _span_survivors, after its bound check.
+
+    Stage r extends the representatives of the rank-(r-1) spans, which are
+    their least bases in lexicographic order, by the rows after their last
+    one (lemma A); its first hits are then the least bases of the rank-r
+    spans, in the same order.  The last stage keeps, per parent, the spans it
+    reaches through rows of both signs, the sign by which _normalize_rows
+    turns the appended row's minors into the span's key (lemma B): the
+    minors of (parent rows, q) are the span's Pluecker row times the
+    coordinate of q across the parent.
+    """
     g, n = P.shape
     # staged span enumeration; stage r holds representative index tuples and
-    # the Pluecker (r-minor) vector of each distinct rank-r span
+    # the Pluecker (r-minor) vector of each distinct rank-r span, in order of
+    # representative
     reps_idx = [()]
     reps_minors = np.ones((1, 1), dtype=np.int64)
     batch_size = 32
@@ -211,34 +240,42 @@ def _span_batches(P, k):
         final = r + 1 == k
         seen, nxt = set(), []
         for lo in range(0, len(reps_idx), batch_size):
-            hi = min(lo + batch_size, len(reps_idx))
-            B = hi - lo
-            C = (reps_minors[lo:hi] @ T).reshape(B, n, nc1)
-            ext = np.einsum("gm,bmo->bgo", P, C)
-            flat = ext.reshape(B * g, nc1)
-            nonzero = np.any(flat != 0, axis=1)
-            rows = _normalize_rows(flat[nonzero])
-            flat_pos = np.nonzero(nonzero)[0]
+            reps = reps_idx[lo : lo + batch_size]
+            B = len(reps)
+            # lemma A: a parent is extended only by the rows after its last
+            last = np.array([rep[-1] if rep else -1 for rep in reps])
+            start = int(last.min()) + 1
+            w = g - start
+            C = (reps_minors[lo : lo + B] @ T).reshape(B, n, nc1)
+            flat = (P[start:] @ C).reshape(B * w, nc1)
+            later = np.arange(start, g)[None, :] > last[:, None]
+            live = later.ravel() & np.any(flat != 0, axis=1)
+            rows, signs = _normalize_rows(flat[live])
+            flat_pos = np.nonzero(live)[0]
             keep = np.arange(len(rows))
             if final:
-                # keep spans reached by two distinct extensions of one parent;
-                # the first of each group is its smallest appended row, and
-                # sorting puts the hits in (parent, appended row) order
-                # rather than byte order
-                parent = flat_pos // g
+                # lemma B: keep the spans a parent reaches from both of its
+                # sides; the first of each group is its smallest appended
+                # row, and sorting puts the hits in (parent, appended row)
+                # order rather than byte order
+                parent = flat_pos // w
                 tagged = np.concatenate([parent[:, None], rows], axis=1)
-                _, first, counts = np.unique(
-                    _void_rows(tagged), return_index=True, return_counts=True
+                _, first, inverse, counts = np.unique(
+                    _void_rows(tagged),
+                    return_index=True,
+                    return_inverse=True,
+                    return_counts=True,
                 )
-                keep = np.sort(first[counts >= 2])
-            # the first hit of a span not seen in an earlier batch represents it
+                plus = np.bincount(inverse[signs > 0], minlength=len(counts))
+                keep = np.sort(first[(plus > 0) & (plus < counts)])
+            # several parents can reach a span: its first kept hit represents it
             new = []
             for row, pos in zip(rows[keep], flat_pos[keep].tolist()):
                 key = row.tobytes()
                 if key not in seen:
                     seen.add(key)
-                    b, q = divmod(pos, g)
-                    new.append((row, reps_idx[lo + b] + (q,)))
+                    b, q = divmod(pos, w)
+                    new.append((row, reps[b] + (start + q,)))
             if not final:
                 nxt += new
             elif new:
@@ -301,10 +338,8 @@ def _integral_slices(P, reps, polar):
         D = _det(A)
         N = -np.sign(D)[..., None] * _det(ones)
         D = np.abs(D)
-        feasible = (D > 0) & np.all(
-            np.einsum("sci,sif->scf", N, Ql) >= -D[..., None], axis=-1
-        )
-        X = np.einsum("sci,sin->scn", N, Bl)
+        feasible = (D > 0) & np.all(N @ Ql >= -D[..., None], axis=-1)
+        X = N @ Bl
         fractional = feasible[..., None] & (X % np.maximum(D, 1)[..., None] != 0)
         keep = ~np.any(fractional, axis=(1, 2))
         s, c = np.nonzero(feasible & keep[:, None])

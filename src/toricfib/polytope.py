@@ -248,9 +248,12 @@ class LatticePolytope:
         c = np.array([c for _, c in self.facets], dtype=np.int64)
         tight = np.array(pts, dtype=np.int64) @ N.T == -c
         interior, boundary = [], []
-        masks = {}
+        # one frozenset per distinct tight row, shared by its points
+        masks, by_row = {}, {}
         for p, row in zip(pts, tight):
-            mask = frozenset(np.flatnonzero(row).tolist())
+            key = row.tobytes()
+            if (mask := by_row.get(key)) is None:
+                mask = by_row[key] = frozenset(np.flatnonzero(row).tolist())
             masks[p] = mask
             (boundary if mask else interior).append(p)
         return tuple(interior), tuple(boundary), masks

@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,10 @@ from toricfib.fibsearch import (
     search_fibrations,
 )
 from toricfib.polytope import LatticePolytope
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 CUBE4 = list(itertools.product((-1, 1), repeat=4))
 
@@ -221,54 +227,125 @@ def test_slice_vertices_match_double_description_on_random_spans(ctx, data):
     assert (got[0] is not None) == _reference_slice_integral(rows, polar)
 
 
-def _plucker_key(pts):
-    """Normalized Pluecker row of one or two points, None when dependent."""
-    if len(pts) == 1:
-        minors = list(pts[0])
-    else:
-        (a, b), n = pts, len(pts[0])
-        minors = [a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(n), 2)]
+def _cofactors(minors, r, n):
+    """For rows B of rank r with r-minors ``minors`` (in column-set order),
+    per (r + 1)-column set S in order, the pairs (m, c) with
+    minor_S(B; q) = sum of c q[m]: the expansion along the appended row q."""
+    index = {c: i for i, c in enumerate(itertools.combinations(range(n), r))}
+    return [
+        [(m, (-1) ** (r + t) * minors[index[S[:t] + S[t + 1 :]]]) for t, m in enumerate(S)]
+        for S in itertools.combinations(range(n), r + 1)
+    ]
+
+
+def _plucker_key(minors):
+    """The normalized Pluecker row of a minor vector and the sign that
+    normalizes it; (None, 0) when the rows are dependent."""
     g = math.gcd(*minors)
     if g == 0:
-        return None
+        return None, 0
     sign = 1 if next(m for m in minors if m) > 0 else -1
-    return tuple(sign * m // g for m in minors)
+    return tuple(sign * m // g for m in minors), sign
 
 
-def _survivors_reference(rows, k):
-    """Reference for _span_survivors, k <= 2, by Python loops: the spans that
-    some stage-(k-1) representative (in order of first hit) reaches through
-    two rows, keyed by the normalized Pluecker row and represented by the
-    first parent, then the first row, that reaches them twice; in the order
-    of those representatives."""
-    parents = [()]
-    for r in range(k):
+def _survivors_reference(rows, k, rule="both sides"):
+    """Reference for _span_survivors by Python loops, as an ordered dict from
+    normalized Pluecker row to representative.
+
+    Each stage extends the representatives of the previous one, in
+    lexicographic order: by the rows after their last (lemma A), or by every
+    row under the rule "two rows".  A span is represented by its first hit;
+    at the last stage only by a hit from a parent that reaches it from both
+    of its sides (lemma B), or through two distinct rows."""
+    n = len(rows[0])
+    parents = [((), (1,))]
+    for r in range(1, k + 1):
         reached = {}
-        for par in parents:
-            seen = {}
-            for q, row in enumerate(rows):
-                kk = _plucker_key([rows[i] for i in par] + [row])
-                if kk is not None:
-                    seen.setdefault(kk, []).append(q)
-            for kk, qs in seen.items():
-                if r + 1 < k or len(qs) >= 2:
-                    reached.setdefault(kk, par + (qs[0],))
-        parents = sorted(reached.values())
+        for rep, minors in parents:
+            cof = _cofactors(minors, r - 1, n)
+            hits = {}
+            start = rep[-1] + 1 if rep and rule == "both sides" else 0
+            for q in range(start, len(rows)):
+                row = rows[q]
+                ext = tuple(sum(c * row[m] for m, c in terms) for terms in cof)
+                key, side = _plucker_key(ext)
+                if key is not None:
+                    hits.setdefault(key, []).append((q, side))
+            for key, qs in hits.items():
+                if r < k:
+                    keep = True
+                elif rule == "both sides":
+                    keep = len({side for _, side in qs}) == 2
+                else:
+                    keep = len(qs) >= 2
+                if keep:
+                    reached.setdefault(key, rep + (qs[0][0],))
+        parents = sorted((rep, key) for key, rep in reached.items())
     return reached
+
+
+def _golden_searches():
+    """The (polytope, fibre rank) searches of the benchmark's
+    ``FIBRATION_GOLDENS``, on the untransformed vertices."""
+    vertices = workloads.FibrationSearch(0).vertices
+    return [
+        (LatticePolytope.hull(vertices[name]), k)
+        for name, k, _, _ in workloads.FIBRATION_GOLDENS
+    ]
 
 
 def test_span_survivors_match_reference():
     # over 256 parents at k = 2: spans are reached from several batches
     rng = np.random.default_rng(8)
     rows = rng.integers(-6, 7, size=(420, 3)).tolist()
-    assert len({_plucker_key([r]) for r in rows} - {None}) > 256
+    assert len({_plucker_key(r)[0] for r in rows} - {None}) > 256
     P = np.array(rows, dtype=np.int64)
     for k in (1, 2):
         batches = list(_span_survivors(P, k))
         assert all(batches)
         got = [pair for batch in batches for pair in batch]
         assert got == list(_survivors_reference(rows, k).items())
+        # every survivor also passes the weaker two-rows rule
+        assert {key for key, _ in got} <= _survivors_reference(rows, k, "two rows").keys()
     assert len(batches) > 1
+    # on the benchmark's searches, every span the two-rows rule passes with
+    # an integral slice also survives, so no candidate is lost
+    for delta, k in _golden_searches():
+        polar = delta.polar()
+        gens = _generating_points(polar, delta.rank - k)
+        P = np.array(gens, dtype=np.int64)
+        got = [pair for batch in _span_survivors(P, k) for pair in batch]
+        assert got == list(_survivors_reference(gens, k).items())
+        old = _survivors_reference(gens, k, "two rows")
+        assert {key for key, _ in got} <= old.keys()
+        accepted = [
+            key
+            for key, verts in zip(old, _integral_slices(P, list(old.values()), polar))
+            if verts is not None
+        ]
+        assert accepted and set(accepted) <= {key for key, _ in got}
+
+
+@pytest.mark.parametrize("name", ["k3_simplex", "k3_polar", "cube4"])
+def test_rank2_search_matches_brute_force(ctx, name):
+    # every span of two boundary points of the polar, decided by double
+    # description: no pruning of the enumeration loses a candidate
+    delta = {
+        "k3_simplex": ctx.k3_simplex,
+        "k3_polar": ctx.k3_simplex.polar(),
+        "cube4": LatticePolytope.hull(CUBE4),
+    }[name]
+    polar = delta.polar()
+    _, boundary = polar.lattice_points()
+    assert set(_generating_points(polar, delta.rank - 2)) <= set(boundary)
+    spans = {
+        la.saturation(pair)
+        for pair in itertools.combinations(boundary, 2)
+        if la.rank(pair) == 2
+    }
+    want = {basis for basis in spans if _dd_slice(basis, polar) is not None}
+    got = {c.sublattice.basis for c in search_fibrations(delta, 2)}
+    assert want and got == want
 
 
 def test_int64_bounds():
