@@ -1,26 +1,45 @@
 """Double-description conversion for pointed rational cones.
 
-The primitive is `double_description`: the extreme rays of
-{y : <y, a> >= 0 for all a in constraints}, each with the constraints tight
-on it; `extreme_rays` is its sorted rays.  Conversion is self-dual, so the
-same routine turns generators into facet normals, with the generator-facet
-incidence, and inequalities into rays.  All arithmetic is on
-arbitrary-precision integers.  Two more primitives read a cone's
-generator-facet incidence alone: `face_closure` lists every face, and
-`extreme_generators` picks the generators that are extreme rays (for the
-homogenized points of a polytope, its vertices).
+The primitive is `double_description_masks`: the extreme rays of
+{y : <y, a> >= 0 for all a in constraints}, each with a bitmask of the
+constraints tight on it, bit i for constraint i.  `double_description` reads
+the masks as frozensets of first positions, and `extreme_rays` is its sorted
+rays.  Conversion is self-dual, so the same routine turns generators into
+facet normals, with the generator-facet incidence, and inequalities into
+rays.  All arithmetic is on arbitrary-precision integers.  Two more
+primitives read a cone's generator-facet incidence alone: `face_closure`
+lists every face, and `extreme_generators` picks the generators that are
+extreme rays (for the homogenized points of a polytope, its vertices).  Its
+mask entry, `extreme_generators_of_masks`, takes one mask per facet, as the
+loop returns them, so `LatticePolytope.hull` and `ConeGeom` read facets,
+incidence and vertices off the masks with no frozenset in between.
 
 The loop starts from the lineality space R^dim, with the identity basis
 (Fukuda-Prodon, "Double description method revisited", 1996).  A constraint
 a on which a basis vector l is nonzero makes l, oriented so that <l, a> > 0,
 a ray tight on every earlier constraint, and moves the other basis vectors
 and the rays along l onto a's hyperplane, so their tight sets need no dot
-product.  Any other constraint runs the usual step on the rays.
-`double_description` takes its input as tuples of ints, as `hull` and
-`ConeGeom` have coerced them, so the loop takes its dot products as
-``sum(map(mul, ...))`` with no coercion and no length check, and `_meet`
-divides by one gcd.  `extreme_rays` takes any integer rows (numpy arrays
-too) and coerces them once with `mat`.
+product.  Any other constraint runs the usual step on the rays: it keeps the
+rays on which a >= 0 and adds the combination of each adjacent pair of rays
+on opposite sides.  `double_description_masks` takes its input as tuples of
+ints, as `hull` and `ConeGeom` have coerced them, so the loop takes its dot
+products as ``sum(map(mul, ...))`` with no coercion and no length check, and
+each combination divides by one gcd.  `extreme_rays` takes any integer rows
+(numpy arrays too) and coerces them once with `mat`.
+
+Lemma G (adjacency needs rank).  At a ray step, let the processed
+constraints cut out the cone C = L + P, with L its lineality space, of
+dimension len(lines), and the rays those of P's image in R^dim / L, a pointed
+cone of dimension dim - len(lines).  Two rays are adjacent iff the face they
+span has dimension 2 there, iff the constraints tight on both have rank
+dim - len(lines) - 2.  So a pair whose common mask has fewer than
+dim - 2 - len(lines) bits is not adjacent, and the loop skips it before the
+combinatorial test (no third ray is tight on the whole common set), which
+stops at the third ray it finds.  A repeated constraint sets one bit per
+copy, so the count only grows and the skip stays sound.  Without the
+len(lines) term the bound is too high whenever a ray step runs while lines
+remain (a constraint in the span of earlier ones, on which every line is
+tight), and adjacent pairs are lost.
 
 The facets of a simplicial cone need no loop: `simplicial_facets` returns
 them in ray order, normal j tight on every ray but ray j, so the caller has
@@ -30,9 +49,8 @@ the generator-facet incidence with no dot product.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import reduce
 from math import gcd
-from operator import and_, mul
+from operator import mul
 
 from .exactlinalg import (
     dot, identity, independent_rows, mat, neg, primitive, scaled_inverse, vecmat,
@@ -71,64 +89,111 @@ def simplicial_facets(rays):
     return tuple(primitive(vecmat(c, rays)) for c in coeffs)
 
 
-def _meet(u, pu, w, pw):
-    """primitive(pu * w - pw * u): tight on a when pu = <u, a> and pw = <w, a>.
+def double_description_masks(constraints, dim):
+    """The double-description loop: (rays, masks) of the pointed cone
+    {y in R^dim : <y, a> >= 0 for all a in constraints}.
 
-    The loop never meets parallel vectors (the lines are independent of each
-    other and of the rays, and two rays are never opposite, as every line of
-    the cone lies in the lineality space), so the combination is not zero.
+    ``rays`` are the primitive extreme rays and bit i of ``masks[k]`` is set
+    when constraint i is tight on ``rays[k]``; a constraint that repeats sets
+    the bit of every copy.  ``constraints`` is a sequence of tuples of ints,
+    each of length dim, neither coerced nor checked.  The constraint normals
+    must span R^dim (equivalently the cone is pointed), or ValueError is
+    raised.
+
+    Two rays are combined only when adjacent (Lemma G of the module
+    docstring): their common tight set has at least dim - 2 - len(lines)
+    bits, and no third ray is tight on all of it.  The loop never combines
+    parallel vectors (the lines are independent of each other and of the
+    rays, and two rays are never opposite, as every line of the cone lies in
+    the lineality space), so a combination is never zero.
     """
-    v = tuple(pu * y - pw * x for x, y in zip(u, w))
-    g = gcd(*v)
-    return tuple(x // g for x in v)
+    lines = list(identity(dim))  # lineality basis, tight on every constraint so far
+    rays, masks = [], []
+    bit = 1  # the bit of the constraint being taken
+    for a in constraints:
+        for k, line in enumerate(lines):
+            p = sum(map(mul, line, a))
+            if p:
+                break
+        else:
+            k = None
+        if k is not None:
+            # line k leaves the lineality space as the ray on the side <l, a> > 0,
+            # and each line after it and each ray x with <x, a> = v != 0 moves
+            # to primitive(p x - v l), onto a's hyperplane; the lines before it
+            # are tight on a already
+            del lines[k]
+            if p < 0:
+                line, p = neg(line), -p
+            for vectors, lo in ((lines, k), (rays, 0)):
+                for i in range(lo, len(vectors)):
+                    x = vectors[i]
+                    v = sum(map(mul, x, a))
+                    if v:
+                        x = [p * y - v * z for y, z in zip(x, line)]
+                        g = gcd(*x)
+                        vectors[i] = tuple(y // g for y in x)
+            rays.append(line)
+            masks = [m | bit for m in masks]
+            masks.append(bit - 1)
+            bit <<= 1
+            continue
+        need = dim - 2 - len(lines)
+        plus, minus, new_rays, new_masks = [], [], [], []
+        for r, m in zip(rays, masks):
+            v = sum(map(mul, r, a))
+            if v < 0:
+                minus.append((r, v, m))
+                continue
+            if v:
+                plus.append((r, v, m))
+            else:
+                m |= bit
+            new_rays.append(r)
+            new_masks.append(m)
+        for r, v, m in plus:
+            for s, w, n in minus:
+                common = m & n
+                if common.bit_count() < need:
+                    continue
+                hits = 0
+                for o in masks:
+                    if o & common == common:
+                        hits += 1
+                        if hits > 2:
+                            break
+                else:
+                    # primitive(v s - w r): tight on the common set and on a
+                    x = [v * y - w * z for y, z in zip(s, r)]
+                    g = gcd(*x)
+                    new_rays.append(tuple(y // g for y in x))
+                    new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+        bit <<= 1
+    if lines:
+        raise ValueError("cone is not pointed (constraints do not span)")
+    return rays, masks
 
 
 def double_description(constraints, dim):
     """Extreme rays of the pointed cone {y in R^dim : <y, a> >= 0}, each with
     the set of constraints tight on it.
 
-    ``constraints`` is a sequence of tuples of ints, each of length dim, as
-    ``LatticePolytope.hull`` and ``ConeGeom`` pass them; they are neither
-    coerced nor checked.  Returns
+    ``constraints`` is a sequence of tuples of ints, each of length dim; they
+    are neither coerced nor checked.  Returns
     {primitive ray: frozenset of indices into ``constraints``}; a constraint
     that repeats is reported at its first position.  The constraint normals
     must span R^dim (equivalently the cone is pointed), or ValueError is
-    raised.
+    raised.  This reads the masks of ``double_description_masks`` run on the
+    distinct constraints.
     """
     first = {}
     for i, a in enumerate(constraints):
         first.setdefault(a, i)
-    lines = list(identity(dim))  # lineality basis, tight on every constraint so far
-    rays, masks = [], []  # bit b of masks[k]: the b-th constraint taken is tight on rays[k]
-    for b, a in enumerate(first):
-        bit = 1 << b
-        lvals = [sum(map(mul, x, a)) for x in lines]
-        vals = [sum(map(mul, r, a)) for r in rays]
-        k = next((k for k, v in enumerate(lvals) if v), None)
-        if k is not None:
-            # line k leaves the lineality space as the ray on the side <l, a> > 0
-            line, p = lines.pop(k), lvals.pop(k)
-            if p < 0:
-                line, p = neg(line), -p
-            lines = [_meet(line, p, x, v) if v else x for x, v in zip(lines, lvals)]
-            rays = [_meet(line, p, r, v) if v else r for r, v in zip(rays, vals)] + [line]
-            masks = [m | bit for m in masks] + [bit - 1]
-        else:
-            plus = [j for j, v in enumerate(vals) if v > 0]
-            minus = [j for j, v in enumerate(vals) if v < 0]
-            new = [(r, m | bit if v == 0 else m) for r, m, v in zip(rays, masks, vals) if v >= 0]
-            for p in plus:
-                for m in minus:
-                    common = masks[p] & masks[m]
-                    # combinatorial adjacency: no ray but the pair is tight
-                    # on all of the pair's common constraints
-                    if sum(o & common == common for o in masks) == 2:
-                        new.append((_meet(rays[p], vals[p], rays[m], vals[m]), common | bit))
-            rays, masks = [r for r, _ in new], [m for _, m in new]
-    if lines:
-        raise ValueError("cone is not pointed (constraints do not span)")
+    rays, masks = double_description_masks(tuple(first), dim)
+    positions = tuple(first.values())
     return {
-        r: frozenset(i for b, i in enumerate(first.values()) if m >> b & 1)
+        r: frozenset(i for b, i in enumerate(positions) if m >> b & 1)
         for r, m in zip(rays, masks)
     }
 
@@ -163,23 +228,39 @@ def face_closure(incidence, nfacets):
 
 
 def extreme_generators(incidence, dim):
-    """Indices of the extreme generators of a pointed cone of dimension dim.
+    """Indices of the extreme generators of a pointed cone of dimension dim,
+    from ``incidence[i]``, the facets tight at generator i once each.
 
-    ``incidence[i]`` holds the facets tight at generator i once each; no
-    generator is zero or a positive multiple of another.  The facets tight at
-    a generator cut out the smallest face containing it, so it is extreme iff
-    no other generator is tight on all of them.  That needs at least dim - 1
-    tight facets.  ``on[j]`` has bit b set when candidate b is tight at facet
-    j, so the candidates tight at all of a generator's facets are one AND.
+    The generators with at least dim - 1 tight facets are the candidates (an
+    extreme ray needs them), and ``extreme_generators_of_masks`` runs on each
+    facet's mask of candidates.  Leaving the other generators out changes no
+    answer: an extreme candidate shares all of its facets with no other
+    generator, and a non-extreme one shares them with the extreme rays of its
+    smallest face, which are candidates.
     """
     cands = [i for i, tight in enumerate(incidence) if len(tight) >= dim - 1]
     on = defaultdict(int)
     for b, i in enumerate(cands):
         for j in incidence[i]:
             on[j] |= 1 << b
-    everyone = (1 << len(cands)) - 1
-    return tuple(
-        i
-        for b, i in enumerate(cands)
-        if reduce(and_, map(on.__getitem__, incidence[i]), everyone) == 1 << b
-    )
+    return tuple(cands[b] for b in extreme_generators_of_masks(on.values(), len(cands)))
+
+
+def extreme_generators_of_masks(masks, ngens):
+    """Indices of the extreme generators of a pointed cone, from one mask per
+    facet: bit i of a mask is set when generator i lies on that facet.
+
+    No generator is zero or a positive multiple of another.  The facets tight
+    at a generator cut out the smallest face containing it, so it is extreme
+    iff no other generator is tight on all of them: iff the AND of the masks
+    of its facets is its own bit (with no facet, the AND is every generator,
+    the one extreme generator of a ray).
+    """
+    meet = [(1 << ngens) - 1] * ngens
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            meet[low.bit_length() - 1] &= m
+            rest ^= low
+    return tuple(i for i, x in enumerate(meet) if x == 1 << i)

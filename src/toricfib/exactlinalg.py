@@ -85,7 +85,7 @@ def matmul(a, b):
 
 
 def identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def gcd_vec(v):

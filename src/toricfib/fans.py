@@ -46,7 +46,8 @@ from itertools import combinations
 
 from . import exactlinalg as la
 from .dd import (
-    double_description, extreme_generators, extreme_rays, face_closure, simplicial_facets,
+    double_description_masks, extreme_generators, extreme_rays, face_closure,
+    simplicial_facets,
 )
 from .errors import (
     DegenerateInputError,
@@ -70,9 +71,10 @@ class ConeGeom:
     finds the facets, with no dot product of a ray and a facet.  A simplicial
     cone takes its normals from one elimination on the Gram matrix of its
     rays (``dd.simplicial_facets``); normal j is tight on every ray but ray
-    j.  Any other cone runs the double description on its rays and the
-    span's equations as pairs of opposite inequalities, which reports the
-    rays tight on each facet; a repeated ray shares its first copy's set.
+    j.  Any other cone runs ``dd.double_description_masks`` on its rays and
+    the span's equations as pairs of opposite inequalities; bit i of a
+    facet's mask is set when ray i lies on it, so a repeated ray has its
+    first copy's set.
     Faces are the power set of the rays for a simplicial cone, and are read
     off the incidence by ``dd.face_closure`` for any other.
     """
@@ -104,10 +106,14 @@ class ConeGeom:
             everyone = frozenset(range(len(ineqs)))
             return ineqs, [everyone - {ineqs.index(f)} for f in normals]
         eqs = self.equations
-        tight = double_description(self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank)
-        ineqs = tuple(sorted(tight))
-        firsts = map(self.rays.index, self.rays)  # the DD reports a repeat at its first copy
-        return ineqs, [frozenset(j for j, f in enumerate(ineqs) if i in tight[f]) for i in firsts]
+        rays, masks = double_description_masks(
+            self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank
+        )
+        facets = sorted(zip(rays, masks))  # bit i of a mask: ray i lies on that facet
+        return tuple(f for f, _ in facets), [
+            frozenset(j for j, (_, m) in enumerate(facets) if m >> i & 1)
+            for i in range(len(self.rays))
+        ]
 
     @cached_property
     def ambient_ineqs(self):

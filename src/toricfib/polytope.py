@@ -6,10 +6,11 @@ the face lattice with its inclusion-reversing correspondence, lattice point
 enumeration and the boundary skeleton graph all live here.  Derived data is
 computed once per polytope: the faces come from the cached vertex-facet
 incidence ``_vertex_facets`` through ``dd.face_closure``, and the face and
-normal fans read the same incidence.  ``hull`` takes its facets, with the
-points on each, from ``dd.double_description`` on the homogenized points,
-which also decides that they span, and its vertices from that incidence by
-``dd.extreme_generators``.
+normal fans read the same incidence.  ``hull`` runs
+``dd.double_description_masks`` on the homogenized points, which also decides
+that they span, and reads everything else straight from its masks, one per
+facet with bit i for point i: the facets are the rays, and the vertices come
+from ``dd.extreme_generators_of_masks``, one AND of masks per point.
 
 Lattice points come from one int64 array test over the bounding box: for each
 value of the leading coordinates, every facet functional is evaluated on the
@@ -32,7 +33,9 @@ import numpy as np
 
 from . import exactlinalg as la
 # extreme_rays is unused here; bench/tests/test_tracer.py checks that it is bound
-from .dd import double_description, extreme_generators, extreme_rays, face_closure  # noqa: F401
+from .dd import (  # noqa: F401
+    double_description_masks, extreme_generators_of_masks, extreme_rays, face_closure,
+)
 from .errors import (
     DegenerateInputError,
     NotFullDimensionalError,
@@ -156,17 +159,17 @@ class LatticePolytope:
         """Convex hull of lattice points, which must span the ambient space.
 
         One double description of the homogenized points (1, p) gives the
-        facets (c, n) with the points on each, and the vertices are read off
-        that incidence.  Points that do not span raise NotFullDimensionalError
-        carrying the affine span so the caller can restrict to a sublattice
-        and retry.
+        facets (c, n), each with the mask of the points on it, and the
+        vertices are read off the masks.  Points that do not span raise
+        NotFullDimensionalError carrying the affine span so the caller can
+        restrict to a sublattice and retry.
         """
         pts = tuple(dict.fromkeys(la.mat(points)))
         if not pts:
             raise DegenerateInputError("no points")
         dim = len(pts[0])
         try:
-            tight = double_description(tuple((1,) + p for p in pts), dim + 1)
+            rays, masks = double_description_masks(tuple((1,) + p for p in pts), dim + 1)
         except ValueError:
             base, basis = affine_span(pts)
             raise NotFullDimensionalError(
@@ -175,19 +178,17 @@ class LatticePolytope:
                 span_basis=[list(b) for b in basis],
             ) from None
         facets = []
-        incidence = [[] for _ in pts]
-        for j, (f, on) in enumerate(tight.items()):
+        for f in rays:
             c, n = f[0], f[1:]
-            if la.is_zero(n):
+            if not any(n):
                 # the inequality t >= 0 cannot be a facet of a bounded
                 # full-dimensional polytope's homogenization
                 raise DegenerateInputError("unbounded homogenization")
             # a facet of a lattice polytope contains lattice points, so the
             # jointly-primitive (c, n) already has a primitive normal part
             facets.append((n, c))
-            for i in on:
-                incidence[i].append(j)
-        return cls(dim, [pts[i] for i in extreme_generators(incidence, dim + 1)], facets)
+        vertices = [pts[i] for i in extreme_generators_of_masks(masks, len(pts))]
+        return cls(dim, vertices, facets)
 
     # -- basic queries -----------------------------------------------------
 

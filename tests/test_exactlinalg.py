@@ -205,6 +205,23 @@ def _extreme_rays_by_subsets(constraints, dim):
     return out
 
 
+def _check_double_description(rows, dim):
+    """Check double_description on one cone against the subset reference and
+    dot products; returns the cone's kind: "rays", "origin" or "not pointed"."""
+    if _hermite_rank(rows) < dim:
+        with pytest.raises(ValueError, match="not pointed"):
+            double_description(rows, dim)
+        return "not pointed"
+    got = double_description(rows, dim)
+    assert set(got) == _extreme_rays_by_subsets(rows, dim), rows
+    assert extreme_rays(rows, dim) == tuple(sorted(got))
+    for r, tight in got.items():
+        assert tight == {
+            i for i, a in enumerate(rows) if la.dot(r, a) == 0 and a not in rows[:i]
+        }, (rows, r)
+    return "rays" if got else "origin"
+
+
 def test_double_description_matches_subset_reference():
     rng = random.Random(2027)
     kinds = {"rays": 0, "origin": 0, "not pointed": 0}
@@ -222,21 +239,50 @@ def test_double_description_matches_subset_reference():
             a = rng.choice(rows)
             extra = rng.choice((a, tuple(2 * x for x in a), la.neg(a)))  # repeat, scale, pair
             rows.insert(rng.randint(0, len(rows)), extra)
-        rows = tuple(rows)
-        if _hermite_rank(rows) < dim:
-            kinds["not pointed"] += 1
-            with pytest.raises(ValueError, match="not pointed"):
-                double_description(rows, dim)
-            continue
-        got = double_description(rows, dim)
-        assert set(got) == _extreme_rays_by_subsets(rows, dim), rows
-        assert extreme_rays(rows, dim) == tuple(sorted(got))
-        for r, tight in got.items():
-            assert tight == {
-                i for i, a in enumerate(rows) if la.dot(r, a) == 0 and a not in rows[:i]
-            }, (rows, r)
-        kinds["rays" if got else "origin"] += 1
+        kinds[_check_double_description(tuple(rows), dim)] += 1
     assert all(n > 10 for n in kinds.values()), kinds
+
+
+def _cones_with_early_dependent_constraints(rng, count):
+    """Constraint rows whose double description takes ray steps while lines
+    remain.  After a head of fewer than dim random rows come rows in its span,
+    on which every line is tight: mostly u - v style combinations of two head
+    rows, positive on some rays and negative on others, and also negations
+    and scaled copies, which repeat tight sets.  At most two rows more than
+    pointedness needs follow, random and mostly positive on one direction, so
+    that a ray lost early is seldom cut off again."""
+    for _ in range(count):
+        dim = rng.randint(3, 5)
+        y = [rng.randint(-3, 3) for _ in range(dim)]
+
+        def row():
+            while True:
+                a = tuple(rng.randint(-3, 3) for _ in range(dim))
+                if la.dot(a, y) > 0 or rng.random() < 0.2:
+                    return a
+
+        head = [row() for _ in range(rng.randint(2, dim - 1))]
+        rows = list(head)
+        for _ in range(rng.randint(1, 4)):
+            u, v = rng.choice(head), rng.choice(head)
+            a, b = rng.randint(1, 2), rng.randint(-2, -1)
+            mixed = la.add(tuple(a * x for x in u), tuple(b * x for x in v))
+            extra = rng.choice((la.neg(u), tuple(2 * x for x in u), mixed, mixed, mixed))
+            if not la.is_zero(extra):
+                rows.insert(rng.randint(len(head), len(rows)), extra)
+        rows += [row() for _ in range(rng.randint(dim - len(head), dim - len(head) + 1))]
+        yield dim, tuple(rows)
+
+
+def test_double_description_ray_steps_with_lines_remaining():
+    """The adjacency pre-test counts the tight constraints a pair of rays
+    shares against dim - 2 - len(lines), the rank a 2-face needs while lines
+    remain; rays and tight sets match the subset reference on cones built to
+    take such steps."""
+    kinds = {"rays": 0, "origin": 0, "not pointed": 0}
+    for dim, rows in _cones_with_early_dependent_constraints(random.Random(3212), 400):
+        kinds[_check_double_description(rows, dim)] += 1
+    assert kinds["rays"] > 300 and kinds["origin"] > 10, kinds
 
 
 def test_hull_of_collinear_points_is_not_full_dimensional():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
 from toricfib import polytope
-from toricfib.dd import extreme_generators
+from toricfib.dd import double_description_masks, extreme_generators
 from toricfib.errors import (
     DegenerateInputError,
     NotFullDimensionalError,
@@ -197,6 +197,52 @@ def test_vertex_rule_matches_rank_rule(points):
     want = _rank_rule_vertices(points, p.facets, dim)
     assert _incidence_rule_vertices(points, p.facets, dim) == want
     assert p.vertices == want
+
+
+def _criterion_17_point_sets():
+    """The point sets that criterion 17 draws, in its order: five points of
+    [-2, 2]^2 per attempt from random.Random(1234), until 30 hulls are
+    reflexive or 4000 attempts are made."""
+    rng = random.Random(1234)
+    found, attempts = 0, 0
+    while found < 30 and attempts < 4000:
+        attempts += 1
+        pts = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(5)]
+        try:
+            p = LatticePolytope.hull(pts)
+        except NotFullDimensionalError as e:
+            yield pts, e
+            continue
+        found += p.is_reflexive()
+        yield pts, p
+
+
+def test_hull_on_criterion_17_point_sets():
+    """Each hull's vertices are the rank rule's; the masks it reads hold, per
+    facet, the points on it by dot product; every facet is a supporting line
+    through two of the points, one per vertex; sets that do not span raise
+    with their affine span."""
+    sets = list(_criterion_17_point_sets())
+    spans = reflexive = 0
+    for points, p in sets:
+        pts = tuple(dict.fromkeys(points))
+        if isinstance(p, NotFullDimensionalError):
+            spans += 1
+            base, basis = p.context["base"], p.context["span_basis"]
+            assert tuple(base) == pts[0] and len(basis) < 2
+            assert la.rank(basis + [la.sub(q, base) for q in pts]) == len(basis)
+            continue
+        reflexive += p.is_reflexive()
+        assert p.vertices == _rank_rule_vertices(points, p.facets, 2)
+        rays, masks = double_description_masks(tuple((1,) + q for q in pts), 3)
+        assert sorted((f[1:], f[0]) for f in rays) == list(p.facets)
+        for f, m in zip(rays, masks):
+            on = [i for i, q in enumerate(pts) if f[0] + la.dot(f[1:], q) == 0]
+            assert m == sum(1 << i for i in on), (points, f)
+            assert la.rank([la.sub(pts[i], pts[on[0]]) for i in on]) == 1
+            assert all(f[0] + la.dot(f[1:], q) >= 0 for q in pts)
+        assert len(p.facets) == len(p.vertices)
+    assert (len(sets), spans, reflexive) == (1511, 10, 30)
 
 
 def test_hull_idempotent():
