@@ -69,7 +69,7 @@ class CriterionResult:
 
 
 # the old private name of the model geometry: bench/workloads.py reads it
-# until the next change allowed to touch bench/ (ROADMAP item 12)
+# until the next change allowed to touch bench/ (ROADMAP item 20)
 _Ctx = ModelGeometry
 
 

@@ -1,18 +1,16 @@
 """Double-description conversion for pointed rational cones.
 
-The primitive is `double_description_masks`: the extreme rays of
-{y : <y, a> >= 0 for all a in constraints}, each with a bitmask of the
-constraints tight on it, bit i for constraint i.  `double_description` reads
-the masks as frozensets of first positions, and `extreme_rays` is its sorted
-rays.  Conversion is self-dual, so the same routine turns generators into
-facet normals, with the generator-facet incidence, and inequalities into
+The one incidence format is a bitmask per facet: bit i is set when generator
+i lies on it.  The primitive is `double_description`: the extreme rays of
+{y : <y, a> >= 0 for all a in constraints}, each with the mask of the
+constraints tight on it, bit i for constraint i; `extreme_rays` is its sorted
+rays.  Conversion is self-dual, so the same loop turns generators into facet
+normals, each with the mask of the generators on it, and inequalities into
 rays.  All arithmetic is on arbitrary-precision integers.  Two more
-primitives read a cone's generator-facet incidence alone: `face_closure`
-lists every face, and `extreme_generators` picks the generators that are
-extreme rays (for the homogenized points of a polytope, its vertices).  Its
-mask entry, `extreme_generators_of_masks`, takes one mask per facet, as the
-loop returns them, so `LatticePolytope.hull` and `ConeGeom` read facets,
-incidence and vertices off the masks with no frozenset in between.
+primitives read the per-facet masks alone: `face_closure` lists every face,
+and `extreme_generators` picks the generators that are extreme rays (for the
+homogenized points of a polytope, its vertices).  `LatticePolytope.hull`,
+`ConeGeom` and their face lattices read these masks and no other incidence.
 
 The loop starts from the lineality space R^dim, with the identity basis
 (Fukuda-Prodon, "Double description method revisited", 1996).  A constraint
@@ -21,7 +19,7 @@ a ray tight on every earlier constraint, and moves the other basis vectors
 and the rays along l onto a's hyperplane, so their tight sets need no dot
 product.  Any other constraint runs the usual step on the rays: it keeps the
 rays on which a >= 0 and adds the combination of each adjacent pair of rays
-on opposite sides.  `double_description_masks` takes its input as tuples of
+on opposite sides.  `double_description` takes its input as tuples of
 ints, as `hull` and `ConeGeom` have coerced them, so the loop takes its dot
 products as ``sum(map(mul, ...))`` with no coercion and no length check, and
 each combination divides by one gcd.  `extreme_rays` takes any integer rows
@@ -48,7 +46,6 @@ the generator-facet incidence with no dot product.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from math import gcd
 from operator import mul
 
@@ -89,7 +86,7 @@ def simplicial_facets(rays):
     return tuple(primitive(vecmat(c, rays)) for c in coeffs)
 
 
-def double_description_masks(constraints, dim):
+def double_description(constraints, dim):
     """The double-description loop: (rays, masks) of the pointed cone
     {y in R^dim : <y, a> >= 0 for all a in constraints}.
 
@@ -175,78 +172,35 @@ def double_description_masks(constraints, dim):
     return rays, masks
 
 
-def double_description(constraints, dim):
-    """Extreme rays of the pointed cone {y in R^dim : <y, a> >= 0}, each with
-    the set of constraints tight on it.
-
-    ``constraints`` is a sequence of tuples of ints, each of length dim; they
-    are neither coerced nor checked.  Returns
-    {primitive ray: frozenset of indices into ``constraints``}; a constraint
-    that repeats is reported at its first position.  The constraint normals
-    must span R^dim (equivalently the cone is pointed), or ValueError is
-    raised.  This reads the masks of ``double_description_masks`` run on the
-    distinct constraints.
-    """
-    first = {}
-    for i, a in enumerate(constraints):
-        first.setdefault(a, i)
-    rays, masks = double_description_masks(tuple(first), dim)
-    positions = tuple(first.values())
-    return {
-        r: frozenset(i for b, i in enumerate(positions) if m >> b & 1)
-        for r, m in zip(rays, masks)
-    }
-
-
 def extreme_rays(constraints, dim):
-    """The sorted extreme rays of ``double_description``, for constraints
-    given as any integer rows, coerced once by ``mat``."""
-    return tuple(sorted(double_description(mat(constraints), dim)))
+    """The sorted rays of ``double_description``, for constraints given as
+    any integer rows, coerced once by ``mat``."""
+    rays, _ = double_description(mat(constraints), dim)
+    return tuple(sorted(rays))
 
 
-def face_closure(incidence, nfacets):
+def face_closure(masks, ngens):
     """Every nonempty face, as {tight facet set: generator-index set}.
 
-    ``incidence[i]`` is the frozenset of facets tight at generator i (a ray
-    of a cone or a vertex of a polytope).  A face is keyed by the full set of
-    facets tight on all of its generators; faces are found by closing facet
-    sets from the empty one, one added facet at a time.
+    ``masks[j]`` has bit i set when generator i (a ray of a cone or a vertex
+    of a polytope) lies on facet j.  A face is the AND of the masks of the
+    facets tight on it, keyed by the full set of those facets; faces are
+    closed one facet at a time from the all-generators mask, the whole cone.
     """
-    faces = {}
-    frontier = [frozenset()]
+    faces, seen = {}, set()
+    frontier = [(1 << ngens) - 1]
     while frontier:
-        tight = frontier.pop()
-        gens = frozenset(i for i, m in enumerate(incidence) if tight <= m)
-        if not gens:
+        gens = frontier.pop()
+        if not gens or gens in seen:
             continue
-        full = frozenset.intersection(*(incidence[i] for i in gens))
-        if full in faces:
-            continue
-        faces[full] = gens
-        frontier.extend(full | {j} for j in range(nfacets) if j not in full)
+        seen.add(gens)
+        tight = frozenset(j for j, m in enumerate(masks) if m & gens == gens)
+        faces[tight] = frozenset(i for i in range(ngens) if gens >> i & 1)
+        frontier.extend(gens & m for j, m in enumerate(masks) if j not in tight)
     return faces
 
 
-def extreme_generators(incidence, dim):
-    """Indices of the extreme generators of a pointed cone of dimension dim,
-    from ``incidence[i]``, the facets tight at generator i once each.
-
-    The generators with at least dim - 1 tight facets are the candidates (an
-    extreme ray needs them), and ``extreme_generators_of_masks`` runs on each
-    facet's mask of candidates.  Leaving the other generators out changes no
-    answer: an extreme candidate shares all of its facets with no other
-    generator, and a non-extreme one shares them with the extreme rays of its
-    smallest face, which are candidates.
-    """
-    cands = [i for i, tight in enumerate(incidence) if len(tight) >= dim - 1]
-    on = defaultdict(int)
-    for b, i in enumerate(cands):
-        for j in incidence[i]:
-            on[j] |= 1 << b
-    return tuple(cands[b] for b in extreme_generators_of_masks(on.values(), len(cands)))
-
-
-def extreme_generators_of_masks(masks, ngens):
+def extreme_generators(masks, ngens):
     """Indices of the extreme generators of a pointed cone, from one mask per
     facet: bit i of a mask is set when generator i lies on that facet.
 

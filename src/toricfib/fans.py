@@ -2,10 +2,12 @@
 
 Fans store primitive rays plus maximal cones as ray-index tuples; faces are
 derived on demand, each cone's from the ray-facet incidence that the
-computation of its facets reports (``ConeGeom``).  Morphisms carry per-cone
-compatibility certificates (the smallest codomain cone containing each
-image), read off one profile per domain ray: in each maximal codomain cone,
-whether the ray's image lies in it and on which facets (``FanMorphism.cert``).
+computation of its facets reports (``ConeGeom``), in the one format of the
+exact core: a bitmask per facet, bit i set when ray i lies on it.  Morphisms
+carry per-cone compatibility certificates (the smallest codomain cone
+containing each image), read off one profile per domain ray: in each maximal
+codomain cone, whether the ray's image lies in it and on which facets
+(``FanMorphism.cert``).
 Fibration verdicts, kernel fans, monomial coordinate forms, and wall-relation
 Mori cones build on that.  Certificates
 are monotone along faces and every proper face lies in a facet, so fibration
@@ -46,8 +48,7 @@ from itertools import combinations
 
 from . import exactlinalg as la
 from .dd import (
-    double_description_masks, extreme_generators, extreme_rays, face_closure,
-    simplicial_facets,
+    double_description, extreme_generators, extreme_rays, face_closure, simplicial_facets,
 )
 from .errors import (
     DegenerateInputError,
@@ -67,16 +68,16 @@ class ConeGeom:
     the saturated span of the rays, so this also decides integer membership.
     Facet normals are computed in ambient coordinates and lie in the span.
 
-    The ray-facet incidence ``_ray_facets`` comes from the computation that
-    finds the facets, with no dot product of a ray and a facet.  A simplicial
-    cone takes its normals from one elimination on the Gram matrix of its
-    rays (``dd.simplicial_facets``); normal j is tight on every ray but ray
-    j.  Any other cone runs ``dd.double_description_masks`` on its rays and
-    the span's equations as pairs of opposite inequalities; bit i of a
-    facet's mask is set when ray i lies on it, so a repeated ray has its
-    first copy's set.
+    The ray-facet incidence ``_facet_masks``, one mask per facet with bit i
+    set when ray i lies on it, comes from the computation that finds the
+    facets, with no dot product of a ray and a facet.  A simplicial cone
+    takes its normals from one elimination on the Gram matrix of its rays
+    (``dd.simplicial_facets``); normal j is tight on every ray but ray j.
+    Any other cone runs ``dd.double_description`` on its rays and the span's
+    equations as pairs of opposite inequalities, and keeps the ray bits of
+    its masks; a repeated ray sets the bit of every copy.
     Faces are the power set of the rays for a simplicial cone, and are read
-    off the incidence by ``dd.face_closure`` for any other.
+    off the masks by ``dd.face_closure`` for any other.
     """
 
     def __init__(self, rays, ambient_rank):
@@ -96,24 +97,22 @@ class ConeGeom:
 
     @cached_property
     def _facets(self):
-        """(sorted primitive facet normals, per ray the frozenset of indices
-        of the normals it lies on)."""
+        """(sorted primitive facet normals, per normal the mask of the rays
+        on it)."""
         if not self.rays:
-            return (), []
+            return (), ()
+        full = (1 << len(self.rays)) - 1
         if self.is_simplicial():
-            normals = simplicial_facets(self.rays)  # normal i misses ray i only
-            ineqs = tuple(sorted(normals))
-            everyone = frozenset(range(len(ineqs)))
-            return ineqs, [everyone - {ineqs.index(f)} for f in normals]
-        eqs = self.equations
-        rays, masks = double_description_masks(
-            self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank
-        )
-        facets = sorted(zip(rays, masks))  # bit i of a mask: ray i lies on that facet
-        return tuple(f for f, _ in facets), [
-            frozenset(j for j, (_, m) in enumerate(facets) if m >> i & 1)
-            for i in range(len(self.rays))
-        ]
+            # normal i misses ray i only
+            facets = sorted((f, full ^ 1 << i) for i, f in enumerate(simplicial_facets(self.rays)))
+        else:
+            eqs = self.equations
+            rays, masks = double_description(
+                self.rays + eqs + tuple(map(la.neg, eqs)), self.ambient_rank
+            )
+            # bit i of a mask: ray i lies on that facet; the bits above are the equations'
+            facets = sorted(zip(rays, (m & full for m in masks)))
+        return tuple(f for f, _ in facets), tuple(m for _, m in facets)
 
     @cached_property
     def ambient_ineqs(self):
@@ -121,8 +120,8 @@ class ConeGeom:
         return self._facets[0]
 
     @cached_property
-    def _ray_facets(self):
-        """Per ray, the frozenset of facet indices (into ambient_ineqs) it lies on."""
+    def _facet_masks(self):
+        """Per facet (in ambient_ineqs order), the mask of the rays on it."""
         return self._facets[1]
 
     @cached_property
@@ -151,8 +150,7 @@ class ConeGeom:
     def facet_ray_sets(self):
         """Ray-index subsets (into self.rays) tight on each facet."""
         return tuple(
-            frozenset(i for i, m in enumerate(self._ray_facets) if j in m)
-            for j in range(len(self.ambient_ineqs))
+            frozenset(i for i in range(len(self.rays)) if m >> i & 1) for m in self._facet_masks
         )
 
     def all_face_ray_sets(self):
@@ -167,7 +165,7 @@ class ConeGeom:
         k = len(self.rays)
         if self.is_simplicial():
             return tuple(frozenset(s) for d in range(k + 1) for s in combinations(range(k), d))
-        faces = set(face_closure(self._ray_facets, len(self.ambient_ineqs)).values())
+        faces = set(face_closure(self._facet_masks, k).values())
         faces.add(frozenset())  # the apex
         return tuple(sorted(faces, key=lambda s: (len(s), sorted(s))))
 
@@ -272,17 +270,17 @@ def face_fan(p):
     """Cones over the facets of a reflexive polytope; rays are its vertices."""
     if not p.is_reflexive():
         raise NotReflexiveError("face fan requires a reflexive polytope")
-    inc = p._vertex_facets
-    cones = [
-        tuple(i for i, m in enumerate(inc) if j in m) for j in range(len(p.facets))
-    ]
+    n = len(p.vertices)
+    cones = [tuple(i for i in range(n) if m >> i & 1) for m in p._facet_vertices]
     return Fan(p.rank, p.vertices, cones)
 
 
 def normal_fan(p):
     """Inner facet normals as rays; one maximal cone per vertex."""
     normals = tuple(n for n, _ in p.facets)
-    return Fan(p.rank, normals, [tuple(sorted(m)) for m in p._vertex_facets])
+    masks = p._facet_vertices
+    cones = [tuple(j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(p.vertices))]
+    return Fan(p.rank, normals, cones)
 
 
 def star_subdivide(fan, ray):
@@ -376,8 +374,10 @@ def _least_face(fan, profiles):
         if None in sets:
             continue
         geom = fan.cone_geom(c)
-        tight = frozenset(range(len(geom.ambient_ineqs))).intersection(*sets)
-        return frozenset(c[i] for i, m in enumerate(geom._ray_facets) if tight <= m)
+        on = (1 << len(c)) - 1
+        for j in frozenset(range(len(geom.ambient_ineqs))).intersection(*sets):
+            on &= geom._facet_masks[j]
+        return frozenset(r for i, r in enumerate(c) if on >> i & 1)
     return None
 
 
@@ -597,4 +597,4 @@ def _extreme_generators(vectors):
     geom = ConeGeom(prim, len(prim[0]))
     if la.rank(geom.ambient_ineqs) != geom.dim:
         raise DegenerateInputError("cone of relations is not strictly convex")
-    return tuple(prim[i] for i in extreme_generators(geom._ray_facets, geom.dim))
+    return tuple(prim[i] for i in extreme_generators(geom._facet_masks, len(prim)))

@@ -320,9 +320,9 @@ def _integral_slices(P, reps, polar):
     M = max(sum(map(abs, u)) for u in U.tolist()) * int(np.abs(P).max())
     if k * math.factorial(k) * M**k >= 2**63:
         raise DegenerateInputError("generating points too large for int64 images")
-    subsets = sorted(
-        {J for tight in polar._vertex_facets for J in combinations(sorted(tight), k)}
-    )
+    masks = polar._facet_vertices
+    tight = ([j for j, m in enumerate(masks) if m >> i & 1] for i in range(len(polar.vertices)))
+    subsets = sorted({J for facets in tight for J in combinations(facets, k)})
     B = P[np.array(reps)]
     Q = B @ U.T
     live = np.arange(len(reps))

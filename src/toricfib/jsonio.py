@@ -21,11 +21,12 @@ def _require(cond, msg):
 
 
 def _int_rows(rows):
-    """True for a non-empty list of lists of ints; bools and floats fail."""
+    """True for a non-empty list of non-empty lists of ints; bools and floats
+    fail."""
     return (
         isinstance(rows, list)
         and bool(rows)
-        and all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows)
+        and all(isinstance(r, list) and r and all(type(x) is int for x in r) for r in rows)
     )
 
 
@@ -39,6 +40,7 @@ def polytope_from_json(data):
     verts = data["vertices"]
     _require(_int_rows(verts), "'vertices' must be a non-empty list of integer lists")
     rank = data.get("rank", len(verts[0]))
+    _require(type(rank) is int, "'rank' must be an integer")
     _require(all(len(v) == rank for v in verts), "vertex length mismatch")
     return LatticePolytope.hull(verts)
 

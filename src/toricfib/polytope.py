@@ -4,13 +4,14 @@ A LatticePolytope is immutable: vertices in canonical (lexicographic) order
 and primitive facet inequalities ``<u, normal> >= -offset``.  Polar duality,
 the face lattice with its inclusion-reversing correspondence, lattice point
 enumeration and the boundary skeleton graph all live here.  Derived data is
-computed once per polytope: the faces come from the cached vertex-facet
-incidence ``_vertex_facets`` through ``dd.face_closure``, and the face and
-normal fans read the same incidence.  ``hull`` runs
-``dd.double_description_masks`` on the homogenized points, which also decides
+computed once per polytope.  The vertex-facet incidence is the one format of
+the exact core, a bitmask per facet: ``_facet_vertices`` has bit i set when
+vertex i lies on the facet.  The faces come from it through
+``dd.face_closure``, and the face and normal fans read it too.  ``hull``
+runs ``dd.double_description`` on the homogenized points, which also decides
 that they span, and reads everything else straight from its masks, one per
 facet with bit i for point i: the facets are the rays, and the vertices come
-from ``dd.extreme_generators_of_masks``, one AND of masks per point.
+from ``dd.extreme_generators``, one AND of masks per point.
 
 Lattice points come from one int64 array test over the bounding box: for each
 value of the leading coordinates, every facet functional is evaluated on the
@@ -33,9 +34,7 @@ import numpy as np
 
 from . import exactlinalg as la
 # extreme_rays is unused here; bench/tests/test_tracer.py checks that it is bound
-from .dd import (  # noqa: F401
-    double_description_masks, extreme_generators_of_masks, extreme_rays, face_closure,
-)
+from .dd import double_description, extreme_generators, extreme_rays, face_closure  # noqa: F401
 from .errors import (
     DegenerateInputError,
     NotFullDimensionalError,
@@ -169,7 +168,7 @@ class LatticePolytope:
             raise DegenerateInputError("no points")
         dim = len(pts[0])
         try:
-            rays, masks = double_description_masks(tuple((1,) + p for p in pts), dim + 1)
+            rays, masks = double_description(tuple((1,) + p for p in pts), dim + 1)
         except ValueError:
             base, basis = affine_span(pts)
             raise NotFullDimensionalError(
@@ -187,7 +186,7 @@ class LatticePolytope:
             # a facet of a lattice polytope contains lattice points, so the
             # jointly-primitive (c, n) already has a primitive normal part
             facets.append((n, c))
-        vertices = [pts[i] for i in extreme_generators_of_masks(masks, len(pts))]
+        vertices = [pts[i] for i in extreme_generators(masks, len(pts))]
         return cls(dim, vertices, facets)
 
     # -- basic queries -----------------------------------------------------
@@ -271,18 +270,18 @@ class LatticePolytope:
     # -- face lattice --------------------------------------------------------
 
     @cached_property
-    def _vertex_facets(self):
-        """Per vertex, the frozenset of facet indices tight at it."""
-        return [
-            frozenset(j for j, (n, c) in enumerate(self.facets) if la.dot(v, n) == -c)
-            for v in self.vertices
-        ]
+    def _facet_vertices(self):
+        """Per facet, the mask of the vertices on it: bit i for vertex i."""
+        return tuple(
+            sum(1 << i for i, v in enumerate(self.vertices) if la.dot(v, n) == -c)
+            for n, c in self.facets
+        )
 
     @cached_property
     def _face_data(self):
         _, _, masks = self._points_data
         by_dim = {}
-        for tight, vs in face_closure(self._vertex_facets, len(self.facets)).items():
+        for tight, vs in face_closure(self._facet_vertices, len(self.vertices)).items():
             verts = [self.vertices[i] for i in vs]
             dim = la.rank([la.sub(v, verts[0]) for v in verts[1:]])
             npts = sum(1 for m in masks.values() if tight <= m)

@@ -83,8 +83,28 @@ def test_fibrations_non_integer_vertex(tmp_path, capsys, bad):
     }
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"vertices": [[]]}, "'vertices' must be a non-empty list of integer lists"),
+        ({"vertices": [[1], []]}, "'vertices' must be a non-empty list of integer lists"),
+        ({"rank": True, "vertices": [[1], [-1]]}, "'rank' must be an integer"),
+        ({"rank": 1.0, "vertices": [[1], [-1]]}, "'rank' must be an integer"),
+    ],
+    ids=["empty-vertex", "one-empty-vertex", "bool-rank", "float-rank"],
+)
+def test_fibrations_malformed_polytope(tmp_path, capsys, data, message):
+    # rejected as input, before the hull sees a zero-length or mistyped point
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["fibrations", str(path), "--dim", "1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "parse-error", "message": message, "context": {}
+    }
+
+
 def test_matrix_from_json_rejects_non_integers():
     assert matrix_from_json([[1, -2], [0, 3]]) == ((1, -2), (0, 3))
-    for bad in ([[1.9, 2], [1, 0]], [[1, "2"], [1, 0]], [[True, 0]], [], [1, 2]):
+    for bad in ([[1.9, 2], [1, 0]], [[1, "2"], [1, 0]], [[True, 0]], [], [1, 2], [[]]):
         with pytest.raises(ParseError):
             matrix_from_json(bad)

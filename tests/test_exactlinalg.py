@@ -207,19 +207,19 @@ def _extreme_rays_by_subsets(constraints, dim):
 
 def _check_double_description(rows, dim):
     """Check double_description on one cone against the subset reference and
-    dot products; returns the cone's kind: "rays", "origin" or "not pointed"."""
+    dot products: every bit of every mask, a repeated constraint's copies
+    included.  Returns the cone's kind: "rays", "origin" or "not pointed"."""
     if _hermite_rank(rows) < dim:
         with pytest.raises(ValueError, match="not pointed"):
             double_description(rows, dim)
         return "not pointed"
-    got = double_description(rows, dim)
-    assert set(got) == _extreme_rays_by_subsets(rows, dim), rows
-    assert extreme_rays(rows, dim) == tuple(sorted(got))
-    for r, tight in got.items():
-        assert tight == {
-            i for i, a in enumerate(rows) if la.dot(r, a) == 0 and a not in rows[:i]
-        }, (rows, r)
-    return "rays" if got else "origin"
+    rays, masks = double_description(rows, dim)
+    assert len(set(rays)) == len(rays) == len(masks), rows
+    assert set(rays) == _extreme_rays_by_subsets(rows, dim), rows
+    assert extreme_rays(rows, dim) == tuple(sorted(rays))
+    for r, m in zip(rays, masks):
+        assert m == sum(1 << i for i, a in enumerate(rows) if la.dot(r, a) == 0), (rows, r)
+    return "rays" if rays else "origin"
 
 
 def test_double_description_matches_subset_reference():

@@ -497,14 +497,14 @@ def test_simplicial_facets_match_double_description_on_model_fans(ctx):
 
 
 def _assert_incidence_matches_dots(geom):
-    """``_ray_facets`` equals a dot-product recomputation, and the faces equal
-    ``face_closure`` on that incidence plus the apex."""
-    inc = [
-        frozenset(j for j, f in enumerate(geom.ambient_ineqs) if la.dot(r, f) == 0)
-        for r in geom.rays
-    ]
-    assert geom._ray_facets == inc, geom.rays
-    faces = set(face_closure(inc, len(geom.ambient_ineqs)).values()) | {frozenset()}
+    """``_facet_masks`` equals a dot-product recomputation, and the faces equal
+    ``face_closure`` on those masks plus the apex."""
+    masks = tuple(
+        sum(1 << i for i, r in enumerate(geom.rays) if la.dot(r, f) == 0)
+        for f in geom.ambient_ineqs
+    )
+    assert geom._facet_masks == masks, geom.rays
+    faces = set(face_closure(masks, len(geom.rays)).values()) | {frozenset()}
     want = tuple(sorted(faces, key=lambda s: (len(s), sorted(s))))
     assert geom.all_face_ray_sets() == want, geom.rays
 
@@ -577,7 +577,7 @@ def test_incidence_takes_no_dot_product(ctx, monkeypatch):
     )
     monkeypatch.setattr(fans, "face_closure", lambda *a: closures.append(a) or face_closure(*a))
     for g in geoms:
-        g._ray_facets
+        g._facet_masks
         g.all_face_ray_sets()
     assert "toricfib.fans" not in dots
     nonsimplicial = sum(not g.is_simplicial() for g in geoms)
@@ -728,10 +728,10 @@ def test_lower_dim_cone_rays_not_generating_span_lattice(rays):
 
 
 def test_extreme_generators_one_dimensional():
-    # a ray lies on no facet of its own cone, and dim - 1 = 0 facets suffice
+    # a ray's cone has one facet, on which the ray does not lie
     ray = ConeGeom(((1, -2, 0),), 3)
-    assert ray.dim == 1 and ray._ray_facets == [frozenset()]
-    assert extreme_generators(ray._ray_facets, ray.dim) == (0,)
+    assert ray.dim == 1 and ray._facet_masks == (0,)
+    assert extreme_generators(ray._facet_masks, 1) == (0,)
     assert _extreme_generators([(2, -4, 0), (1, -2, 0), (3, -6, 0)]) == ((1, -2, 0),)
     assert _extreme_generators([(-1, 2, 0)]) == ((-1, 2, 0),)
     with pytest.raises(DegenerateInputError, match="strictly convex"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from toricfib import exactlinalg as la
 from toricfib import polytope
-from toricfib.dd import double_description_masks, extreme_generators
+from toricfib.dd import double_description, extreme_generators, face_closure
 from toricfib.errors import (
     DegenerateInputError,
     NotFullDimensionalError,
@@ -141,13 +141,11 @@ def _rank_rule_vertices(points, facets, dim):
 
 
 def _incidence_rule_vertices(points, facets, dim):
-    """The vertices that ``dd.extreme_generators`` reads off the facet
-    incidence of the distinct homogenized points."""
+    """The vertices that ``dd.extreme_generators`` reads off the per-facet
+    masks of the distinct homogenized points."""
     pts = sorted(set(points))
-    incidence = [
-        frozenset(j for j, (n, c) in enumerate(facets) if la.dot(p, n) == -c) for p in pts
-    ]
-    return tuple(pts[i] for i in extreme_generators(incidence, dim + 1))
+    masks = [sum(1 << i for i, p in enumerate(pts) if la.dot(p, n) == -c) for n, c in facets]
+    return tuple(pts[i] for i in extreme_generators(masks, len(pts)))
 
 
 def _cross_polytope_with_edge_midpoints(dim):
@@ -234,7 +232,7 @@ def test_hull_on_criterion_17_point_sets():
             continue
         reflexive += p.is_reflexive()
         assert p.vertices == _rank_rule_vertices(points, p.facets, 2)
-        rays, masks = double_description_masks(tuple((1,) + q for q in pts), 3)
+        rays, masks = double_description(tuple((1,) + q for q in pts), 3)
         assert sorted((f[1:], f[0]) for f in rays) == list(p.facets)
         for f, m in zip(rays, masks):
             on = [i for i, q in enumerate(pts) if f[0] + la.dot(f[1:], q) == 0]
@@ -243,6 +241,43 @@ def test_hull_on_criterion_17_point_sets():
             assert all(f[0] + la.dot(f[1:], q) >= 0 for q in pts)
         assert len(p.facets) == len(p.vertices)
     assert (len(sets), spans, reflexive) == (1511, 10, 30)
+
+
+def _faces_by_subsets(masks, ngens):
+    """Reference for dd.face_closure: every distinct nonempty AND of a subset
+    of the facet masks (the empty subset gives every generator), keyed by the
+    full set of facets whose masks contain it."""
+    faces = {}
+    for k in range(len(masks) + 1):
+        for subset in itertools.combinations(masks, k):
+            gens = (1 << ngens) - 1
+            for m in subset:
+                gens &= m
+            if gens:
+                tight = frozenset(j for j, m in enumerate(masks) if m & gens == gens)
+                faces[tight] = frozenset(i for i in range(ngens) if gens >> i & 1)
+    return faces
+
+
+def test_face_closure_matches_subset_reference():
+    """On criterion 17's hulls, both on their vertex masks and on the double
+    description's masks of all their points, and on cones with no facet."""
+    hulls = 0
+    for points, p in _criterion_17_point_sets():
+        if isinstance(p, NotFullDimensionalError):
+            continue
+        hulls += 1
+        faces = face_closure(p._facet_vertices, len(p.vertices))
+        assert faces == _faces_by_subsets(p._facet_vertices, len(p.vertices)), points
+        assert len(faces) == 2 * len(p.vertices) + 1  # vertices, edges, the polygon
+        pts = tuple(dict.fromkeys(points))
+        _, masks = double_description(tuple((1,) + q for q in pts), 3)
+        assert face_closure(masks, len(pts)) == _faces_by_subsets(masks, len(pts)), points
+    assert hulls == 1501
+    assert face_closure((), 0) == {}
+    for n in range(1, 4):
+        whole = {frozenset(): frozenset(range(n))}  # no facet: the one face is the cone
+        assert face_closure((), n) == _faces_by_subsets((), n) == whole
 
 
 def test_hull_idempotent():

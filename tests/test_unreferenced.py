@@ -20,7 +20,7 @@ package.
 The model geometry is public in ``models``, so no file in ``src/`` or
 ``tests/`` but ``acceptance.py`` itself reads a private ``acceptance._*``
 name, through an attribute of the module or a from-import.  ``bench/`` is
-exempt while it reads ``acceptance._Ctx`` (ROADMAP item 12).
+exempt while it reads ``acceptance._Ctx`` (ROADMAP item 20).
 """
 
 from __future__ import annotations
